@@ -7,12 +7,11 @@ drives the iterate, a filtered subgradient average, and filtered trackers
 of all nested values simultaneously.
 """
 
-from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport,
-                          RandomIterateMeasure, RunRecord,
+from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
                           TrackingBoundReport, default_gammas, fit_rate,
                           lyapunov_nonsmooth, lyapunov_smooth,
                           objective_tail_oscillation, optimality_measure,
-                          random_iterate_measure, tracking_error_bound_check)
+                          tracking_error_bound_check)
 from .errors import (CompoptError, ConfigError, InsufficientReplicationsError,
                      InvalidHorizonError, InvalidParamError,
                      MissingExactEvaluatorsError, NonFiniteIterateError,
@@ -23,13 +22,28 @@ from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     StepSchedule, Violation, init_state, next_stepsize,
                     stepsize_cap, validate_problem)
 from .oracles import (DeterministicOracle, LevelOracle, NoiseModel, NoisyOracle,
-                      OracleSample, finite_difference_reference, level_streams,
-                      sample_level)
+                      OracleSample, level_streams)
 from .sets import (Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap,
-                   is_stationary, optimality_residual, solve_subproblem)
+                   solve_subproblem)
 from .solver import (IterationTrace, assemble_subgradient, run, step,
                      update_trackers, update_z)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
+    "ConfigError", "Constant", "Custom", "CustomSet", "DeterministicOracle",
+    "DiagnosticsConfig", "Diminishing", "ExactEvaluators", "FeasibleSet",
+    "InitPolicy", "InsufficientReplicationsError", "InvalidHorizonError",
+    "InvalidParamError", "IterateState", "IterationTrace", "LevelOracle",
+    "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
+    "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample", "Polytope",
+    "ProjectionError", "RunRecord", "ScheduleExhaustedError", "Simplex",
+    "SolverSetupError", "StepSchedule", "TrackingBoundReport",
+    "UnknownFamilyError", "Violation", "assemble_subgradient", "default_gammas",
+    "fit_rate", "gap", "init_state", "level_streams", "lyapunov_nonsmooth",
+    "lyapunov_smooth", "next_stepsize", "objective_tail_oscillation",
+    "optimality_measure", "run", "solve_subproblem", "step", "stepsize_cap",
+    "tracking_error_bound_check", "update_trackers", "update_z",
+    "validate_problem",
+]

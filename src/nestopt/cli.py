@@ -47,23 +47,17 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else cfg.output_dir
 
     try:
-        if args.command == "validate":
-            problem = make_problem(cfg.problem_spec)
-            violations = validate_problem(problem)
+        if args.command in ("validate", "run"):
+            violations = validate_problem(make_problem(cfg.problem_spec))
             for v in violations:
-                print(f"violation (level={v.level}, kind={v.kind}): {v.message}")
+                print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
+                      file=sys.stdout if args.command == "validate" else sys.stderr)
             if violations:
                 return 1
+        if args.command == "validate":
             print("config and problem structure ok")
             return 0
         if args.command == "run":
-            problem = make_problem(cfg.problem_spec)
-            violations = validate_problem(problem)
-            if violations:
-                for v in violations:
-                    print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
-                          file=sys.stderr)
-                return 1
             summary = run_single(cfg, out_dir, seed_override=args.seed)
             print(f"wrote {out_dir}/trace.csv and summary.json "
                   f"({summary['iterations']} iterations)")

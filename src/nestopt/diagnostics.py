@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (InsufficientReplicationsError, MissingExactEvaluatorsError)
-from .model import AlgorithmParams, CompositionProblem, IterateState
+from .model import AlgorithmParams, CompositionProblem, IterateState, init_state
+from .oracles import level_streams
 from .sets import gap as set_gap
 
 SQUARED = "squared"
@@ -59,7 +61,6 @@ class RunRecord:
     max_z_norm: float = 0.0
     max_u_norm: float = 0.0
     clamp_events: int = 0
-    config_echo: dict = field(default_factory=dict)
 
     @property
     def n_levels(self) -> int:
@@ -89,49 +90,34 @@ def optimality_measure(record: RunRecord, mode: str = SQUARED) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RandomIterateMeasure:
-    index: int
-    value: float
-    mean: float
+def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> list[float]:
+    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact evaluators."""
+    M = len(u)
+    out = []
+    for m in range(1, M + 1):
+        r = exact.value(m, x, u[m] if m < M else None) - u[m - 1]
+        out.append(math.sqrt(float(r @ r)))
+    return out
 
 
-def random_iterate_measure(record: RunRecord, rng: np.random.Generator,
-                           mode: str = SQUARED) -> RandomIterateMeasure:
-    """Measure at a uniformly drawn iteration, plus the run mean.
-
-    The mean over all iterations is the quantity the finite-horizon bound
-    actually controls; the random-index value is what a single estimate of
-    it looks like.
-    """
-    series = optimality_measure(record, mode)
-    r = int(rng.integers(0, record.iterations))
-    return RandomIterateMeasure(r, float(series[r]), float(np.nanmean(series)))
-
-
-def _check_gammas(gammas: Sequence[float], M: int) -> None:
+def _merit(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
+           u: Sequence[np.ndarray], a: float, rho: float,
+           gammas: Sequence[float], smooth: bool) -> float:
+    if problem.exact is None:
+        raise MissingExactEvaluatorsError("Lyapunov diagnostics need exact evaluators")
+    M = problem.M
     if len(gammas) != max(M - 1, 0):
         raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma weights must be positive")
-
-
-def _residual_norms(problem: CompositionProblem, x: np.ndarray,
-                    u: Sequence[np.ndarray], nested: bool) -> list[float]:
-    """||f_m(x, u_{m+1}) - u_m|| for m = 2..M (or nested values if asked)."""
-    exact = problem.exact
-    M = problem.M
-    out = []
-    if nested:
-        vals = exact.nested(x)
-        for m in range(2, M + 1):
-            out.append(float(np.linalg.norm(vals[m - 1] - u[m - 1])))
-        return out
-    for m in range(2, M + 1):
-        u_next = u[m] if m < M else None
-        fm = exact.value(m, x, u_next)
-        out.append(float(np.linalg.norm(fm - u[m - 1])))
-    return out
+    if smooth:
+        f1 = problem.exact.nested(x)[0]
+    else:
+        f1 = problem.exact.value(1, x, u[1] if M >= 2 else None)
+    w = a * float(np.squeeze(f1)) - set_gap(problem.feasible_set, x, z, rho)
+    for g, r in zip(gammas, tracking_errors(problem.exact, x, u)[1:]):
+        w += g * r * r if smooth else g * r
+    return w
 
 
 def lyapunov_nonsmooth(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
@@ -142,31 +128,14 @@ def lyapunov_nonsmooth(problem: CompositionProblem, x: np.ndarray, z: np.ndarray
     Uses exact evaluators; the top level is evaluated at the tracker u_2,
     the residual terms at (x, u_{m+1}) for m = 2..M.
     """
-    if problem.exact is None:
-        raise MissingExactEvaluatorsError("Lyapunov diagnostics need exact evaluators")
-    M = problem.M
-    _check_gammas(gammas, M)
-    u2 = u[1] if M >= 2 else None
-    f1 = float(np.squeeze(problem.exact.value(1, x, u2)))
-    w = a * f1 - set_gap(problem.feasible_set, x, z, rho)
-    for g, r in zip(gammas, _residual_norms(problem, x, u, nested=False)):
-        w += g * r
-    return w
+    return _merit(problem, x, z, u, a, rho, gammas, smooth=False)
 
 
 def lyapunov_smooth(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
                     u: Sequence[np.ndarray], a: float, rho: float,
                     gammas: Sequence[float]) -> float:
     """Smooth-case merit: a*V_1(x) - eta(x, z) + sum gamma_m ||f_m - u_m||^2."""
-    if problem.exact is None:
-        raise MissingExactEvaluatorsError("Lyapunov diagnostics need exact evaluators")
-    M = problem.M
-    _check_gammas(gammas, M)
-    f1_full = float(np.squeeze(problem.exact.nested(x)[0]))
-    w = a * f1_full - set_gap(problem.feasible_set, x, z, rho)
-    for g, r in zip(gammas, _residual_norms(problem, x, u, nested=False)):
-        w += g * r * r
-    return w
+    return _merit(problem, x, z, u, a, rho, gammas, smooth=True)
 
 
 def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
@@ -177,15 +146,19 @@ def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
     a short trajectory; the growth in m mirrors how inner residuals
     propagate through the chain rule.
     """
-    from .solver import run  # local import to avoid a cycle
+    from .solver import step  # local import to avoid a cycle
 
     M = problem.M
     if M == 1:
         return ()
-    record = run(problem, params, max(2, calibration_iters),
-                 diagnostics=DiagnosticsConfig(track_every=0, exact_every=0),
-                 collect_jac_u_norms=True)
-    lhat = max(record.config_echo.get("max_jac_u_norm", 1.0), 1.0)
+    streams = level_streams(params.seed, M)
+    state = init_state(problem, params, streams=streams)
+    max_jusq = 0.0
+    for _ in range(max(2, calibration_iters)):
+        state, trace = step(state, problem, params, streams)
+        for s in trace.samples[:-1]:
+            max_jusq = max(max_jusq, float(np.sum(s.jac_u * s.jac_u)))
+    lhat = max(math.sqrt(max_jusq), 1.0)
     return tuple(params.a * lhat ** (m - 1) + 1.0 for m in range(2, M + 1))
 
 
@@ -205,8 +178,12 @@ class ObjectiveTailReport:
 
 
 def objective_tail_oscillation(record: RunRecord,
-                               tail_fraction: float = 0.1) -> ObjectiveTailReport:
-    """Oscillation report of the recorded objective series over the tail."""
+                               tail_fraction: float = 0.1) -> ObjectiveTailReport | None:
+    """Oscillation report of the recorded objective series over the tail.
+
+    None when no objective sample falls inside the tail (a run shorter than
+    the sampling interval over the tail fraction).
+    """
     if record.objective is None:
         raise MissingExactEvaluatorsError(
             "objective series not recorded; run with exact_every >= 1")
@@ -216,7 +193,7 @@ def objective_tail_oscillation(record: RunRecord,
     tail = record.objective[start:]
     tail = tail[np.isfinite(tail)]
     if tail.size == 0:
-        raise ValueError("no objective samples fall inside the requested tail")
+        return None
     return ObjectiveTailReport(
         tail_points=int(tail.size),
         oscillation=float(np.max(tail) - np.min(tail)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +100,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if iterations < 1:
             raise ConfigError("run.iterations", "must be a positive integer")
     init = run_doc.get("init", "one_sample")
-    init_x = None
-    if isinstance(init, dict):
-        policy_name = init.get("policy", "one_sample")
-        init_x = init.get("x")
-    else:
-        policy_name = init
+    if not isinstance(init, dict):
+        init = {"policy": init}
+    policy_name, init_x = init.get("policy", "one_sample"), init.get("x")
     try:
         policy = InitPolicy(policy_name)
     except ValueError as exc:
@@ -214,9 +211,9 @@ def summarize_run(record: RunRecord, problem, params: AlgorithmParams) -> dict:
     if record.tracking is not None:
         summary["mean_squared_measure"] = float(
             np.nanmean(optimality_measure(record, "squared")))
-    if record.objective is not None and np.any(np.isfinite(record.objective)):
+    if record.objective is not None:
         osc = objective_tail_oscillation(record)
-        summary["objective_tail"] = {
+        summary["objective_tail"] = None if osc is None else {
             "points": osc.tail_points,
             "oscillation": osc.oscillation,
             "mean": osc.mean,
@@ -240,8 +237,7 @@ def run_single(cfg: ExperimentConfig, out_dir, seed_override: int | None = None)
     if cfg.iterations is None:
         raise ConfigError("run.iterations", "missing required field")
     params = cfg.algorithm if seed_override is None else \
-        AlgorithmParams(cfg.algorithm.a, cfg.algorithm.b, cfg.algorithm.rho,
-                        cfg.algorithm.schedule, seed_override)
+        replace(cfg.algorithm, seed=seed_override)
     problem = make_problem(cfg.problem_spec)
     init_x = None if cfg.init_x is None else np.asarray(cfg.init_x, dtype=float)
     record = run(problem, params, cfg.iterations, diagnostics=cfg.diagnostics,
@@ -263,13 +259,9 @@ def _replication_task(payload: dict) -> dict:
     ||d||^2 alone (tracking errors need ground truth).
     """
     problem = make_problem(payload["problem"])
-    params = AlgorithmParams(
-        a=payload["a"], b=payload["b"], rho=payload["rho"],
-        schedule=Constant(payload["tau"]), seed=payload["seed"],
-    )
-    record = run(problem, params, payload["iterations"],
+    record = run(problem, payload["params"], payload["iterations"],
                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
-                 init_policy=InitPolicy(payload["init_policy"]),
+                 init_policy=payload["init_policy"],
                  replication=payload["replication"])
     if record.tracking is None:
         measure = float(np.nanmean(record.d_sq))
@@ -304,16 +296,11 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, seed_override: int | None = 
     theta = float(cfg.rate.get("theta", 1.0))
     horizons = [int(n) for n in cfg.rate["horizons"]]
     reps = int(cfg.rate["replications"])
-    payloads = []
-    for n_iter in horizons:
-        tau = theta / math.sqrt(n_iter)
-        for r in range(reps):
-            payloads.append({
-                "problem": cfg.problem_spec, "a": cfg.algorithm.a,
-                "b": cfg.algorithm.b, "rho": cfg.algorithm.rho,
-                "tau": tau, "seed": seed, "iterations": n_iter,
-                "replication": r, "init_policy": cfg.init_policy.value,
-            })
+    payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
+                 "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter)),
+                                   seed=seed),
+                 "init_policy": cfg.init_policy}
+                for n_iter in horizons for r in range(reps)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_replication_task, payloads))

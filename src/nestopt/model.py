@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ScheduleExhaustedError
-from .oracles import LevelOracle, level_streams
+from .oracles import _SEED_MAX, LevelOracle, OracleSample, level_streams
 from .sets import FeasibleSet
-
-_SEED_MAX = 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +97,35 @@ class ExactEvaluators:
     """Ground-truth evaluators attached to test problems.
 
     value_jac(m, x, u_next) returns the exact (value, jac_x, jac_u) of level
-    m (1-based; jac_u is None for the innermost level).  nested(x) returns
-    the fully composed values [V_1(x), ..., V_M(x)] computed bottom-up.
+    m = 1..levels (jac_u is None for the innermost level, m = levels).
     x_star / f_star carry a known solution when one exists.
     """
 
     value_jac: Callable[[int, np.ndarray, np.ndarray | None], tuple]
-    nested: Callable[[np.ndarray], list[np.ndarray]]
+    levels: int
     x_star: np.ndarray | None = None
     f_star: float | None = None
 
+    @classmethod
+    def from_oracles(cls, oracles: Sequence[LevelOracle], x_star: np.ndarray | None = None,
+                     f_star: float | None = None) -> ExactEvaluators:
+        """Exact evaluators read off noise-free level oracles."""
+        samplers = [o.sample for o in oracles]
+
+        def value_jac(m, x, u_next):
+            return samplers[m - 1](x, u_next, None, 0)[:3]
+        return cls(value_jac, len(samplers), x_star, f_star)
+
     def value(self, m: int, x: np.ndarray, u_next: np.ndarray | None) -> np.ndarray:
         return self.value_jac(m, x, u_next)[0]
+
+    def nested(self, x: np.ndarray) -> list[np.ndarray]:
+        """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
+        vals: list = [None] * self.levels
+        v = None
+        for m in range(self.levels, 0, -1):
+            v = vals[m - 1] = self.value_jac(m, x, v)[0]
+        return vals
 
 
 @dataclass(frozen=True)
@@ -135,9 +149,21 @@ class CompositionProblem:
     def M(self) -> int:
         return len(self.level_dims)
 
-    def inner_dim(self, m: int) -> int:
-        """d_{m+1}, the inner-argument dimension of level m (0 for m = M)."""
-        return self.level_dims[m] if m < self.M else 0
+    def sample_levels(self, x: np.ndarray, u: Sequence[np.ndarray] | None,
+                      streams: Sequence[np.random.Generator], k: int) -> list[OracleSample]:
+        """One sample per level at x, innermost first; samples[m-1] is level m's.
+
+        Level m < M reads the tracker u[m] of level m+1 as its inner argument,
+        or, with u None, the value just sampled from level m+1.
+        """
+        oracles = self.oracles
+        M = len(oracles)
+        samples: list = [None] * M
+        s = samples[M - 1] = oracles[M - 1].sample(x, None, streams[M - 1], k)
+        for m in range(M - 2, -1, -1):
+            s = samples[m] = oracles[m].sample(x, s.value if u is None else u[m + 1],
+                                               streams[m], k)
+        return samples
 
 
 @dataclass(frozen=True)
@@ -148,12 +174,6 @@ class IterateState:
     x: np.ndarray
     z: np.ndarray
     u: tuple[np.ndarray, ...]
-
-    def is_finite(self) -> bool:
-        s = float(np.sum(self.x)) + float(np.sum(self.z))
-        for arr in self.u:
-            s += float(np.sum(arr))
-        return math.isfinite(s)
 
 
 class InitPolicy(enum.Enum):
@@ -212,7 +232,7 @@ def validate_problem(problem: CompositionProblem) -> list[Violation]:
     for m in range(1, M + 1):
         oracle = problem.oracles[m - 1]
         d_m = problem.level_dims[m - 1]
-        d_next = problem.inner_dim(m)
+        d_next = problem.level_dims[m] if m < M else 0  # inner-argument dimension
         u_next = np.zeros(d_next) if d_next else None
         try:
             s = oracle.sample(x0, u_next, streams[m - 1], 0)
@@ -260,7 +280,6 @@ def init_state(problem: CompositionProblem, params: AlgorithmParams,
     """
     from .solver import assemble_subgradient  # local import to avoid a cycle
 
-    M = problem.M
     if init_x is None:
         init_x = problem.feasible_set.anchor()
     init_x = np.asarray(init_x, dtype=float)
@@ -273,16 +292,10 @@ def init_state(problem: CompositionProblem, params: AlgorithmParams,
         return IterateState(0, x0, np.zeros(problem.n), u)
 
     if streams is None:
-        streams = level_streams(params.seed, M, replication=0)
-    samples: list = [None] * M
-    u_list: list = [None] * M
-    samples[M - 1] = problem.oracles[M - 1].sample(x0, None, streams[M - 1], 0)
-    u_list[M - 1] = samples[M - 1].value
-    for m in range(M - 1, 0, -1):  # levels M-1 .. 1
-        samples[m - 1] = problem.oracles[m - 1].sample(x0, u_list[m], streams[m - 1], 0)
-        u_list[m - 1] = samples[m - 1].value
+        streams = level_streams(params.seed, problem.M, replication=0)
+    samples = problem.sample_levels(x0, None, streams, 0)
     if problem.level_dims[0] == 1:
         z0 = assemble_subgradient(samples)[0].copy()
     else:
         z0 = np.zeros(problem.n)  # no scalar chain to fold for diagnostics-only problems
-    return IterateState(0, x0, z0, tuple(u_list))
+    return IterateState(0, x0, z0, tuple(s.value for s in samples))

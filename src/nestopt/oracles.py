@@ -60,10 +60,7 @@ class OracleSample(NamedTuple):
         return np.concatenate([self.jac_x, self.jac_u], axis=1)
 
     def check_finite(self) -> bool:
-        ok = bool(np.all(np.isfinite(self.value)) and np.all(np.isfinite(self.jac_x)))
-        if self.jac_u is not None:
-            ok = ok and bool(np.all(np.isfinite(self.jac_u)))
-        return ok
+        return all(np.all(np.isfinite(a)) for a in self[:3] if a is not None)
 
 
 @dataclass(frozen=True)
@@ -161,41 +158,3 @@ class NoisyOracle(LevelOracle):
             if jac_u is not None:
                 jac_u = jac_u + off
         return OracleSample(value, jac_x, jac_u)
-
-
-def sample_level(oracle: LevelOracle, x: np.ndarray, u_next: np.ndarray | None,
-                 rng: np.random.Generator, k: int = 0) -> OracleSample:
-    """Draw one sample from a level oracle (thin functional front end)."""
-    return oracle.sample(x, u_next, rng, k)
-
-
-def finite_difference_reference(f, x: np.ndarray, u_next: np.ndarray | None = None,
-                                step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of an exact level evaluator.
-
-    ``f(x, u_next)`` must return the level value as a 1-D array (or scalar).
-    Returns the full Jacobian with the x-block first, then the u-block, so
-    its shape matches OracleSample.jac.  Entrywise error is O(step^2) for
-    three times differentiable levels; intended as an independent test
-    oracle, not for production sampling.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def eval_at(xv, uv):
-        return np.atleast_1d(np.asarray(f(xv, uv), dtype=float))
-
-    base = eval_at(x, u_next)
-    n = x.size
-    du = 0 if u_next is None else np.asarray(u_next).size
-    jac = np.empty((base.size, n + du))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        jac[:, j] = (eval_at(x + e, u_next) - eval_at(x - e, u_next)) / (2 * step)
-    if du:
-        u = np.asarray(u_next, dtype=float)
-        for j in range(du):
-            e = np.zeros(du)
-            e[j] = step
-            jac[:, n + j] = (eval_at(x, u + e) - eval_at(x, u - e)) / (2 * step)
-    return jac

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (InvalidParamError, MissingExactEvaluatorsError,
-                      UnknownFamilyError)
+from ..errors import InvalidParamError, UnknownFamilyError
 from ..model import CompositionProblem
 from ..oracles import NoiseModel
 from ..sets import Ball, Box, FeasibleSet, Polytope, Simplex
@@ -20,7 +19,6 @@ __all__ = [
     "random_scenarios", "risk_p1", "risk_p2", "scenarios_from_csv",
     "scenarios_to_csv", "solve_vi_fixed_point", "svi_problem",
     "synthetic_smooth", "make_problem", "set_from_spec",
-    "eval_exact_level", "exact_composed_gradient", "svi_gap_oracle",
 ]
 
 
@@ -29,15 +27,15 @@ def set_from_spec(spec: dict, n: int) -> FeasibleSet:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParamError("set", "feasible set spec needs a 'kind'")
     kind = spec["kind"]
+
+    def vec(key, default):  # a scalar entry fills all n coordinates
+        v = spec.get(key, default)
+        return np.full(n, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)
+
     if kind == "box":
-        lo, hi = spec.get("lo", -1.0), spec.get("hi", 1.0)
-        lo = np.full(n, float(lo)) if np.isscalar(lo) else np.asarray(lo, dtype=float)
-        hi = np.full(n, float(hi)) if np.isscalar(hi) else np.asarray(hi, dtype=float)
-        return Box(lo, hi)
+        return Box(vec("lo", -1.0), vec("hi", 1.0))
     if kind == "ball":
-        center = spec.get("center", 0.0)
-        center = np.full(n, float(center)) if np.isscalar(center) else np.asarray(center, dtype=float)
-        return Ball(center, float(spec.get("radius", 1.0)))
+        return Ball(vec("center", 0.0), float(spec.get("radius", 1.0)))
     if kind == "simplex":
         return Simplex(n, float(spec.get("scale", 1.0)))
     if kind == "polytope":
@@ -90,6 +88,9 @@ def make_problem(spec: dict) -> CompositionProblem:
     fs = set_from_spec(spec["set"], n) if "set" in spec else None
 
     if family == "synthetic_smooth":
+        if fs is not None:
+            raise InvalidParamError("problem.set",
+                                    "synthetic_smooth builds its own box; 'set' does not apply")
         return synthetic_smooth(
             levels=int(spec.get("levels", 3)),
             n=int(spec.get("n", 10)),
@@ -122,43 +123,3 @@ def make_problem(spec: dict) -> CompositionProblem:
         )
     raise UnknownFamilyError("problem.family", f"unknown problem family {family!r}")
 
-
-def eval_exact_level(problem: CompositionProblem, x: np.ndarray, m: int) -> np.ndarray:
-    """Fully nested ground-truth value of level m at x.
-
-    Computed bottom-up through the exact evaluators; m is 1-based, so
-    m = 1 is the composed objective.
-    """
-    if problem.exact is None:
-        raise MissingExactEvaluatorsError(
-            f"problem {problem.name or '<anonymous>'} carries no exact evaluators")
-    if not 1 <= m <= problem.M:
-        raise ValueError(f"level {m} outside 1..{problem.M}")
-    return problem.exact.nested(np.asarray(x, dtype=float))[m - 1]
-
-
-def exact_composed_gradient(problem: CompositionProblem, x: np.ndarray) -> np.ndarray:
-    """Chain-rule gradient of the composed objective at exact inner values.
-
-    Evaluates each level at the true nested value of its inner argument and
-    folds the exact Jacobians; rows correspond to top-level outputs.
-    """
-    from ..oracles import OracleSample
-    from ..solver import assemble_subgradient
-
-    exact = problem.exact
-    M = problem.M
-    vals = exact.nested(x)
-    samples = []
-    for m in range(1, M + 1):
-        u_next = vals[m] if m < M else None
-        v, jx, ju = exact.value_jac(m, x, u_next)
-        samples.append(OracleSample(np.atleast_1d(v), np.atleast_2d(jx),
-                                    None if ju is None else np.atleast_2d(ju)))
-    return assemble_subgradient(samples)
-
-
-def svi_gap_oracle(problem: CompositionProblem, x: np.ndarray, u: np.ndarray):
-    """Noise-free top-level sample of a VI-gap problem at (x, u)."""
-    return problem.oracles[0].sample(np.asarray(x, dtype=float),
-                                     np.asarray(u, dtype=float), None, 0)

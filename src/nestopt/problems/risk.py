@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import InvalidParamError
 from ..model import CompositionProblem, ExactEvaluators
 from ..oracles import LevelOracle, OracleSample
-from ..sets import Ball, Box, FeasibleSet, Simplex
+from ..sets import FeasibleSet, Simplex
 
 
 @dataclass(frozen=True)
@@ -226,29 +226,11 @@ class SqrtRiskLevel(LevelOracle):
 # ---------------------------------------------------------------------------
 # problem builders
 
-def _default_set(scen, feasible_set) -> FeasibleSet:
-    return feasible_set if feasible_set is not None else Simplex(scen.n)
-
-
-def _sup_x_norm(fs: FeasibleSet) -> float:
-    if isinstance(fs, Box):
-        return float(np.linalg.norm(np.maximum(np.abs(fs.lo), np.abs(fs.hi))))
-    if isinstance(fs, Ball):
-        return float(np.linalg.norm(fs.center)) + fs.radius
-    if isinstance(fs, Simplex):
-        return fs.scale
-    # generic fallback: anchor plus diameter when available
-    try:
-        return float(np.linalg.norm(fs.anchor())) + fs.diameter()
-    except NotImplementedError:
-        return float("inf")
-
-
 def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> CompositionProblem:
     """Two-level mean-semideviation problem (p = 1) over a feasible set."""
     if not 0.0 <= kappa <= 1.0:
         raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
-    fs = _default_set(scen, feasible_set)
+    fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
     exact = None
     meta = {}
@@ -267,14 +249,8 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
             jac_u = np.array([[-kappa * float(w @ act)]])
             return val, jac_x, jac_u
 
-        def nested(x):
-            losses, _ = scen.all_losses(x)
-            mean = float(w @ losses)
-            dev = float(w @ np.maximum(losses - mean, 0.0))
-            return [np.array([mean + kappa * dev]), np.array([mean])]
-
-        exact = ExactEvaluators(value_jac, nested)
-        bh, bg = scen.loss_bounds(_sup_x_norm(fs))
+        exact = ExactEvaluators(value_jac, 2)
+        bh, bg = scen.loss_bounds(fs.sup_norm())
         meta = {
             "value_bounds": [bh * (1.0 + 2.0 * kappa), bh],
             "jac_bounds": [((1.0 + kappa) * bg, kappa), (bg, 0.0)],
@@ -292,7 +268,7 @@ def risk_p2(scen, kappa: float, epsilon: float,
         raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
     if epsilon <= 0.0:
         raise InvalidParamError("problem.epsilon", "epsilon must be strictly positive")
-    fs = _default_set(scen, feasible_set)
+    fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),
                MeanLossLevel(scen))
@@ -321,15 +297,8 @@ def risk_p2(scen, kappa: float, epsilon: float,
             jac_u = np.array([[kappa / (2.0 * root)]])
             return val, jac_x, jac_u
 
-        def nested(x):
-            losses, _ = scen.all_losses(x)
-            mean = float(w @ losses)
-            v2 = float(w @ np.maximum(losses - mean, 0.0) ** 2)
-            return [np.array([mean + kappa * math.sqrt(epsilon + v2)]),
-                    np.array([v2]), np.array([mean])]
-
-        exact = ExactEvaluators(value_jac, nested)
-        bh, bg = scen.loss_bounds(_sup_x_norm(fs))
+        exact = ExactEvaluators(value_jac, 3)
+        bh, bg = scen.loss_bounds(fs.sup_norm())
         bv2 = 4.0 * bh * bh
         bu_top = kappa / math.sqrt(2.0 * epsilon)
         meta = {

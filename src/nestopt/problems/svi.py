@@ -95,11 +95,10 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
     [0, 2]^n.  With monotone=True the exact solution is computed by the
     fixed-point oracle and stored in the exact evaluators.
     """
-    if r <= 0:
-        raise InvalidParamError("problem.r", "regularization r must be positive")
     fs = feasible_set if feasible_set is not None else Box(np.zeros(n), np.full(n, 2.0))
     if fs.dim != n:
         raise InvalidParamError("problem.set", f"set dimension {fs.dim} != n={n}")
+    gap_level = RegularizedGapLevel(fs, r)  # rejects r <= 0
     rng = np.random.default_rng(instance_seed)
     if isinstance(matrix, str):
         if matrix == "identity":
@@ -125,29 +124,15 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
 
     x_star = solve_vi_fixed_point(A, b_vec, fs) if monotone else None
 
-    gap_level = RegularizedGapLevel(fs, r)
     inner = NegatedMeanMapLevel(A, b_vec)
     inner_oracle = NoisyOracle(inner, NoiseModel(value_sd=noise_sd, jac_sd=noise_sd)) \
         if noise_sd > 0 else inner
     oracles = (gap_level, inner_oracle)
 
-    def value_jac(m, x, u_next):
-        if m == 2:
-            return -(A @ x) - b_vec, -A, None
-        dy = fs.project(x + u_next / r) - x
-        val = np.array([float(u_next @ dy) - 0.5 * r * float(dy @ dy)])
-        return val, (r * dy - u_next)[None, :], dy[None, :]
+    exact = ExactEvaluators.from_oracles((gap_level, inner), x_star=x_star,
+                                         f_star=0.0 if monotone else None)
 
-    def nested(x):
-        v2 = -(A @ x) - b_vec
-        dy = fs.project(x + v2 / r) - x
-        v1 = np.array([float(v2 @ dy) - 0.5 * r * float(dy @ dy)])
-        return [v1, v2]
-
-    exact = ExactEvaluators(value_jac, nested, x_star=x_star,
-                            f_star=0.0 if monotone else None)
-
-    bx = _sup_norm(fs)
+    bx = fs.sup_norm()
     bmap = float(np.linalg.norm(A)) * bx + float(np.linalg.norm(b_vec))
     diam = fs.diameter()
     meta = {
@@ -159,8 +144,3 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
     return CompositionProblem(n, (1, n), fs, oracles, exact,
                               name="svi", meta=meta)
 
-
-def _sup_norm(fs: FeasibleSet) -> float:
-    if isinstance(fs, Box):
-        return float(np.linalg.norm(np.maximum(np.abs(fs.lo), np.abs(fs.hi))))
-    return float(np.linalg.norm(fs.anchor())) + fs.diameter()

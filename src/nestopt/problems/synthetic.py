@@ -94,30 +94,20 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     x_hat = rng.uniform(-0.5 * halfwidth, 0.5 * halfwidth, size=n)
     fs = Box(np.full(n, -halfwidth), np.full(n, halfwidth))
 
+    def build(level_oracles: list[LevelOracle], dims: tuple[int, ...], meta: dict):
+        oracles = tuple(NoisyOracle(o, noise) for o in level_oracles) if noise else tuple(level_oracles)
+        exact = ExactEvaluators.from_oracles(level_oracles, x_star=x_hat.copy(), f_star=0.0)
+        return CompositionProblem(n, dims, fs, oracles, exact,
+                                  name="synthetic_smooth", meta=meta)
+
     if M == 1:
-        level_oracles: list[LevelOracle] = [QuadraticPointLevel(x_hat)]
-        dims = (1,)
-
-        def value_jac(m, x, u_next):
-            dx = x - x_hat
-            return np.array([0.5 * float(dx @ dx)]), dx[None, :], None
-
-        def nested(x):
-            dx = x - x_hat
-            return [np.array([0.5 * float(dx @ dx)])]
-
-        exact = ExactEvaluators(value_jac, nested, x_star=x_hat.copy(), f_star=0.0)
-        bx = float(np.linalg.norm(np.maximum(np.abs(fs.lo), np.abs(fs.hi))))
-        g_bound = bx + float(np.linalg.norm(x_hat))
-        meta = {
+        g_bound = fs.sup_norm() + float(np.linalg.norm(x_hat))
+        return build([QuadraticPointLevel(x_hat)], (1,), {
             "value_bounds": [0.5 * g_bound**2],
             "jac_bounds": [(g_bound, 0.0)],
             "g_bound": g_bound,
             "f_bound": 0.5 * g_bound**2,
-        }
-        oracles = tuple(NoisyOracle(o, noise) for o in level_oracles) if noise else tuple(level_oracles)
-        return CompositionProblem(n, dims, fs, oracles, exact,
-                                  name="synthetic_smooth", meta=meta)
+        })
 
     d = inner_dim
     Qs, Rs, cs = {}, {}, {}
@@ -139,32 +129,9 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     for m in range(2, M):
         level_oracles.append(LinearLevel(Qs[m], Rs[m], cs[m]))
     level_oracles.append(LinearBottomLevel(Qs[M], cs[M]))
-    dims = (1,) + (d,) * (M - 1)
-
-    def value_jac(m, x, u_next):
-        if m == 1:
-            dx = x - x_hat
-            du = u_next - u_hat
-            val = np.array([0.5 * float(dx @ dx) + 0.5 * float(du @ du)])
-            return val, dx[None, :], du[None, :]
-        if m < M:
-            return Qs[m] @ x + Rs[m] @ u_next + cs[m], Qs[m], Rs[m]
-        return Qs[M] @ x + cs[M], Qs[M], None
-
-    def nested(x):
-        vals = [None] * M
-        vals[M - 1] = Qs[M] @ x + cs[M]
-        for m in range(M - 1, 1, -1):
-            vals[m - 1] = Qs[m] @ x + Rs[m] @ vals[m] + cs[m]
-        dx = x - x_hat
-        du = vals[1] - u_hat
-        vals[0] = np.array([0.5 * float(dx @ dx) + 0.5 * float(du @ du)])
-        return vals
-
-    exact = ExactEvaluators(value_jac, nested, x_star=x_hat.copy(), f_star=0.0)
 
     # conservative norm bounds over the box, innermost first
-    bx_sup = float(np.linalg.norm(np.maximum(np.abs(fs.lo), np.abs(fs.hi))))
+    bx_sup = fs.sup_norm()
     value_bounds = [0.0] * M
     jac_bounds = [(0.0, 0.0)] * M
     value_bounds[M - 1] = float(np.linalg.norm(Qs[M])) * bx_sup + float(np.linalg.norm(cs[M]))
@@ -182,13 +149,9 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     for m in range(M - 1, 0, -1):
         bx, bu = jac_bounds[m - 1]
         g_bound = bx + bu * g_bound
-    meta = {
+    return build(level_oracles, (1,) + (d,) * (M - 1), {
         "value_bounds": value_bounds,
         "jac_bounds": jac_bounds,
         "g_bound": float(g_bound),
         "f_bound": float(max(value_bounds)),
-    }
-
-    oracles = tuple(NoisyOracle(o, noise) for o in level_oracles) if noise else tuple(level_oracles)
-    return CompositionProblem(n, dims, fs, oracles, exact,
-                              name="synthetic_smooth", meta=meta)
+    })

@@ -42,7 +42,12 @@ class FeasibleSet(ABC):
         return float(np.linalg.norm(self.project(v) - v)) <= tol
 
     def diameter(self) -> float:
-        raise NotImplementedError(f"{type(self).__name__} has no diameter bound")
+        """An upper bound on max ||y - y'|| over the set; inf when unknown."""
+        return float("inf")
+
+    def sup_norm(self) -> float:
+        """An upper bound on max ||y|| over the set; inf when unknown."""
+        return float(np.linalg.norm(self.anchor())) + self.diameter()
 
 
 class Box(FeasibleSet):
@@ -68,6 +73,9 @@ class Box(FeasibleSet):
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
+
+    def sup_norm(self):
+        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
 
 
 class Ball(FeasibleSet):
@@ -99,6 +107,9 @@ class Ball(FeasibleSet):
     def diameter(self):
         return 2.0 * self.radius
 
+    def sup_norm(self):
+        return float(np.linalg.norm(self.center)) + self.radius
+
 
 class Simplex(FeasibleSet):
     """Scaled probability simplex {y >= 0, sum(y) = scale}."""
@@ -126,6 +137,9 @@ class Simplex(FeasibleSet):
 
     def diameter(self):
         return self.scale * np.sqrt(2.0)
+
+    def sup_norm(self):
+        return self.scale
 
 
 class Polytope(FeasibleSet):
@@ -208,11 +222,6 @@ def solve_subproblem(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
     return feasible_set.project(x - z / rho)
 
 
-def quadratic_model_value(z: np.ndarray, d: np.ndarray, rho: float) -> float:
-    """<z, d> + (rho/2)||d||^2 for a step d = y - x."""
-    return float(z @ d) + 0.5 * rho * float(d @ d)
-
-
 def gap(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
         rho: float) -> float:
     """Optimal value of the regularized subproblem; always <= 0.
@@ -220,15 +229,5 @@ def gap(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
     Zero exactly when x is already the subproblem minimizer, which is the
     stationarity certificate used throughout.
     """
-    y = solve_subproblem(feasible_set, x, z, rho)
-    return quadratic_model_value(z, y - x, rho)
-
-
-def optimality_residual(z: np.ndarray, d: np.ndarray, rho: float) -> float:
-    """<z, d> + rho||d||^2, nonpositive at the exact subproblem solution."""
-    return float(z @ d) + rho * float(d @ d)
-
-
-def is_stationary(eta: float, z: np.ndarray, tol: float = 1e-8) -> bool:
-    """Gap-based stationarity test with relative scaling in ||z||."""
-    return eta >= -tol * (1.0 + float(np.linalg.norm(z)))
+    d = solve_subproblem(feasible_set, x, z, rho) - x
+    return float(z @ d) + 0.5 * rho * float(d @ d)

@@ -17,12 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import (DiagnosticsConfig, RunRecord, lyapunov_nonsmooth,
-                          lyapunov_smooth)
+                          lyapunov_smooth, tracking_errors)
 from .errors import (InvalidHorizonError, MissingExactEvaluatorsError,
                      NonFiniteIterateError, SolverSetupError)
-from .model import (AlgorithmParams, CompositionProblem, Constant, Diminishing,
-                    InitPolicy, IterateState, init_state, next_stepsize,
-                    stepsize_cap)
+from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
+                    IterateState, init_state, next_stepsize)
 from .oracles import OracleSample, level_streams
 
 
@@ -35,8 +34,7 @@ class IterationTrace:
     y: np.ndarray
     d: np.ndarray
     g1: np.ndarray
-    values: tuple[np.ndarray, ...]
-    exact_residuals: tuple[float, ...] | None = None
+    samples: tuple[OracleSample, ...]
 
 
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
@@ -77,62 +75,60 @@ def update_trackers(u: Sequence[np.ndarray], samples: Sequence[OracleSample],
     return out
 
 
-def _draw_samples(problem: CompositionProblem, x_new: np.ndarray,
-                  u: Sequence[np.ndarray], streams, k: int) -> list[OracleSample]:
-    """One sample per level at (x_new, old inner tracker)."""
-    M = problem.M
-    oracles = problem.oracles
-    samples: list[OracleSample] = [None] * M
-    samples[M - 1] = oracles[M - 1].sample(x_new, None, streams[M - 1], k)
-    for m in range(M - 2, -1, -1):
-        samples[m] = oracles[m].sample(x_new, u[m + 1], streams[m], k)
-    return samples
+def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray,
+             z: np.ndarray, u: Sequence[np.ndarray], tau: float,
+             streams: Sequence[np.random.Generator], k: int):
+    """Iteration k from (x, z, u) with stepsize tau: the method's one body.
+
+    Order: subproblem solve, decision update, sampling at the new point with
+    the old trackers, chain-rule assembly, z update, tracker update.  The
+    squared norms double as the finiteness guard (NaN propagates, an
+    overflowing square counts as divergence): NonFiniteIterateError(k).
+    Returns (y, d, ||d||^2, samples, g1, x', z', u', ||z'||^2, max_m ||u'_m||^2).
+    """
+    y = problem.feasible_set.project(x - z / params.rho)
+    d = y - x
+    dsq = float(d @ d)
+    dx = tau * d
+    x = x + dx
+    samples = problem.sample_levels(x, u, streams, k)
+    g1 = assemble_subgradient(samples)[0]
+    z = update_z(z, g1, params.a, tau)
+    u = update_trackers(u, samples, dx, params.b, tau)
+    zsq = float(z @ z)
+    chk = dsq + zsq
+    usq = 0.0
+    for arr in u:
+        sq = float(arr @ arr)
+        chk += sq
+        if sq > usq:
+            usq = sq
+    if not math.isfinite(chk):
+        raise NonFiniteIterateError(k)
+    return y, d, dsq, samples, g1, x, z, u, zsq, usq
+
+
+def _check_scalar_top(problem: CompositionProblem) -> None:
+    if problem.level_dims[0] != 1:
+        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
 
 
 def step(state: IterateState, problem: CompositionProblem, params: AlgorithmParams,
-         streams: Sequence[np.random.Generator],
-         compute_exact_residuals: bool = False) -> tuple[IterateState, IterationTrace]:
-    """Advance the state by one iteration.
-
-    Order: subproblem solve, stepsize, decision update, sampling at the new
-    point with the old trackers, chain-rule assembly, z update, tracker
-    update.  Raises NonFiniteIterateError if the new state is not finite.
-    With compute_exact_residuals the trace also carries ||V_m(x) - u_m|| of
-    the pre-step state (needs exact evaluators).
-    """
-    if problem.level_dims[0] != 1:
-        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
-    x, z, u = state.x, state.z, state.u
-    y = problem.feasible_set.project(x - z / params.rho)
+         streams: Sequence[np.random.Generator]) -> tuple[IterateState, IterationTrace]:
+    """Advance the state by one iteration; NonFiniteIterateError if it diverges."""
+    _check_scalar_top(problem)
     tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    d = y - x
-    dx = tau * d
-    x_new = x + dx
-    samples = _draw_samples(problem, x_new, u, streams, state.k)
-    g1 = assemble_subgradient(samples)[0]
-    z_new = update_z(z, g1, params.a, tau)
-    u_new = update_trackers(u, samples, dx, params.b, tau)
-    new_state = IterateState(state.k + 1, x_new, z_new, tuple(u_new))
-    if not new_state.is_finite():
-        raise NonFiniteIterateError(state.k)
-    residuals = None
-    if compute_exact_residuals:
-        if problem.exact is None:
-            raise MissingExactEvaluatorsError("trace residuals need exact evaluators")
-        vals = problem.exact.nested(x)
-        residuals = tuple(float(np.linalg.norm(v - ui)) for v, ui in zip(vals, u))
-    trace = IterationTrace(state.k, tau, y, d, g1,
-                           tuple(s.value for s in samples), residuals)
-    return new_state, trace
+    y, d, _, samples, g1, x, z, u, _, _ = _advance(
+        problem, params, state.x, state.z, state.u, tau, streams, state.k)
+    return (IterateState(state.k + 1, x, z, tuple(u)),
+            IterationTrace(state.k, tau, y, d, g1, tuple(samples)))
 
 
 def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         diagnostics: DiagnosticsConfig | None = None,
         init_x: np.ndarray | None = None,
         init_policy: InitPolicy = InitPolicy.ONE_SAMPLE,
-        replication: int = 0,
-        config_echo: dict | None = None,
-        collect_jac_u_norms: bool = False) -> RunRecord:
+        replication: int = 0) -> RunRecord:
     """Run the method for a fixed horizon and record diagnostics.
 
     Row k of the record describes the state at the start of iteration k.
@@ -142,8 +138,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     """
     if not isinstance(iterations, int) or iterations < 1:
         raise InvalidHorizonError(f"iterations must be a positive integer, got {iterations}")
-    if problem.level_dims[0] != 1:
-        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
+    _check_scalar_top(problem)
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
     M = problem.M
     exact = problem.exact
@@ -155,11 +150,15 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     if diag.lyapunov_every and diag.gammas is None:
         raise ValueError("lyapunov recording needs DiagnosticsConfig.gammas")
 
+    N = iterations
+    a, b, rho = params.a, params.b, params.rho
+    # the whole schedule up front: a short Custom schedule fails before k = 0
+    taus = [next_stepsize(params.schedule, k, a, b) for k in range(N)]
+
     streams = level_streams(params.seed, M, replication)
     state = init_state(problem, params, init_x, init_policy, streams=streams)
 
-    N = iterations
-    rec_tau = np.empty(N)
+    rec_tau = np.array(taus)
     rec_dsq = np.empty(N)
     rec_eta = np.empty(N)
     rec_track = np.full((N, M), np.nan) if diag.track_every else None
@@ -168,45 +167,14 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     rec_lyap = np.full((N, 2), np.nan) if diag.lyapunov_every else None
     exact_start = max(0, N - diag.exact_window) if diag.exact_window else 0
 
-    fs = problem.feasible_set
-    a, b, rho = params.a, params.b, params.rho
-    schedule = params.schedule
-    # hot-loop fast path for the common schedules; must stay bit-identical
-    # with next_stepsize (pinned by a test)
-    cap = stepsize_cap(a, b)
-    if isinstance(schedule, Diminishing) and schedule.tau0 > 0:
-        tau_raw = lambda k, t0=schedule.tau0, g=schedule.gamma: t0 / (k + 1) ** g  # noqa: E731
-    elif isinstance(schedule, Constant) and schedule.tau > 0:
-        tau_raw = lambda k, t=schedule.tau: t  # noqa: E731
-    else:
-        tau_raw = None
-    x, z = state.x, state.z
-    u = list(state.u)
+    x, z, u = state.x, state.z, state.u
     max_zsq = float(z @ z)
     max_usq = max(float(arr @ arr) for arr in u)
-    max_jusq = 0.0
     clamps = 0
 
     for k in range(N):
-        y = fs.project(x - z / rho)
-        d = y - x
-        dsq = float(d @ d)
-        eta = float(z @ d) + 0.5 * rho * dsq
-        if tau_raw is not None:
-            raw = tau_raw(k)
-            tau = raw if raw < cap else cap
-        else:
-            tau = next_stepsize(schedule, k, a, b)
-        rec_tau[k] = tau
-        rec_dsq[k] = dsq
-        rec_eta[k] = eta
-
         if rec_track is not None and k % diag.track_every == 0:
-            for m in range(1, M + 1):
-                u_next = u[m] if m < M else None
-                fm = exact.value(m, x, u_next)
-                r = fm - u[m - 1]
-                rec_track[k, m - 1] = math.sqrt(float(r @ r))
+            rec_track[k] = tracking_errors(exact, x, u)
         if rec_exact is not None and k >= exact_start and k % diag.exact_every == 0:
             vals = exact.nested(x)
             rec_obj[k] = float(vals[0][0])
@@ -217,38 +185,19 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
             rec_lyap[k, 0] = lyapunov_nonsmooth(problem, x, z, u, a, rho, diag.gammas)
             rec_lyap[k, 1] = lyapunov_smooth(problem, x, z, u, a, rho, diag.gammas)
 
-        dx = tau * d
-        x = x + dx
-        samples = _draw_samples(problem, x, u, streams, k)
-        g1 = assemble_subgradient(samples)[0]
-        z = update_z(z, g1, a, tau)
-        u = update_trackers(u, samples, dx, b, tau)
-
-        # squared norms double as the finiteness guard: NaN propagates and
-        # an overflowing square counts as divergence
-        zsq = float(z @ z)
-        chk = dsq + zsq
-        for arr in u:
-            sq = float(arr @ arr)
-            chk += sq
-            if sq > max_usq:
-                max_usq = sq
-        if not math.isfinite(chk):
-            raise NonFiniteIterateError(k)
+        _, d, dsq, samples, _, x, z_new, u, zsq, usq = _advance(
+            problem, params, x, z, u, taus[k], streams, k)
+        rec_dsq[k] = dsq
+        rec_eta[k] = float(z @ d) + 0.5 * rho * dsq
+        z = z_new
         if zsq > max_zsq:
             max_zsq = zsq
+        if usq > max_usq:
+            max_usq = usq
         for s in samples:
             if s.clamped:
                 clamps += 1
-        if collect_jac_u_norms:
-            for s in samples[:-1]:
-                jsq = float(np.sum(s.jac_u * s.jac_u))
-                if jsq > max_jusq:
-                    max_jusq = jsq
 
-    echo = dict(config_echo) if config_echo else {}
-    if collect_jac_u_norms:
-        echo["max_jac_u_norm"] = math.sqrt(max_jusq)
     final = IterateState(N, x, z, tuple(u))
     return RunRecord(
         iterations=N, tau=rec_tau, d_sq=rec_dsq, eta=rec_eta,
@@ -256,5 +205,5 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         final_state=final, seed=params.seed, replication=replication,
         objective=rec_obj,
         max_z_norm=math.sqrt(max_zsq), max_u_norm=math.sqrt(max_usq),
-        clamp_events=clamps, config_echo=echo,
+        clamp_events=clamps,
     )

@@ -1,0 +1,95 @@
+"""Independent reference computations shared by the tests.
+
+None of these is on the solver's path: they recompute quantities the
+package produces (Jacobians, composed gradients, optimality certificates,
+random-iterate measures) by other means, so the tests can compare the two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from nestopt.diagnostics import SQUARED, RunRecord, optimality_measure
+from nestopt.oracles import OracleSample
+from nestopt.solver import assemble_subgradient
+
+
+def finite_difference_reference(f, x: np.ndarray, u_next: np.ndarray | None = None,
+                                step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of an exact level evaluator.
+
+    ``f(x, u_next)`` must return the level value as a 1-D array (or scalar).
+    Returns the full Jacobian with the x-block first, then the u-block, so
+    its shape matches OracleSample.jac.  Entrywise error is O(step^2) for
+    three times differentiable levels.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def eval_at(xv, uv):
+        return np.atleast_1d(np.asarray(f(xv, uv), dtype=float))
+
+    base = eval_at(x, u_next)
+    n = x.size
+    du = 0 if u_next is None else np.asarray(u_next).size
+    jac = np.empty((base.size, n + du))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        jac[:, j] = (eval_at(x + e, u_next) - eval_at(x - e, u_next)) / (2 * step)
+    if du:
+        u = np.asarray(u_next, dtype=float)
+        for j in range(du):
+            e = np.zeros(du)
+            e[j] = step
+            jac[:, n + j] = (eval_at(x, u + e) - eval_at(x, u - e)) / (2 * step)
+    return jac
+
+
+def exact_composed_gradient(problem, x: np.ndarray) -> np.ndarray:
+    """Chain-rule gradient of the composed objective at exact inner values.
+
+    Evaluates each level at the true nested value of its inner argument and
+    folds the exact Jacobians; rows correspond to top-level outputs.
+    """
+    exact = problem.exact
+    M = problem.M
+    vals = exact.nested(x)
+    samples = []
+    for m in range(1, M + 1):
+        u_next = vals[m] if m < M else None
+        v, jx, ju = exact.value_jac(m, x, u_next)
+        samples.append(OracleSample(np.atleast_1d(v), np.atleast_2d(jx),
+                                    None if ju is None else np.atleast_2d(ju)))
+    return assemble_subgradient(samples)
+
+
+def optimality_residual(z: np.ndarray, d: np.ndarray, rho: float) -> float:
+    """<z, d> + rho||d||^2, nonpositive at the exact subproblem solution."""
+    return float(z @ d) + rho * float(d @ d)
+
+
+def is_stationary(eta: float, z: np.ndarray, tol: float = 1e-8) -> bool:
+    """Gap-based stationarity test with relative scaling in ||z||."""
+    return eta >= -tol * (1.0 + float(np.linalg.norm(z)))
+
+
+@dataclass(frozen=True)
+class RandomIterateMeasure:
+    index: int
+    value: float
+    mean: float
+
+
+def random_iterate_measure(record: RunRecord, rng: np.random.Generator,
+                           mode: str = SQUARED) -> RandomIterateMeasure:
+    """Measure at a uniformly drawn iteration, plus the run mean.
+
+    The mean over all iterations is the quantity the finite-horizon bound
+    actually controls; the random-index value is what a single estimate of
+    it looks like.
+    """
+    series = optimality_measure(record, mode)
+    r = int(rng.integers(0, record.iterations))
+    return RandomIterateMeasure(r, float(series[r]), float(np.nanmean(series)))

@@ -132,6 +132,46 @@ def test_runtime_failure_exit_two(tmp_path, capsys):
     assert "k=2" in capsys.readouterr().err
 
 
+def _shipped(name, **run):
+    doc = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    doc["run"].update(run)
+    return doc
+
+
+def test_short_run_reports_null_objective_tail(tmp_path):
+    # 50 iterations sample the objective at k = 0, 10, ..., 40, none of
+    # them inside the final tenth of the run
+    doc = _shipped("synthetic_run.json", iterations=50)
+    code = main(["run", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["objective_tail"] is None
+
+
+def test_synthetic_rejects_feasible_set(tmp_path, capsys):
+    doc = _shipped("synthetic_run.json")
+    doc["problem"]["set"] = {"kind": "ball", "radius": 0.1}
+    code = main(["run", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "problem.set" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_svi_over_polytope_validates_and_runs(tmp_path):
+    n = 5
+    doc = _shipped("svi_run.json", iterations=20)
+    doc["problem"]["set"] = {"kind": "polytope",
+                             "A": np.vstack([np.eye(n), -np.eye(n)]).tolist(),
+                             "b": [2.0] * n + [0.0] * n, "interior": [1.0] * n}
+    cfg_path = _write(tmp_path, doc)
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["iterations"] == 20
+
+
 def test_validate_command(tmp_path, capsys):
     ok = _base_config()
     assert main(["validate", "--config", str(_write(tmp_path, ok))]) == 0

@@ -8,10 +8,11 @@ from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
 from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, default_gammas,
                                  fit_rate, lyapunov_nonsmooth, lyapunov_smooth,
                                  objective_tail_oscillation, optimality_measure,
-                                 random_iterate_measure,
                                  tracking_error_bound_check)
 from nestopt.errors import MissingExactEvaluatorsError
 from nestopt.problems import synthetic_smooth
+
+from helpers import random_iterate_measure
 
 
 def _fake_record(d_sq, tracking=None, n_levels=1):
@@ -98,13 +99,9 @@ def _two_level_scalar_problem():
             return np.array([2.0 * x[0] + u_next[0]]), np.array([[2.0]]), np.array([[1.0]])
         return np.array([3.0 * x[0] + 1.0]), np.array([[3.0]]), None
 
-    def nested(x):
-        v2 = np.array([3.0 * x[0] + 1.0])
-        return [np.array([2.0 * x[0] + v2[0]]), v2]
-
     from nestopt import ExactEvaluators
     return CompositionProblem(1, (1, 1), Box([-1.0], [1.0]), (top, bottom),
-                              ExactEvaluators(value_jac, nested))
+                              ExactEvaluators(value_jac, 2))
 
 
 def test_lyapunov_hand_computed_two_level():
@@ -305,12 +302,9 @@ def test_merits_agree_on_shared_terms_when_top_ignores_tracker():
             return np.array([2.0 * x[0]]), np.array([[2.0]]), np.array([[0.0]])
         return np.array([3.0 * x[0]]), np.array([[3.0]]), None
 
-    def nested(x):
-        return [np.array([2.0 * x[0]]), np.array([3.0 * x[0]])]
-
     from nestopt import CompositionProblem, ExactEvaluators
     problem = CompositionProblem(1, (1, 1), Box([-1.0], [1.0]), (top, bottom),
-                                 ExactEvaluators(value_jac, nested))
+                                 ExactEvaluators(value_jac, 2))
     x = np.array([0.5])
     z = np.array([0.1])
     for resid in (0.0, 1.0):

@@ -4,14 +4,15 @@ from scipy.special import zeta
 
 from nestopt import (AlgorithmParams, CompositionProblem, Constant, Custom,
                      Diminishing, DeterministicOracle, InitPolicy,
-                     ScheduleExhaustedError, finite_difference_reference,
-                     init_state, level_streams, next_stepsize, stepsize_cap,
+                     ScheduleExhaustedError, init_state, level_streams, next_stepsize, stepsize_cap,
                      validate_problem)
 from nestopt.model import IterateState
 from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.problems import make_problem
 from nestopt.sets import Box
 from nestopt.solver import step
+
+from helpers import finite_difference_reference
 
 
 # ---------------------------------------------------------------------------

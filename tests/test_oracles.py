@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from nestopt import (DeterministicOracle, NoiseModel, NoisyOracle,
-                     finite_difference_reference, level_streams, sample_level)
+                     level_streams)
 from nestopt.oracles import OracleSample, _centered_draw
+
+from helpers import finite_difference_reference
 
 
 def _affine_oracle(A, B=None, c=None):
@@ -25,8 +27,8 @@ def test_deterministic_linear_exact_and_idempotent():
     oracle = _affine_oracle(A)
     rng = np.random.default_rng(0)
     x = np.array([0.5, -2.0])
-    s1 = sample_level(oracle, x, None, rng)
-    s2 = sample_level(oracle, x, None, rng)
+    s1 = oracle.sample(x, None, rng)
+    s2 = oracle.sample(x, None, rng)
     assert np.array_equal(s1.value, A @ x)
     assert np.array_equal(s1.jac_x, A)
     assert np.array_equal(s1.value, s2.value) and np.array_equal(s1.jac_x, s2.jac_x)

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nestopt import (InvalidParamError, UnknownFamilyError,
-                     finite_difference_reference, gap, validate_problem)
-from nestopt.problems import (FiniteScenarios, eval_exact_level,
-                              exact_composed_gradient, make_problem,
+from nestopt import InvalidParamError, UnknownFamilyError, gap, validate_problem
+from nestopt.problems import (FiniteScenarios, make_problem,
                               mean_semideviation, random_scenarios, risk_p1,
                               risk_p2, scenarios_from_csv, scenarios_to_csv,
-                              solve_vi_fixed_point, svi_gap_oracle,
-                              svi_problem, synthetic_smooth)
+                              solve_vi_fixed_point, svi_problem,
+                              synthetic_smooth)
 from nestopt.sets import Box, Simplex
+
+from helpers import exact_composed_gradient, finite_difference_reference
 
 
 def _constant_loss_scenarios():
@@ -44,18 +44,7 @@ def test_risk_p1_hand_scenario_values():
     assert vals[1][0] == pytest.approx(3.0)      # E[H]
     # 3 + 0.5 * (0 + 0 + 3)/3 over the scenario set
     assert vals[0][0] == pytest.approx(3.5)
-    assert eval_exact_level(problem, x, 1)[0] == pytest.approx(3.5)
-    assert eval_exact_level(problem, x, 2)[0] == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        eval_exact_level(problem, x, 3)
-
-
-def test_eval_exact_level_needs_ground_truth():
-    from nestopt.errors import MissingExactEvaluatorsError
-    problem = make_problem({"family": "risk_p1", "n": 3, "kappa": 0.2,
-                            "scenarios": {"kind": "gaussian"}})
-    with pytest.raises(MissingExactEvaluatorsError):
-        eval_exact_level(problem, np.full(3, 1 / 3), 1)
+    assert len(vals) == 2
 
 
 def test_risk_p2_hand_scenario_values():
@@ -204,7 +193,7 @@ def test_scenario_csv_roundtrip(tmp_path):
 
 def test_svi_gap_oracle_zero_certificate():
     problem = svi_problem(n=3)
-    s = svi_gap_oracle(problem, problem.feasible_set.anchor(), np.zeros(3))
+    s = problem.oracles[0].sample(problem.feasible_set.anchor(), np.zeros(3), None)
     assert s.value[0] == 0.0
     assert np.allclose(s.jac_x, 0.0) and np.allclose(s.jac_u, 0.0)
 
@@ -213,7 +202,7 @@ def test_svi_gap_oracle_interior_closed_form():
     problem = svi_problem(n=2, r=2.0)
     x = np.array([1.0, 1.0])          # interior of [0, 2]^2
     u = np.array([0.3, -0.2])
-    s = svi_gap_oracle(problem, x, u)
+    s = problem.oracles[0].sample(x, u, None)
     assert s.value[0] == pytest.approx(float(u @ u) / (2 * 2.0), abs=1e-12)
     # grid search over y confirms the maximum
     grid = np.linspace(0.0, 2.0, 201)
@@ -230,12 +219,12 @@ def test_svi_gap_gradients_match_finite_differences():
     fs = problem.feasible_set
 
     def f(xv, uv):
-        return svi_gap_oracle(problem, xv, uv).value
+        return problem.oracles[0].sample(xv, uv, None).value
 
     for _ in range(20):
         x = fs.random_point(rng)
         u = 0.5 * rng.standard_normal(3)
-        s = svi_gap_oracle(problem, x, u)
+        s = problem.oracles[0].sample(x, u, None)
         fd = finite_difference_reference(f, x, u, step=1e-6)
         assert np.allclose(np.hstack([s.jac_x, s.jac_u]), fd, atol=1e-5)
 

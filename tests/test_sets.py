@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nestopt import (Ball, Box, CustomSet, Polytope, Simplex, gap,
-                     is_stationary, optimality_residual, solve_subproblem)
+                     solve_subproblem)
+
+from helpers import is_stationary, optimality_residual
 
 
 def _all_sets():
@@ -78,6 +80,18 @@ def test_random_point_feasible():
     for fs in _all_sets():
         for _ in range(25):
             assert fs.contains(fs.random_point(rng), tol=1e-8)
+
+
+def test_norm_bounds_hold_on_random_points():
+    rng = np.random.default_rng(6)
+    for fs in _all_sets():
+        pts = [fs.project(3.0 * rng.standard_normal(fs.dim)) for _ in range(200)]
+        assert max(np.linalg.norm(p) for p in pts) <= fs.sup_norm() + 1e-12
+        assert np.linalg.norm(pts[0] - pts[1]) <= fs.diameter() + 1e-12
+    # exact on Box and Simplex: a vertex attains the bound
+    assert Box(np.full(2, -1.0), np.full(2, 3.0)).sup_norm() == pytest.approx(np.sqrt(18.0))
+    assert Simplex(4, scale=2.0).sup_norm() == 2.0
+    assert CustomSet(2, lambda v: v).sup_norm() == np.inf
 
 
 def test_polytope_matches_box():

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     DeterministicOracle, Diminishing, InitPolicy,
+                     Custom, DeterministicOracle, Diminishing, InitPolicy,
                      InvalidHorizonError, IterateState, NonFiniteIterateError,
-                     SolverSetupError, assemble_subgradient,
-                     finite_difference_reference, init_state, level_streams,
-                     run, step, update_trackers, update_z)
+                     ScheduleExhaustedError, SolverSetupError,
+                     assemble_subgradient, init_state, level_streams, run,
+                     step, update_trackers, update_z)
 from nestopt.diagnostics import DiagnosticsConfig
 from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.problems import make_problem
 from nestopt.solver import IterationTrace
 
 from conftest import noisy_norm_bounds
+from helpers import exact_composed_gradient, finite_difference_reference
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +321,7 @@ def test_boundedness_long_noisy_run(noisy_problem):
 
 
 def test_recorded_stepsizes_match_schedule_op(noisy_problem):
-    # the run loop's schedule fast path must agree bit-for-bit with
-    # next_stepsize for every k
+    # the recorded stepsizes are next_stepsize's, bit for bit, for every k
     from nestopt import next_stepsize
     for schedule in (Diminishing(1.3, 0.8), Constant(0.37)):
         params = AlgorithmParams(1.5, 2.0, 1.0, schedule, seed=4)
@@ -337,11 +337,25 @@ def test_trace_fields_consistent(smooth_problem, default_params):
     _, trace = step(state, smooth_problem, default_params, streams)
     assert isinstance(trace, IterationTrace)
     assert np.array_equal(trace.d, trace.y - state.x)
-    assert len(trace.values) == smooth_problem.M
-    assert trace.exact_residuals is None
-    _, detailed = step(state, smooth_problem, default_params,
-                       level_streams(default_params.seed, smooth_problem.M),
-                       compute_exact_residuals=True)
-    vals = smooth_problem.exact.nested(state.x)
-    for r, v, ui in zip(detailed.exact_residuals, vals, state.u):
-        assert r == pytest.approx(float(np.linalg.norm(v - ui)))
+    assert len(trace.samples) == smooth_problem.M
+    assert np.array_equal(trace.g1, assemble_subgradient(trace.samples)[0])
+
+
+def test_short_custom_schedule_fails_before_iterating():
+    seen = []
+    problem = _square_problem(record_box=seen)
+    params = AlgorithmParams(1.0, 1.0, 1.0, Custom((0.5, 0.5)), seed=0)
+    with pytest.raises(ScheduleExhaustedError, match="k=2"):
+        run(problem, params, 10)
+    assert seen == []  # neither the initial sample nor any iteration ran
+
+
+def test_filtered_average_tracks_gradient_noise_free(smooth_problem, default_params):
+    # guards the z filter on its own: with update_z frozen, z stays at its
+    # initial sample and the iterate stalls far from x* (||z - grad|| ~ 6)
+    record = run(smooth_problem, default_params, 2000,
+                 diagnostics=DiagnosticsConfig(track_every=0, exact_every=0))
+    final = record.final_state
+    grad = exact_composed_gradient(smooth_problem, final.x)[0]
+    assert np.linalg.norm(final.z - grad) <= 1e-3
+    assert np.linalg.norm(final.x - smooth_problem.exact.x_star) <= 1e-3
