@@ -8,10 +8,9 @@ of all nested values simultaneously.
 """
 
 from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
-                          TrackingBoundReport, default_gammas, fit_rate,
-                          lyapunov_nonsmooth, lyapunov_smooth,
-                          objective_tail_oscillation, optimality_measure,
-                          tracking_error_bound_check)
+                          default_gammas, fit_rate, lyapunov_nonsmooth,
+                          lyapunov_smooth, objective_tail_oscillation,
+                          optimality_measure)
 from .errors import (CompoptError, ConfigError, InsufficientReplicationsError,
                      InvalidHorizonError, InvalidParamError,
                      MissingExactEvaluatorsError, NonFiniteIterateError,
@@ -39,11 +38,10 @@ __all__ = [
     "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
     "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample", "Polytope",
     "ProjectionError", "RunRecord", "ScheduleExhaustedError", "Simplex",
-    "SolverSetupError", "StepSchedule", "TrackingBoundReport",
-    "UnknownFamilyError", "Violation", "assemble_subgradient", "default_gammas",
-    "fit_rate", "gap", "init_state", "level_streams", "lyapunov_nonsmooth",
-    "lyapunov_smooth", "next_stepsize", "objective_tail_oscillation",
-    "optimality_measure", "run", "solve_subproblem", "step", "stepsize_cap",
-    "tracking_error_bound_check", "update_trackers", "update_z",
+    "SolverSetupError", "StepSchedule", "UnknownFamilyError", "Violation",
+    "assemble_subgradient", "default_gammas", "fit_rate", "gap", "init_state",
+    "level_streams", "lyapunov_nonsmooth", "lyapunov_smooth", "next_stepsize",
+    "objective_tail_oscillation", "optimality_measure", "run",
+    "solve_subproblem", "step", "stepsize_cap", "update_trackers", "update_z",
     "validate_problem",
 ]

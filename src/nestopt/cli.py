@@ -48,7 +48,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command in ("validate", "run"):
-            violations = validate_problem(make_problem(cfg.problem_spec))
+            problem = make_problem(cfg.problem_spec)
+            violations = validate_problem(problem)
             for v in violations:
                 print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
                       file=sys.stdout if args.command == "validate" else sys.stderr)
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
             print("config and problem structure ok")
             return 0
         if args.command == "run":
-            summary = run_single(cfg, out_dir, seed_override=args.seed)
+            summary = run_single(cfg, problem, out_dir, seed_override=args.seed)
             print(f"wrote {out_dir}/trace.csv and summary.json "
                   f"({summary['iterations']} iterations)")
             return 0

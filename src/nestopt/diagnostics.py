@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (InsufficientReplicationsError, MissingExactEvaluatorsError)
+from .errors import MissingExactEvaluatorsError
 from .model import AlgorithmParams, CompositionProblem, IterateState, init_state
 from .oracles import level_streams
 from .sets import gap as set_gap
@@ -220,58 +220,3 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> float:
     slope, _ = np.polyfit(np.log(ns), np.log(ms), 1)
     return float(slope)
 
-
-@dataclass(frozen=True)
-class TrackingBoundReport:
-    """Per-level empirical check of the 2/(b sqrt(N)) tracking-rate bound."""
-
-    level: int
-    horizons: tuple[int, ...]
-    mean_sq: tuple[float, ...]       # replication average of mean_k t_m(k)^2
-    init_sq: tuple[float, ...]       # replication average of t_m(0)^2
-    c_emp: float                     # smallest C with mean_sq <= decay + C/sqrt(N)
-    satisfied: bool
-    non_increasing: bool
-
-
-def tracking_error_bound_check(runs_by_horizon: Mapping[int, Sequence[RunRecord]],
-                               b: float) -> list[TrackingBoundReport]:
-    """Fit the constant in the per-level tracking-error rate bound.
-
-    For each level m >= 2 and horizon N, computes the replication average
-    of the run-mean squared tracking error, subtracts the decaying share
-    2/(b sqrt(N)) of the initial error, and reports the smallest constant
-    C_emp that makes the residual <= C_emp / sqrt(N) across all horizons.
-    Requires constant-stepsize runs with at least 10 replications each.
-    """
-    horizons = sorted(runs_by_horizon)
-    if not horizons:
-        raise ValueError("no runs supplied")
-    for n in horizons:
-        if len(runs_by_horizon[n]) < 10:
-            raise InsufficientReplicationsError(
-                f"horizon {n} has {len(runs_by_horizon[n])} replications, need >= 10"
-            )
-    first = runs_by_horizon[horizons[0]][0]
-    M = first.n_levels
-    reports = []
-    for m in range(2, M + 1):
-        col = m - 1
-        mean_sq, init_sq = [], []
-        for n in horizons:
-            recs = runs_by_horizon[n]
-            per_rep = [float(np.nanmean(r.tracking[:, col] ** 2)) for r in recs]
-            per_init = [float(r.tracking[0, col] ** 2) for r in recs]
-            mean_sq.append(float(np.mean(per_rep)))
-            init_sq.append(float(np.mean(per_init)))
-        resid = [ms - (2.0 / (b * np.sqrt(n))) * i0
-                 for ms, i0, n in zip(mean_sq, init_sq, horizons)]
-        c_emp = max(0.0, max(r * np.sqrt(n) for r, n in zip(resid, horizons)))
-        non_inc = all(mean_sq[i + 1] <= mean_sq[i] * (1 + 1e-12)
-                      for i in range(len(mean_sq) - 1))
-        reports.append(TrackingBoundReport(
-            level=m, horizons=tuple(horizons), mean_sq=tuple(mean_sq),
-            init_sq=tuple(init_sq), c_emp=float(c_emp),
-            satisfied=bool(np.isfinite(c_emp)), non_increasing=non_inc,
-        ))
-    return reports

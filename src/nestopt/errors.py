@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config number reader."""
+
+import numbers
 
 
 class CompoptError(Exception):
@@ -11,6 +13,17 @@ class ConfigError(CompoptError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def config_number(value, field: str, integral: bool = False):
+    """A config entry as a float, or as an int when integral; else ConfigError(field)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not integral:
+            return float(value)
+        if float(value).is_integer():
+            return int(value)
+    raise ConfigError(field, f"expected {'an integer' if integral else 'a number'}, "
+                             f"got {value!r}")
 
 
 class InvalidParamError(ConfigError):

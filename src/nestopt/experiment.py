@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate,
                           objective_tail_oscillation, optimality_measure)
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .model import (AlgorithmParams, Constant, Custom, Diminishing, InitPolicy,
                     StepSchedule)
 from .problems import make_problem
@@ -42,22 +42,14 @@ def schedule_from_spec(spec: dict, path: str = "algorithm.schedule") -> StepSche
         raise ConfigError(path, "schedule must be an object with a 'kind'")
     kind = _require(spec, "kind", path)
     if kind == "diminishing":
-        return Diminishing(float(_require(spec, "tau0", path)),
-                           float(_require(spec, "gamma", path)))
+        return Diminishing(config_number(_require(spec, "tau0", path), f"{path}.tau0"),
+                           config_number(_require(spec, "gamma", path), f"{path}.gamma"))
     if kind == "constant":
-        return Constant(float(_require(spec, "tau", path)))
+        return Constant(config_number(_require(spec, "tau", path), f"{path}.tau"))
     if kind == "custom":
         taus = _require(spec, "taus", path)
-        return Custom(tuple(float(t) for t in taus))
+        return Custom(tuple(config_number(t, f"{path}.taus") for t in taus))
     raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
-
-
-def schedule_to_spec(schedule: StepSchedule) -> dict:
-    if isinstance(schedule, Diminishing):
-        return {"kind": "diminishing", "tau0": schedule.tau0, "gamma": schedule.gamma}
-    if isinstance(schedule, Constant):
-        return {"kind": "constant", "tau": schedule.tau}
-    return {"kind": "custom", "taus": list(schedule.taus)}
 
 
 @dataclass
@@ -83,20 +75,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("schema_version", f"unsupported version {version}")
     problem_spec = _require(doc, "problem", "")
     algo = _require(doc, "algorithm", "")
-    for field in ("a", "b", "rho", "seed"):
-        _require(algo, field, "algorithm")
+    a, b, rho, seed = (config_number(_require(algo, f, "algorithm"), f"algorithm.{f}",
+                                     integral=f == "seed") for f in ("a", "b", "rho", "seed"))
     schedule = schedule_from_spec(_require(algo, "schedule", "algorithm"))
     try:
-        params = AlgorithmParams(a=float(algo["a"]), b=float(algo["b"]),
-                                 rho=float(algo["rho"]), schedule=schedule,
-                                 seed=int(algo["seed"]))
+        params = AlgorithmParams(a=a, b=b, rho=rho, schedule=schedule, seed=seed)
     except ValueError as exc:
         raise ConfigError("algorithm", str(exc)) from exc
 
     run_doc = doc.get("run", {})
     iterations = run_doc.get("iterations")
     if iterations is not None:
-        iterations = int(iterations)
+        iterations = config_number(iterations, "run.iterations", integral=True)
         if iterations < 1:
             raise ConfigError("run.iterations", "must be a positive integer")
     init = run_doc.get("init", "one_sample")
@@ -110,20 +100,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     diag_doc = doc.get("diagnostics", {})
     diagnostics = DiagnosticsConfig(
-        track_every=int(diag_doc.get("track_every", 1)),
-        exact_every=int(diag_doc.get("exact_every", 10)),
-        exact_window=int(diag_doc.get("exact_window", 0)),
-        lyapunov_every=int(diag_doc.get("lyapunov_every", 0)),
+        **{f: config_number(diag_doc.get(f, default), f"diagnostics.{f}", integral=True)
+           for f, default in (("track_every", 1), ("exact_every", 10),
+                              ("exact_window", 0), ("lyapunov_every", 0))},
         gammas=tuple(diag_doc["gammas"]) if "gammas" in diag_doc else None,
     )
 
     rate = doc.get("rate_experiment")
     if rate is not None:
         horizons = _require(rate, "horizons", "rate_experiment")
-        if not horizons:
+        if not isinstance(horizons, list) or not horizons:
             raise ConfigError("rate_experiment.horizons", "must be a non-empty list")
-        reps = int(_require(rate, "replications", "rate_experiment"))
-        if reps < 1:
+        rate = {"horizons": [config_number(n, "rate_experiment.horizons", integral=True)
+                             for n in horizons],
+                "replications": config_number(_require(rate, "replications", "rate_experiment"),
+                                              "rate_experiment.replications", integral=True),
+                "theta": config_number(rate.get("theta", 1.0), "rate_experiment.theta")}
+        if rate["replications"] < 1:
             raise ConfigError("rate_experiment.replications", "must be >= 1")
 
     return ExperimentConfig(
@@ -232,13 +225,13 @@ def _effective_config(raw: dict, seed: int) -> dict:
     return echo
 
 
-def run_single(cfg: ExperimentConfig, out_dir, seed_override: int | None = None) -> dict:
-    """Execute one run and write trace.csv + summary.json."""
+def run_single(cfg: ExperimentConfig, problem, out_dir,
+               seed_override: int | None = None) -> dict:
+    """Run the problem built from cfg.problem_spec; write trace.csv + summary.json."""
     if cfg.iterations is None:
         raise ConfigError("run.iterations", "missing required field")
     params = cfg.algorithm if seed_override is None else \
         replace(cfg.algorithm, seed=seed_override)
-    problem = make_problem(cfg.problem_spec)
     init_x = None if cfg.init_x is None else np.asarray(cfg.init_x, dtype=float)
     record = run(problem, params, cfg.iterations, diagnostics=cfg.diagnostics,
                  init_x=init_x, init_policy=cfg.init_policy)
@@ -293,9 +286,9 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, seed_override: int | None = 
     if cfg.rate is None:
         raise ConfigError("rate_experiment", "missing required section")
     seed = cfg.algorithm.seed if seed_override is None else int(seed_override)
-    theta = float(cfg.rate.get("theta", 1.0))
-    horizons = [int(n) for n in cfg.rate["horizons"]]
-    reps = int(cfg.rate["replications"])
+    theta = cfg.rate["theta"]
+    horizons = cfg.rate["horizons"]
+    reps = cfg.rate["replications"]
     payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
                  "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter)),
                                    seed=seed),

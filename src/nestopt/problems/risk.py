@@ -3,8 +3,9 @@
 The risk of a scalar loss Z is E[Z] + kappa * (E[max(0, Z - E[Z])^p])^(1/p).
 For p = 1 this is a two-level composition; for p = 2 a three-level one with
 a small epsilon inside the square root to keep the top level Lipschitz.
-Losses are affine per scenario (optionally passed through a ReLU), so finite
-scenario sets admit exact evaluators by direct summation.
+Losses are affine per scenario (optionally passed through a ReLU), so on a
+finite scenario table the level oracles called with rng=None sum over all
+scenarios and serve as the exact evaluators.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FiniteScenarios:
 
     def draw_loss(self, x: np.ndarray, rng: np.random.Generator):
         """One sampled (loss value, loss subgradient) pair."""
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
+        i = int(self._cum.searchsorted(rng.random(), side="right"))
         t = float(self.coef[i] @ x) + float(self.offset[i])
         if not self.relu:
             return t, self.coef[i]
@@ -115,9 +116,12 @@ def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,
 
 def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
     """Load a scenario table: one row per scenario, columns weight, coef..., offset."""
-    data = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    try:
+        data = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except (OSError, ValueError) as exc:
+        raise InvalidParamError("problem.scenarios.csv", str(exc)) from exc
     if data.shape[1] < 3:
-        raise InvalidParamError("scenarios.csv", "need columns weight, coef..., offset")
+        raise InvalidParamError("problem.scenarios.csv", "need columns weight, coef..., offset")
     return FiniteScenarios(weights=data[:, 0], coef=data[:, 1:-1],
                            offset=data[:, -1], relu=relu)
 
@@ -145,56 +149,75 @@ def mean_semideviation(scen: FiniteScenarios, x: np.ndarray, kappa: float,
 # ---------------------------------------------------------------------------
 # level oracles
 
-class MeanLossLevel(LevelOracle):
-    """Innermost level: single-scenario estimate of E[H(x)]."""
+def _identity(v):
+    return v
+
+
+class _ScenarioLevel(LevelOracle):
+    """A scalar level written once as formula(h, g, u_next, E, J).
+
+    h and g are scenario losses and subgradients, E a mean over scenarios
+    and J(c) the Jacobian mean E[c * g].  With a generator, one scenario is
+    drawn and E is the identity; with rng=None, every row of the finite
+    table is taken with its weight, which gives the exact level.
+    """
+
+    out_dim = 1
 
     def __init__(self, scen):
         self.scen = scen
-        self.out_dim = 1
-        self.in_dim = 0
 
     def sample(self, x, u_next, rng, k=0):
-        h, g = self.scen.draw_loss(x, rng)
-        return OracleSample(np.array([h]), g.reshape(1, -1))
+        if rng is not None:
+            h, g = self.scen.draw_loss(x, rng)
+            return self.formula(h, g, u_next, _identity, g.__rmul__)
+        h, grads = self.scen.all_losses(x)
+        w = self.scen.weights
+        return self.formula(h, grads, u_next, w.__matmul__, lambda c: (w * c) @ grads)
 
 
-class UpperSemidevLevel(LevelOracle):
-    """p=1 top level: estimate of E[H(x) + kappa * max(0, H(x) - u)]."""
+class MeanLossLevel(_ScenarioLevel):
+    """Innermost level: E[H(x)]."""
+
+    in_dim = 0
+
+    def formula(self, h, g, u_next, E, J):
+        return OracleSample(np.array([E(h)]), E(g).reshape(1, -1))
+
+
+class UpperSemidevLevel(_ScenarioLevel):
+    """p=1 top level: E[H(x) + kappa * max(0, H(x) - u)]."""
+
+    in_dim = 1
 
     def __init__(self, scen, kappa: float):
-        self.scen = scen
+        super().__init__(scen)
         self.kappa = float(kappa)
-        self.out_dim = 1
-        self.in_dim = 1
 
-    def sample(self, x, u_next, rng, k=0):
-        h, g = self.scen.draw_loss(x, rng)
-        u = float(u_next[0])
-        active = 1.0 if h - u > 0.0 else 0.0  # subgradient 0 at the kink
-        val = np.array([h + self.kappa * max(0.0, h - u)])
-        jac_x = ((1.0 + self.kappa * active) * g).reshape(1, -1)
-        jac_u = np.array([[-self.kappa * active]])
-        return OracleSample(val, jac_x, jac_u)
+    def formula(self, h, g, u_next, E, J):
+        kappa = self.kappa
+        d = h - float(u_next[0])
+        act = (d > 0.0) * 1.0  # subgradient 0 at the kink
+        return OracleSample(np.array([E(h) + kappa * E(act * d)]),
+                            J(1.0 + kappa * act).reshape(1, -1),
+                            np.array([[-kappa * E(act)]]))
 
 
-class SquaredShortfallLevel(LevelOracle):
-    """p=2 middle level: estimate of E[max(0, H(x) - u)^2]."""
+class SquaredShortfallLevel(_ScenarioLevel):
+    """p=2 middle level: E[max(0, H(x) - u)^2]."""
 
-    def __init__(self, scen):
-        self.scen = scen
-        self.out_dim = 1
-        self.in_dim = 1
+    in_dim = 1
 
-    def sample(self, x, u_next, rng, k=0):
-        h, g = self.scen.draw_loss(x, rng)
-        m0 = max(0.0, h - float(u_next[0]))
-        return OracleSample(np.array([m0 * m0]),
-                            (2.0 * m0 * g).reshape(1, -1),
-                            np.array([[-2.0 * m0]]))
+    def formula(self, h, g, u_next, E, J):
+        d = h - float(u_next[0])
+        m0 = (d > 0.0) * d + 0.0  # max(0, d), +0.0 below the kink
+        return OracleSample(np.array([E(m0 * m0)]),
+                            J(2.0 * m0).reshape(1, -1),
+                            np.array([[-2.0 * E(m0)]]))
 
 
-class SqrtRiskLevel(LevelOracle):
-    """p=2 top level: estimate of E[H(x)] + kappa * sqrt(epsilon + u).
+class SqrtRiskLevel(_ScenarioLevel):
+    """p=2 top level: E[H(x)] + kappa * sqrt(epsilon + u).
 
     The tracker feeding u is an estimate of a nonnegative quantity but can
     transiently dip below zero; arguments below -epsilon/2 are clamped to
@@ -202,23 +225,21 @@ class SqrtRiskLevel(LevelOracle):
     flagged so runs can report how often that happened.
     """
 
+    in_dim = 1
+
     def __init__(self, scen, kappa: float, epsilon: float):
-        self.scen = scen
+        super().__init__(scen)
         self.kappa = float(kappa)
         self.epsilon = float(epsilon)
-        self.out_dim = 1
-        self.in_dim = 1
 
-    def sample(self, x, u_next, rng, k=0):
-        h, g = self.scen.draw_loss(x, rng)
-        u = float(u_next[0])
-        arg = self.epsilon + u
+    def formula(self, h, g, u_next, E, J):
+        arg = self.epsilon + float(u_next[0])
         clamped = arg < 0.5 * self.epsilon
         if clamped:
             arg = 0.5 * self.epsilon
         root = math.sqrt(arg)
-        return OracleSample(np.array([h + self.kappa * root]),
-                            g.reshape(1, -1),
+        return OracleSample(np.array([E(h) + self.kappa * root]),
+                            E(g).reshape(1, -1),
                             np.array([[self.kappa / (2.0 * root)]]),
                             clamped=clamped)
 
@@ -232,24 +253,9 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
         raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
-    exact = None
-    meta = {}
+    exact, meta = None, {}
     if isinstance(scen, FiniteScenarios):
-        w = scen.weights
-
-        def value_jac(m, x, u_next):
-            losses, grads = scen.all_losses(x)
-            if m == 2:
-                return (np.array([float(w @ losses)]),
-                        (w @ grads).reshape(1, -1), None)
-            u = float(u_next[0])
-            act = (losses - u > 0.0).astype(float)
-            val = np.array([float(w @ losses) + kappa * float(w @ (act * (losses - u)))])
-            jac_x = ((w * (1.0 + kappa * act)) @ grads).reshape(1, -1)
-            jac_u = np.array([[-kappa * float(w @ act)]])
-            return val, jac_x, jac_u
-
-        exact = ExactEvaluators(value_jac, 2)
+        exact = ExactEvaluators.from_oracles(oracles)
         bh, bg = scen.loss_bounds(fs.sup_norm())
         meta = {
             "value_bounds": [bh * (1.0 + 2.0 * kappa), bh],
@@ -272,32 +278,9 @@ def risk_p2(scen, kappa: float, epsilon: float,
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),
                MeanLossLevel(scen))
-    exact = None
-    meta = {}
+    exact, meta = None, {}
     if isinstance(scen, FiniteScenarios):
-        w = scen.weights
-
-        def value_jac(m, x, u_next):
-            losses, grads = scen.all_losses(x)
-            if m == 3:
-                return (np.array([float(w @ losses)]),
-                        (w @ grads).reshape(1, -1), None)
-            if m == 2:
-                m0 = np.maximum(losses - float(u_next[0]), 0.0)
-                val = np.array([float(w @ m0**2)])
-                jac_x = ((w * (2.0 * m0)) @ grads).reshape(1, -1)
-                jac_u = np.array([[-2.0 * float(w @ m0)]])
-                return val, jac_x, jac_u
-            # top level mirrors the oracle's clamp so trackers below
-            # -epsilon/2 remain evaluable in diagnostics
-            arg = max(epsilon + float(u_next[0]), 0.5 * epsilon)
-            root = math.sqrt(arg)
-            val = np.array([float(w @ losses) + kappa * root])
-            jac_x = (w @ grads).reshape(1, -1)
-            jac_u = np.array([[kappa / (2.0 * root)]])
-            return val, jac_x, jac_u
-
-        exact = ExactEvaluators(value_jac, 3)
+        exact = ExactEvaluators.from_oracles(oracles)
         bh, bg = scen.loss_bounds(fs.sup_norm())
         bv2 = 4.0 * bh * bh
         bu_top = kappa / math.sqrt(2.0 * epsilon)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +10,10 @@ import pytest
 from nestopt.cli import main
 from nestopt.errors import ConfigError
 from nestopt.experiment import (load_config, parse_config, rate_experiment,
-                                schedule_from_spec, schedule_to_spec,
-                                write_trace_csv)
+                                schedule_from_spec, write_trace_csv)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def _base_config(**overrides):
@@ -62,8 +65,39 @@ def test_unknown_schedule_kind(tmp_path):
 
 def test_schedule_spec_roundtrip():
     from nestopt import Constant, Custom, Diminishing
-    for sched in (Diminishing(0.8, 0.9), Constant(0.25), Custom((0.5, 0.1))):
-        assert schedule_from_spec(schedule_to_spec(sched)) == sched
+    specs = [({"kind": "diminishing", "tau0": 0.8, "gamma": 0.9}, Diminishing(0.8, 0.9)),
+             ({"kind": "constant", "tau": 0.25}, Constant(0.25)),
+             ({"kind": "custom", "taus": [0.5, 0.1]}, Custom((0.5, 0.1)))]
+    for spec, sched in specs:
+        assert schedule_from_spec(spec) == sched
+
+
+def _mutate(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("run", "iterations"), "ten", "run.iterations"),
+    (("run", "iterations"), 2.5, "run.iterations"),
+    (("problem", "kappa"), "half", "problem.kappa"),
+    (("problem", "set"), {"kind": "ball", "radius": -1}, "problem.set"),
+    (("problem", "scenarios"), {"csv": "/nonexistent.csv"}, "problem.scenarios.csv"),
+], ids=["iterations-text", "iterations-fraction", "kappa-text", "ball-negative-radius",
+        "missing-csv"])
+def test_bad_config_fields_exit_one_naming_field(tmp_path, path, value, field):
+    doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
+    _mutate(doc, path, value)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "nestopt.cli", "validate",
+                           "--config", str(_write(tmp_path, doc))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_family_exit_code(tmp_path, capsys):

@@ -7,12 +7,11 @@ from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      init_state, level_streams, run, step)
 from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, default_gammas,
                                  fit_rate, lyapunov_nonsmooth, lyapunov_smooth,
-                                 objective_tail_oscillation, optimality_measure,
-                                 tracking_error_bound_check)
+                                 objective_tail_oscillation, optimality_measure)
 from nestopt.errors import MissingExactEvaluatorsError
 from nestopt.problems import synthetic_smooth
 
-from helpers import random_iterate_measure
+from helpers import random_iterate_measure, tracking_error_bound_check
 
 
 def _fake_record(d_sq, tracking=None, n_levels=1):

@@ -73,24 +73,47 @@ def test_mean_semideviation_identity_both_orders():
 # ---------------------------------------------------------------------------
 # oracle / exact consistency
 
-def test_single_scenario_oracles_match_exact_everywhere():
-    # with one scenario the sampling is deterministic and must equal the sums
-    scen = FiniteScenarios(weights=np.array([1.0]),
-                           coef=np.array([[0.4, -0.2, 0.1]]),
-                           offset=np.array([0.7]))
+class _PickRandom:
+    """Stub generator whose random() always returns r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_exact_risk_levels_are_weighted_means_of_scenario_samples(relu):
+    # rng=None takes every scenario with its weight; a stub generator whose
+    # random() falls inside row i's cumulative-weight interval draws row i
+    weights = np.array([0.1, 0.4, 0.2, 0.3])
+    scen = FiniteScenarios(weights=weights,
+                           coef=np.array([[0.4, -0.2, 0.1], [-1.0, 0.5, 0.3],
+                                          [0.2, 0.2, -0.6], [0.9, -0.4, 0.0]]),
+                           offset=np.array([0.7, -0.1, 0.3, -0.4]), relu=relu)
+    upper = np.cumsum(weights)
+    picks = [_PickRandom(0.5 * (lo + hi)) for lo, hi in zip(np.r_[0.0, upper[:-1]], upper)]
+    epsilon = 1e-2
     rng = np.random.default_rng(0)
-    for problem in (risk_p1(scen, kappa=0.5), risk_p2(scen, kappa=0.5, epsilon=1e-3)):
-        for _ in range(25):
+    clamped = 0
+    for problem in (risk_p1(scen, kappa=0.5), risk_p2(scen, kappa=0.5, epsilon=epsilon)):
+        for u_val in (-0.9 * epsilon, -0.2 * epsilon, 0.05, 0.4, 1.5):
             x = problem.feasible_set.random_point(rng)
-            u_val = rng.uniform(0.1, 2.0, size=1)
-            for m in range(1, problem.M + 1):
-                u_next = u_val if m < problem.M else None
-                s = problem.oracles[m - 1].sample(x, u_next, rng)
-                v, jx, ju = problem.exact.value_jac(m, x, u_next)
-                assert np.allclose(s.value, v, atol=1e-12)
-                assert np.allclose(s.jac_x, jx, atol=1e-12)
-                if ju is not None:
-                    assert np.allclose(s.jac_u, ju, atol=1e-12)
+            for m, oracle in enumerate(problem.oracles, start=1):
+                u_next = np.array([u_val]) if m < problem.M else None
+                exact = oracle.sample(x, u_next, None)
+                per_row = [oracle.sample(x, u_next, pick) for pick in picks]
+                for field in ("value", "jac_x", "jac_u"):
+                    rows = [getattr(s, field) for s in per_row]
+                    if getattr(exact, field) is None:
+                        assert all(r is None for r in rows)
+                        continue
+                    mean = sum(w * r for w, r in zip(weights, rows))
+                    assert np.allclose(getattr(exact, field), mean, rtol=0, atol=1e-12)
+                assert all(s.clamped == exact.clamped for s in per_row)
+                clamped += exact.clamped
+    assert clamped == 1  # SqrtRiskLevel's clamp branch, at u = -0.9 epsilon
 
 
 def test_synthetic_oracles_match_exact(smooth_problem):

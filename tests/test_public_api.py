@@ -4,20 +4,20 @@ import nestopt
 def test_public_names_pinned():
     assert sorted(nestopt.__all__) == sorted([
         "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
-        "ConfigError", "Constant", "Custom", "CustomSet", "DeterministicOracle",
-        "DiagnosticsConfig", "Diminishing", "ExactEvaluators", "FeasibleSet",
-        "InitPolicy", "InsufficientReplicationsError", "InvalidHorizonError",
+        "ConfigError", "Constant", "Custom", "CustomSet",
+        "DeterministicOracle", "DiagnosticsConfig", "Diminishing",
+        "ExactEvaluators", "FeasibleSet", "InitPolicy",
+        "InsufficientReplicationsError", "InvalidHorizonError",
         "InvalidParamError", "IterateState", "IterationTrace", "LevelOracle",
         "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
         "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample",
         "Polytope", "ProjectionError", "RunRecord", "ScheduleExhaustedError",
-        "Simplex", "SolverSetupError", "StepSchedule", "TrackingBoundReport",
-        "UnknownFamilyError", "Violation", "assemble_subgradient",
-        "default_gammas", "fit_rate", "gap", "init_state", "level_streams",
-        "lyapunov_nonsmooth", "lyapunov_smooth", "next_stepsize",
-        "objective_tail_oscillation", "optimality_measure", "run",
-        "solve_subproblem", "step", "stepsize_cap", "tracking_error_bound_check",
-        "update_trackers", "update_z", "validate_problem",
+        "Simplex", "SolverSetupError", "StepSchedule", "UnknownFamilyError",
+        "Violation", "assemble_subgradient", "default_gammas", "fit_rate",
+        "gap", "init_state", "level_streams", "lyapunov_nonsmooth",
+        "lyapunov_smooth", "next_stepsize", "objective_tail_oscillation",
+        "optimality_measure", "run", "solve_subproblem", "step",
+        "stepsize_cap", "update_trackers", "update_z", "validate_problem",
     ])
     assert len(set(nestopt.__all__)) == len(nestopt.__all__)
     for name in nestopt.__all__:
