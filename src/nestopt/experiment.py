@@ -99,12 +99,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("run.init", f"unknown init policy {policy_name!r}") from exc
 
     diag_doc = doc.get("diagnostics", {})
+    counts = {f: config_number(diag_doc.get(f, default), f"diagnostics.{f}", integral=True)
+              for f, default in (("track_every", 1), ("exact_every", 10),
+                                 ("exact_window", 0), ("lyapunov_every", 0))}
+    for f, count in counts.items():
+        if count < 0:
+            raise ConfigError(f"diagnostics.{f}", "must be >= 0 (0 disables)")
     diagnostics = DiagnosticsConfig(
-        **{f: config_number(diag_doc.get(f, default), f"diagnostics.{f}", integral=True)
-           for f, default in (("track_every", 1), ("exact_every", 10),
-                              ("exact_window", 0), ("lyapunov_every", 0))},
-        gammas=tuple(diag_doc["gammas"]) if "gammas" in diag_doc else None,
-    )
+        **counts, gammas=tuple(diag_doc["gammas"]) if "gammas" in diag_doc else None)
 
     rate = doc.get("rate_experiment")
     if rate is not None:

@@ -62,9 +62,12 @@ def _noise_from_spec(spec: dict | None) -> NoiseModel | None:
     if not spec:
         return None
     num = _numbers(spec, "problem.noise")
-    return NoiseModel(value_sd=num("value_sd", 0.0),
-                      jac_sd=num("jac_sd", 0.0),
-                      distribution=spec.get("distribution", "gaussian"))
+    try:
+        return NoiseModel(value_sd=num("value_sd", 0.0),
+                          jac_sd=num("jac_sd", 0.0),
+                          distribution=spec.get("distribution", "gaussian"))
+    except ValueError as exc:
+        raise InvalidParamError("problem.noise", str(exc)) from exc
 
 
 def _scenarios_from_spec(spec, n: int):

@@ -18,6 +18,13 @@ import numpy as np
 
 from .errors import ProjectionError
 
+# Polytope.project: a row counts as violated beyond this multiple of the
+# iterate's scale, and a new row whose part orthogonal to the active rows has
+# squared norm at most _DEPENDENT_SQ (rows are unit vectors) counts as
+# linearly dependent on them.
+_VIOLATION_TOL = 1e-13
+_DEPENDENT_SQ = 1e-14
+
 
 class FeasibleSet(ABC):
     """A nonempty convex compact region of R^dim with a Euclidean projection."""
@@ -143,16 +150,23 @@ class Simplex(FeasibleSet):
 
 
 class Polytope(FeasibleSet):
-    """Halfspace intersection {A y <= b}, projected by Dykstra's algorithm.
+    """Halfspace intersection {A y <= b}, projected exactly by a dual active-set method.
 
-    Nonemptiness is certified by a required interior point.  Dykstra's
-    alternating projections onto the individual halfspaces converge to the
-    exact Euclidean projection for polyhedra; the sweep loop stops when the
-    iterate moves less than ``tol`` (sup-norm) in a full sweep.
+    Nonemptiness is certified by a required interior point.  ``project`` is
+    the dual method of Goldfarb & Idnani (Math. Prog. 27, 1983) with the
+    identity Hessian.  It starts from y = v, which minimizes the distance
+    with no constraint, and adds the most violated halfspace.  When the new
+    row lies in the span of the active rows it takes a pure dual step and
+    drops the row whose multiplier would turn negative, so the active rows
+    stay linearly independent.  Every step keeps y = v - A_W^T lam with
+    lam >= 0 and the active rows tight; the method stops when no halfspace
+    is violated beyond rounding, which makes y the exact projection.  It
+    keeps no state between calls.  Each add or drop is one step; after
+    10 (m + n) steps (steps cycling at a degenerate vertex) it raises
+    ProjectionError.
     """
 
-    def __init__(self, A, b, interior_point, tol: float = 1e-12,
-                 max_sweeps: int = 10_000):
+    def __init__(self, A, b, interior_point):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         self.interior_point = np.atleast_1d(np.asarray(interior_point, dtype=float))
@@ -164,34 +178,65 @@ class Polytope(FeasibleSet):
         if np.any(slack > 1e-12):
             raise ValueError("provided point is not inside the polytope")
         self.dim = self.A.shape[1]
-        self.tol = float(tol)
-        self.max_sweeps = int(max_sweeps)
-        self._row_sq = np.einsum("ij,ij->i", self.A, self.A)
-        if np.any(self._row_sq == 0):
+        norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
+        if np.any(norms == 0):
             raise ValueError("zero rows in A are not allowed")
+        # unit normals: a row's violation is then the distance to its halfspace
+        self._U = self.A / norms[:, None]
+        self._c = self.b / norms
+        self._c_scale = float(np.max(np.abs(self._c)))
+        self._max_steps = 10 * (self.A.shape[0] + self.dim)
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
-        m = self.A.shape[0]
+        U, c = self._U, self._c
+        tol = _VIOLATION_TOL * (1.0 + self._c_scale + float(np.max(np.abs(v))))
         y = v.copy()
-        corr = np.zeros((m, self.dim))
-        for _ in range(self.max_sweeps):
-            delta = 0.0
-            for i in range(m):
-                w = y + corr[i]
-                viol = float(self.A[i] @ w - self.b[i])
-                if viol > 0.0:
-                    y_new = w - (viol / self._row_sq[i]) * self.A[i]
-                else:
-                    y_new = w
-                corr[i] = w - y_new
-                delta = max(delta, float(np.max(np.abs(y_new - y))))
-                y = y_new
-            if delta <= self.tol:
-                return y
+        active: list[int] = []  # linearly independent rows, tight at y
+        lam: list[float] = []   # their multipliers, all >= 0
+        p, lam_p = -1, 0.0      # the row being added and its multiplier so far
+        for _ in range(self._max_steps):
+            if p < 0:
+                s = U @ y - c
+                p = int(s.argmax())
+                if s[p] <= tol:
+                    return y
+                lam_p = 0.0
+            n_p = U[p]
+            # split n_p into its part N^T r in the span of the active rows
+            # and the orthogonal rest z
+            if active:
+                N = U[active]
+                r = np.linalg.solve(N @ N.T, N @ n_p)
+                z = n_p - r @ N
+                r = r.tolist()
+            else:
+                r, z = [], n_p
+            # moving y - t z, lam - t r, lam_p + t keeps y = v - A_W^T lam and
+            # the active rows tight; t_add makes row p tight, t_drop zeroes the
+            # first multiplier that would turn negative
+            zz = float(z @ z)
+            t_add = float(n_p @ y - c[p]) / zz if zz > _DEPENDENT_SQ else np.inf
+            t_drop, j = np.inf, -1
+            for i, (li, ri) in enumerate(zip(lam, r)):
+                if ri > 0.0 and li / ri < t_drop:
+                    t_drop, j = li / ri, i
+            if j < 0 and t_add == np.inf:
+                raise ProjectionError(
+                    f"polytope projection stalled: row {p} lies in the span of the "
+                    "active rows and no active multiplier can decrease")
+            t = min(t_add, t_drop)
+            y = y - t * z
+            lam = [li - t * ri for li, ri in zip(lam, r)]
+            lam_p += t
+            if t_add <= t_drop:
+                active.append(p)
+                lam.append(lam_p)
+                p = -1
+            else:
+                del active[j], lam[j]
         raise ProjectionError(
-            f"Dykstra projection did not converge in {self.max_sweeps} sweeps"
-        )
+            f"polytope projection did not finish in {self._max_steps} active-set steps")
 
     def anchor(self):
         return self.interior_point.copy()

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import (DiagnosticsConfig, RunRecord, lyapunov_nonsmooth,
                           lyapunov_smooth, tracking_errors)
 from .errors import (InvalidHorizonError, MissingExactEvaluatorsError,
-                     NonFiniteIterateError, SolverSetupError)
+                     NonFiniteIterateError, ProjectionError, SolverSetupError)
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
 from .oracles import OracleSample, level_streams
@@ -118,8 +118,11 @@ def step(state: IterateState, problem: CompositionProblem, params: AlgorithmPara
     """Advance the state by one iteration; NonFiniteIterateError if it diverges."""
     _check_scalar_top(problem)
     tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    y, d, _, samples, g1, x, z, u, _, _ = _advance(
-        problem, params, state.x, state.z, state.u, tau, streams, state.k)
+    try:
+        y, d, _, samples, g1, x, z, u, _, _ = _advance(
+            problem, params, state.x, state.z, state.u, tau, streams, state.k)
+    except ProjectionError as exc:
+        raise ProjectionError(f"{exc} at iteration {state.k}") from exc
     return (IterateState(state.k + 1, x, z, tuple(u)),
             IterationTrace(state.k, tau, y, d, g1, tuple(samples)))
 
@@ -172,31 +175,34 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     max_usq = max(float(arr @ arr) for arr in u)
     clamps = 0
 
-    for k in range(N):
-        if rec_track is not None and k % diag.track_every == 0:
-            rec_track[k] = tracking_errors(exact, x, u)
-        if rec_exact is not None and k >= exact_start and k % diag.exact_every == 0:
-            vals = exact.nested(x)
-            rec_obj[k] = float(vals[0][0])
-            for m in range(M):
-                r = vals[m] - u[m]
-                rec_exact[k, m] = math.sqrt(float(r @ r))
-        if rec_lyap is not None and k % diag.lyapunov_every == 0:
-            rec_lyap[k, 0] = lyapunov_nonsmooth(problem, x, z, u, a, rho, diag.gammas)
-            rec_lyap[k, 1] = lyapunov_smooth(problem, x, z, u, a, rho, diag.gammas)
+    try:
+        for k in range(N):
+            if rec_track is not None and k % diag.track_every == 0:
+                rec_track[k] = tracking_errors(exact, x, u)
+            if rec_exact is not None and k >= exact_start and k % diag.exact_every == 0:
+                vals = exact.nested(x)
+                rec_obj[k] = float(vals[0][0])
+                for m in range(M):
+                    r = vals[m] - u[m]
+                    rec_exact[k, m] = math.sqrt(float(r @ r))
+            if rec_lyap is not None and k % diag.lyapunov_every == 0:
+                rec_lyap[k, 0] = lyapunov_nonsmooth(problem, x, z, u, a, rho, diag.gammas)
+                rec_lyap[k, 1] = lyapunov_smooth(problem, x, z, u, a, rho, diag.gammas)
 
-        _, d, dsq, samples, _, x, z_new, u, zsq, usq = _advance(
-            problem, params, x, z, u, taus[k], streams, k)
-        rec_dsq[k] = dsq
-        rec_eta[k] = float(z @ d) + 0.5 * rho * dsq
-        z = z_new
-        if zsq > max_zsq:
-            max_zsq = zsq
-        if usq > max_usq:
-            max_usq = usq
-        for s in samples:
-            if s.clamped:
-                clamps += 1
+            _, d, dsq, samples, _, x, z_new, u, zsq, usq = _advance(
+                problem, params, x, z, u, taus[k], streams, k)
+            rec_dsq[k] = dsq
+            rec_eta[k] = float(z @ d) + 0.5 * rho * dsq
+            z = z_new
+            if zsq > max_zsq:
+                max_zsq = zsq
+            if usq > max_usq:
+                max_usq = usq
+            for s in samples:
+                if s.clamped:
+                    clamps += 1
+    except ProjectionError as exc:
+        raise ProjectionError(f"{exc} at iteration {k}") from exc
 
     final = IterateState(N, x, z, tuple(u))
     return RunRecord(

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from nestopt.diagnostics import SQUARED, RunRecord, optimality_measure
-from nestopt.errors import InsufficientReplicationsError
+from nestopt.errors import InsufficientReplicationsError, ProjectionError
 from nestopt.oracles import OracleSample
 from nestopt.solver import assemble_subgradient
 
@@ -65,6 +65,41 @@ def exact_composed_gradient(problem, x: np.ndarray) -> np.ndarray:
         samples.append(OracleSample(np.atleast_1d(v), np.atleast_2d(jx),
                                     None if ju is None else np.atleast_2d(ju)))
     return assemble_subgradient(samples)
+
+
+def dykstra_projection(A: np.ndarray, b: np.ndarray, v: np.ndarray, tol: float = 1e-12,
+                       max_sweeps: int = 10_000) -> np.ndarray:
+    """Euclidean projection onto {A y <= b} by Dykstra's algorithm.
+
+    Alternating projections onto the individual halfspaces, each with its
+    own correction term, converge to the exact projection for polyhedra;
+    the sweep loop stops when the iterate moves less than ``tol``
+    (sup-norm) in a full sweep.  Slow but independent of Polytope.project.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    row_sq = np.einsum("ij,ij->i", A, A)
+    v = np.asarray(v, dtype=float)
+    m = A.shape[0]
+    y = v.copy()
+    corr = np.zeros((m, A.shape[1]))
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for i in range(m):
+            w = y + corr[i]
+            viol = float(A[i] @ w - b[i])
+            if viol > 0.0:
+                y_new = w - (viol / row_sq[i]) * A[i]
+            else:
+                y_new = w
+            corr[i] = w - y_new
+            delta = max(delta, float(np.max(np.abs(y_new - y))))
+            y = y_new
+        if delta <= tol:
+            return y
+    raise ProjectionError(
+        f"Dykstra projection did not converge in {max_sweeps} sweeps"
+    )
 
 
 def optimality_residual(z: np.ndarray, d: np.ndarray, rho: float) -> float:

@@ -175,7 +175,7 @@ def test_criterion_02_gap_contract_over_all_set_types():
         (Box(np.full(4, -1.0), np.full(4, 1.0)), 3000),
         (Ball(np.zeros(4), 1.5), 3000),
         (Simplex(4), 2500),
-        (Polytope(A, b, np.zeros(4)), 1500),  # Dykstra is the slow one
+        (Polytope(A, b, np.zeros(4)), 1500),  # the slowest projection: an active-set solve
     ]
     rho = 1.0
     worst_eta, worst_resid = -np.inf, -np.inf

@@ -79,16 +79,24 @@ def _mutate(doc, path, value):
     doc[last] = value
 
 
-@pytest.mark.parametrize("path, value, field", [
-    (("run", "iterations"), "ten", "run.iterations"),
-    (("run", "iterations"), 2.5, "run.iterations"),
-    (("problem", "kappa"), "half", "problem.kappa"),
-    (("problem", "set"), {"kind": "ball", "radius": -1}, "problem.set"),
-    (("problem", "scenarios"), {"csv": "/nonexistent.csv"}, "problem.scenarios.csv"),
+@pytest.mark.parametrize("config, path, value, field", [
+    ("risk_p1_run.json", ("run", "iterations"), "ten", "run.iterations"),
+    ("risk_p1_run.json", ("run", "iterations"), 2.5, "run.iterations"),
+    ("risk_p1_run.json", ("problem", "kappa"), "half", "problem.kappa"),
+    ("risk_p1_run.json", ("problem", "set"), {"kind": "ball", "radius": -1}, "problem.set"),
+    ("risk_p1_run.json", ("problem", "scenarios"), {"csv": "/nonexistent.csv"},
+     "problem.scenarios.csv"),
+    ("synthetic_run.json", ("problem", "noise"), {"value_sd": -1.0, "jac_sd": 0.1},
+     "problem.noise"),
+    ("synthetic_run.json", ("problem", "noise"), {"value_sd": 0.1, "distribution": "cauchy"},
+     "problem.noise"),
+    ("risk_p1_run.json", ("diagnostics", "track_every"), -1, "diagnostics.track_every"),
+    ("risk_p1_run.json", ("diagnostics", "exact_every"), -1, "diagnostics.exact_every"),
 ], ids=["iterations-text", "iterations-fraction", "kappa-text", "ball-negative-radius",
-        "missing-csv"])
-def test_bad_config_fields_exit_one_naming_field(tmp_path, path, value, field):
-    doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
+        "missing-csv", "noise-negative-sd", "noise-unknown-distribution",
+        "track-every-negative", "exact-every-negative"])
+def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, field):
+    doc = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
     _mutate(doc, path, value)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))

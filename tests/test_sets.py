@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nestopt import (Ball, Box, CustomSet, Polytope, Simplex, gap,
-                     solve_subproblem)
+from nestopt import (Ball, Box, CustomSet, Polytope, ProjectionError, Simplex,
+                     gap, solve_subproblem)
 
-from helpers import is_stationary, optimality_residual
+from helpers import dykstra_projection, is_stationary, optimality_residual
+
+# fixed example sequence and no example database: the suite stays reproducible
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def _all_sets():
@@ -111,6 +116,161 @@ def test_polytope_triangle_hand_case():
     tri = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
                    np.array([0.0, 0.0, 1.0]), np.array([0.25, 0.25]))
     assert np.allclose(tri.project(np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-9)
+
+
+def _random_polytope(rng, n, rows):
+    """Gaussian rows, each at a random margin from a random interior point."""
+    A = rng.standard_normal((rows, n))
+    p = rng.uniform(-1.0, 1.0, n)
+    return Polytope(A, A @ p + rng.uniform(0.1, 1.0, rows), p)
+
+
+def _random_set(kind, n, rng):
+    if kind == "box":
+        lo = rng.uniform(-2.0, 1.0, n)
+        return Box(lo, lo + rng.uniform(0.0, 2.0, n))
+    if kind == "ball":
+        return Ball(rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0))
+    if kind == "simplex":
+        return Simplex(n, rng.uniform(0.1, 3.0))
+    return _random_polytope(rng, n, int(rng.integers(1, 4 * n + 1)))
+
+
+_coords = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=5, max_size=5)
+
+
+@st.composite
+def _set_and_points(draw):
+    """A random set of every kind in dimension 1-5, two points, and an rng."""
+    kind = draw(st.sampled_from(["box", "ball", "simplex", "polytope"]))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.array(draw(_coords)[:n])
+    w = np.array(draw(_coords)[:n])
+    return _random_set(kind, n, rng), v, w, rng
+
+
+@PROPERTY
+@given(_set_and_points())
+def test_property_projection_idempotent(case):
+    fs, v, _, _ = case
+    pv = fs.project(v)
+    assert np.linalg.norm(fs.project(pv) - pv) <= 1e-12 * (1.0 + np.linalg.norm(v))
+
+
+@PROPERTY
+@given(_set_and_points())
+def test_property_projection_nonexpansive(case):
+    fs, v, w, _ = case
+    dist = np.linalg.norm(fs.project(v) - fs.project(w))
+    assert dist <= np.linalg.norm(v - w) + 1e-12 * (1.0 + np.linalg.norm(v) + np.linalg.norm(w))
+
+
+@PROPERTY
+@given(_set_and_points())
+def test_property_projection_variational_inequality(case):
+    # <v - P(v), w - P(v)> <= 1e-9 for every feasible w
+    fs, v, _, rng = case
+    pv = fs.project(v)
+    for _ in range(5):
+        w = fs.random_point(rng)
+        assert float((v - pv) @ (w - pv)) <= 1e-9
+
+
+def _kkt_residuals(poly, v, y):
+    """Stationarity, sign, feasibility and slackness residuals of y = P(v).
+
+    The multipliers are recovered from the rows tight at y by least squares
+    on y - v + A_S^T lam = 0; the other rows get lam = 0.
+    """
+    s = poly.A @ y - poly.b
+    tight = s >= -1e-9
+    lam = np.zeros(poly.A.shape[0])
+    if tight.any():
+        lam[tight] = np.linalg.lstsq(poly.A[tight].T, v - y, rcond=None)[0]
+    return (float(np.linalg.norm(y - v + poly.A.T @ lam)), float(-lam.min()),
+            float(s.max()), float(np.max(np.abs(lam * s))))
+
+
+def test_polytope_kkt_residuals():
+    rng = np.random.default_rng(31)
+    worst = np.zeros(4)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        poly = _random_polytope(rng, n, int(rng.integers(n, 4 * n)))
+        for _ in range(10):
+            v = poly.anchor() + 3.0 * rng.standard_normal(n)
+            worst = np.maximum(worst, _kkt_residuals(poly, v, poly.project(v)))
+    stationarity, negative_lam, violation, slackness = worst
+    assert stationarity <= 1e-9
+    assert negative_lam <= 1e-9
+    assert violation <= 1e-12
+    assert slackness <= 1e-9
+
+
+def test_polytope_matches_dykstra_reference():
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        poly = _random_polytope(rng, n, int(rng.integers(n, 3 * n)))
+        for _ in range(5):
+            v = poly.anchor() + 3.0 * rng.standard_normal(n)
+            ref = dykstra_projection(poly.A, poly.b, v)
+            worst = max(worst, float(np.max(np.abs(poly.project(v) - ref))))
+    assert worst <= 1e-9
+
+
+def test_polytope_duplicated_rows():
+    # the triangle with one row repeated, one repeated at twice the scale,
+    # and a parallel copy of the hypotenuse cut back to x + y <= 1
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [1.0, 1.0],
+                  [-2.0, 0.0], [1.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.5])
+    tri = Polytope(A, b, np.array([0.25, 0.25]))
+    assert np.allclose(tri.project(np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-12)
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        v = 2.0 * rng.standard_normal(2)
+        ref = dykstra_projection(A, b, v)
+        assert np.max(np.abs(tri.project(v) - ref)) <= 1e-9
+
+
+def test_polytope_pyramid_apex_with_more_than_n_active_rows():
+    # a square pyramid in R^3: four faces meet at the apex (0, 0, 1), so the
+    # apex has four active rows in three dimensions
+    A = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                  [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+    b = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    pyramid = Polytope(A, b, np.array([0.0, 0.0, 0.5]))
+    apex = np.array([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(34)
+    # every point apex + A_faces^T w with w >= 0 has the apex as its projection
+    for w in itertools.chain(np.eye(4), [np.ones(4), np.array([1.0, 1.0, 0.0, 0.0])],
+                             rng.uniform(0.0, 2.0, (200, 4))):
+        v = apex + A[:4].T @ w
+        assert np.max(np.abs(pyramid.project(v) - apex)) <= 1e-12
+    for _ in range(200):
+        v = apex + 2.0 * rng.standard_normal(3)
+        assert np.max(np.abs(pyramid.project(v) - dykstra_projection(A, b, v))) <= 1e-9
+
+
+def test_polytope_removes_tiny_violations():
+    # exactness: a point just outside one face lands on the face itself
+    square = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), np.zeros(2))
+    for eps in (1e-6, 1e-9, 1e-11):
+        y = square.project(np.array([1.0 + eps, 0.5]))
+        assert y[0] <= 1.0 and abs(y[0] - 1.0) <= 1e-15 and y[1] == 0.5
+
+
+def test_polytope_step_cap_raises_projection_error():
+    tri = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                   np.array([0.0, 0.0, 1.0]), np.array([0.25, 0.25]))
+    v = np.array([-1.0, 3.0])  # lands on the vertex (0, 1): two rows to add
+    assert np.allclose(tri.project(v), [0.0, 1.0], atol=1e-12)
+    tri._max_steps = 1
+    with pytest.raises(ProjectionError):
+        tri.project(v)
 
 
 def test_polytope_requires_interior_point():

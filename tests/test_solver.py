@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     Custom, DeterministicOracle, Diminishing, InitPolicy,
-                     InvalidHorizonError, IterateState, NonFiniteIterateError,
+                     Custom, CustomSet, DeterministicOracle, Diminishing,
+                     InitPolicy, InvalidHorizonError, IterateState,
+                     NonFiniteIterateError, ProjectionError,
                      ScheduleExhaustedError, SolverSetupError,
                      assemble_subgradient, init_state, level_streams, run,
                      step, update_trackers, update_z)
@@ -300,6 +303,26 @@ def test_non_finite_state_aborts_with_iteration_index():
         run(problem, params, 10, init_policy=InitPolicy.ZEROS)
     assert err.value.iteration == 3
     assert "3" in str(err.value)
+
+
+def test_projection_error_names_iteration(smooth_problem, default_params):
+    box = smooth_problem.feasible_set
+    calls = []
+
+    def project(v):  # init_state projects once, then one call per iteration
+        calls.append(v)
+        if len(calls) >= 4:
+            raise ProjectionError("callback gave up")
+        return box.project(v)
+
+    problem = dataclasses.replace(smooth_problem,
+                                  feasible_set=CustomSet(box.dim, project, box.anchor()))
+    with pytest.raises(ProjectionError, match="callback gave up at iteration 2$"):
+        run(problem, default_params, 10)
+
+    state = dataclasses.replace(init_state(smooth_problem, default_params), k=7)
+    with pytest.raises(ProjectionError, match="at iteration 7$"):
+        step(state, problem, default_params, level_streams(default_params.seed, 3, 0))
 
 
 def test_run_without_exact_evaluators_disables_tracking():
