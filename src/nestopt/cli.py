@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import CompoptError, ConfigError
-from .experiment import load_config, rate_experiment, run_single
+from .experiment import check_against_problem, load_config, rate_experiment, run_single
 from .model import validate_problem
 from .problems import make_problem
 
@@ -36,6 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads: must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config)
     except OSError as exc:
@@ -49,6 +52,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("validate", "run"):
             problem = make_problem(cfg.problem_spec)
+            check_against_problem(cfg, problem)
             violations = validate_problem(problem)
             for v in violations:
                 print(f"violation (level={v.level}, kind={v.kind}): {v.message}",

@@ -91,11 +91,12 @@ def optimality_measure(record: RunRecord, mode: str = SQUARED) -> np.ndarray:
 
 
 def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> list[float]:
-    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact evaluators."""
+    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact level values."""
+    values = exact.values
     M = len(u)
     out = []
     for m in range(1, M + 1):
-        r = exact.value(m, x, u[m] if m < M else None) - u[m - 1]
+        r = values[m - 1](x, u[m] if m < M else None) - u[m - 1]
         out.append(math.sqrt(float(r @ r)))
     return out
 

@@ -41,14 +41,26 @@ def schedule_from_spec(spec: dict, path: str = "algorithm.schedule") -> StepSche
     if not isinstance(spec, dict):
         raise ConfigError(path, "schedule must be an object with a 'kind'")
     kind = _require(spec, "kind", path)
+
+    def step(value, key):  # a stepsize entry: a finite number > 0
+        tau = config_number(value, f"{path}.{key}")
+        if not 0.0 < tau < math.inf:
+            raise ConfigError(f"{path}.{key}", f"stepsizes must be finite and > 0, got {tau}")
+        return tau
+
     if kind == "diminishing":
-        return Diminishing(config_number(_require(spec, "tau0", path), f"{path}.tau0"),
-                           config_number(_require(spec, "gamma", path), f"{path}.gamma"))
+        tau0 = step(_require(spec, "tau0", path), "tau0")
+        gamma = config_number(_require(spec, "gamma", path), f"{path}.gamma")
+        if not math.isfinite(gamma):
+            raise ConfigError(f"{path}.gamma", f"must be finite, got {gamma}")
+        return Diminishing(tau0, gamma)
     if kind == "constant":
-        return Constant(config_number(_require(spec, "tau", path), f"{path}.tau"))
+        return Constant(step(_require(spec, "tau", path), "tau"))
     if kind == "custom":
         taus = _require(spec, "taus", path)
-        return Custom(tuple(config_number(t, f"{path}.taus") for t in taus))
+        if not isinstance(taus, list) or not taus:
+            raise ConfigError(f"{path}.taus", "must be a non-empty list")
+        return Custom(tuple(step(t, "taus") for t in taus))
     raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
 
 
@@ -97,6 +109,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         policy = InitPolicy(policy_name)
     except ValueError as exc:
         raise ConfigError("run.init", f"unknown init policy {policy_name!r}") from exc
+    if init_x is not None:
+        if not isinstance(init_x, list):
+            raise ConfigError("run.init.x", "must be a list of numbers")
+        init_x = [config_number(v, "run.init.x") for v in init_x]
+        if not all(map(math.isfinite, init_x)):
+            raise ConfigError("run.init.x", "entries must be finite")
 
     diag_doc = doc.get("diagnostics", {})
     counts = {f: config_number(diag_doc.get(f, default), f"diagnostics.{f}", integral=True)
@@ -105,8 +123,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for f, count in counts.items():
         if count < 0:
             raise ConfigError(f"diagnostics.{f}", "must be >= 0 (0 disables)")
-    diagnostics = DiagnosticsConfig(
-        **counts, gammas=tuple(diag_doc["gammas"]) if "gammas" in diag_doc else None)
+    gammas = diag_doc.get("gammas")
+    if gammas is not None:
+        if not isinstance(gammas, list):
+            raise ConfigError("diagnostics.gammas", "must be a list of numbers")
+        gammas = tuple(config_number(g, "diagnostics.gammas") for g in gammas)
+        if not all(0.0 < g < math.inf for g in gammas):
+            raise ConfigError("diagnostics.gammas", "weights must be finite and > 0")
+    elif counts["lyapunov_every"]:
+        raise ConfigError("diagnostics.gammas", "lyapunov_every > 0 needs the merit weights")
+    diagnostics = DiagnosticsConfig(**counts, gammas=gammas)
 
     rate = doc.get("rate_experiment")
     if rate is not None:
@@ -129,6 +155,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
+def check_against_problem(cfg: ExperimentConfig, problem) -> None:
+    """ConfigError for config entries whose size must match the built problem."""
+    if cfg.init_x is not None and len(cfg.init_x) != problem.n:
+        raise ConfigError("run.init.x", f"has {len(cfg.init_x)} entries, the problem "
+                                        f"has n={problem.n}")
+    gammas = cfg.diagnostics.gammas
+    if gammas is not None and len(gammas) != problem.M - 1:
+        raise ConfigError("diagnostics.gammas", f"has {len(gammas)} weights, need one per "
+                                                f"level 2..M ({problem.M - 1})")
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -141,10 +178,12 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    return repr(float(v))
+_TRACE_CHUNK = 1024  # rows formatted and written at a time
+
+
+def _cells(col: np.ndarray) -> list[str]:
+    """repr of each float, '' for NaN."""
+    return [repr(v) if v == v else "" for v in col.tolist()]
 
 
 def write_trace_csv(record: RunRecord, path) -> None:
@@ -154,23 +193,22 @@ def write_trace_csv(record: RunRecord, path) -> None:
     cols += [f"t_{m}" for m in range(1, M + 1)]
     cols += [f"vres_{m}" for m in range(1, M + 1)]
     cols += ["objective"]
+    # one float column per csv column after k; None is a column of empty cells
+    data = [record.tau, record.d_sq, record.eta]
+    for table in (record.tracking, record.exact_residual):
+        data += [None] * M if table is None else list(table.T)
+    data.append(record.objective)
     if record.lyapunov is not None:
         cols += ["W", "W_smooth"]
-    lines = [",".join(cols)]
-    track = record.tracking
-    vres = record.exact_residual
-    obj = record.objective
-    lyap = record.lyapunov
-    nan_row = [""] * M
-    for k in range(record.iterations):
-        row = [str(k), _fmt(record.tau[k]), _fmt(record.d_sq[k]), _fmt(record.eta[k])]
-        row += [_fmt(v) for v in track[k]] if track is not None else nan_row
-        row += [_fmt(v) for v in vres[k]] if vres is not None else nan_row
-        row.append(_fmt(obj[k]) if obj is not None else "")
-        if lyap is not None:
-            row += [_fmt(lyap[k, 0]), _fmt(lyap[k, 1])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data += list(record.lyapunov.T)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, record.iterations, _TRACE_CHUNK):
+            stop = min(start + _TRACE_CHUNK, record.iterations)
+            cells = [[str(k) for k in range(start, stop)]]
+            cells += [[""] * (stop - start) if col is None else _cells(col[start:stop])
+                      for col in data]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_dump(obj: dict, path) -> None:

@@ -98,33 +98,52 @@ class ExactEvaluators:
 
     value_jac(m, x, u_next) returns the exact (value, jac_x, jac_u) of level
     m = 1..levels (jac_u is None for the innermost level, m = levels).
-    x_star / f_star carry a known solution when one exists.
+    values[m-1](x, u_next) returns level m's exact value alone; when not
+    given, it is read off value_jac.  x_star / f_star carry a known
+    solution when one exists.
     """
 
     value_jac: Callable[[int, np.ndarray, np.ndarray | None], tuple]
     levels: int
     x_star: np.ndarray | None = None
     f_star: float | None = None
+    values: tuple[Callable[[np.ndarray, np.ndarray | None], np.ndarray], ...] | None = None
+
+    def __post_init__(self):
+        if self.values is None:
+            # looked up per call, so a value_jac replaced later is the one used
+            object.__setattr__(self, "values", tuple(
+                lambda x, u_next, m=m: self.value_jac(m, x, u_next)[0]
+                for m in range(1, self.levels + 1)))
 
     @classmethod
     def from_oracles(cls, oracles: Sequence[LevelOracle], x_star: np.ndarray | None = None,
                      f_star: float | None = None) -> ExactEvaluators:
-        """Exact evaluators read off noise-free level oracles."""
+        """Exact evaluators read off noise-free level oracles.
+
+        A level with an exact_value(x, u_next) method gives its value without
+        building Jacobians; any other level gives sample(x, u_next, None)'s.
+        """
         samplers = [o.sample for o in oracles]
 
         def value_jac(m, x, u_next):
             return samplers[m - 1](x, u_next, None, 0)[:3]
-        return cls(value_jac, len(samplers), x_star, f_star)
+
+        def value_of(sample):
+            return lambda x, u_next: sample(x, u_next, None, 0)[0]
+        values = tuple(getattr(o, "exact_value", None) or value_of(s)
+                       for o, s in zip(oracles, samplers))
+        return cls(value_jac, len(samplers), x_star, f_star, values)
 
     def value(self, m: int, x: np.ndarray, u_next: np.ndarray | None) -> np.ndarray:
-        return self.value_jac(m, x, u_next)[0]
+        return self.values[m - 1](x, u_next)
 
     def nested(self, x: np.ndarray) -> list[np.ndarray]:
         """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
         vals: list = [None] * self.levels
         v = None
         for m in range(self.levels, 0, -1):
-            v = vals[m - 1] = self.value_jac(m, x, v)[0]
+            v = vals[m - 1] = self.values[m - 1](x, v)
         return vals
 
 

@@ -67,13 +67,17 @@ class FiniteScenarios:
             return t, self.coef[i]
         return 0.0, np.zeros(self.n)
 
+    def loss_values(self, x: np.ndarray) -> np.ndarray:
+        """Loss values of every scenario at x."""
+        t = self.coef @ x + self.offset
+        return np.maximum(t, 0.0) if self.relu else t
+
     def all_losses(self, x: np.ndarray):
         """Loss values and subgradients of every scenario at x."""
-        t = self.coef @ x + self.offset
+        h = self.loss_values(x)
         if not self.relu:
-            return t, self.coef
-        grads = self.coef * (t > 0.0)[:, None]
-        return np.maximum(t, 0.0), grads
+            return h, self.coef
+        return h, self.coef * (h > 0.0)[:, None]  # max(t, 0) > 0 exactly where t > 0
 
     def loss_bounds(self, x_norm_bound: float):
         """(sup |H|, sup ||grad H||) over ||x|| <= bound."""
@@ -159,7 +163,9 @@ class _ScenarioLevel(LevelOracle):
     h and g are scenario losses and subgradients, E a mean over scenarios
     and J(c) the Jacobian mean E[c * g].  With a generator, one scenario is
     drawn and E is the identity; with rng=None, every row of the finite
-    table is taken with its weight, which gives the exact level.
+    table is taken with its weight, which gives the exact level.  Called
+    with J=None, formula returns the value array alone and builds no
+    Jacobian; exact_value uses that on the finite table.
     """
 
     out_dim = 1
@@ -175,6 +181,11 @@ class _ScenarioLevel(LevelOracle):
         w = self.scen.weights
         return self.formula(h, grads, u_next, w.__matmul__, lambda c: (w * c) @ grads)
 
+    def exact_value(self, x, u_next):
+        """The value of sample(x, u_next, None), without its Jacobians."""
+        return self.formula(self.scen.loss_values(x), None, u_next,
+                            self.scen.weights.__matmul__, None)
+
 
 class MeanLossLevel(_ScenarioLevel):
     """Innermost level: E[H(x)]."""
@@ -182,7 +193,10 @@ class MeanLossLevel(_ScenarioLevel):
     in_dim = 0
 
     def formula(self, h, g, u_next, E, J):
-        return OracleSample(np.array([E(h)]), E(g).reshape(1, -1))
+        value = np.array([E(h)])
+        if J is None:
+            return value
+        return OracleSample(value, E(g).reshape(1, -1))
 
 
 class UpperSemidevLevel(_ScenarioLevel):
@@ -198,8 +212,10 @@ class UpperSemidevLevel(_ScenarioLevel):
         kappa = self.kappa
         d = h - float(u_next[0])
         act = (d > 0.0) * 1.0  # subgradient 0 at the kink
-        return OracleSample(np.array([E(h) + kappa * E(act * d)]),
-                            J(1.0 + kappa * act).reshape(1, -1),
+        value = np.array([E(h) + kappa * E(act * d)])
+        if J is None:
+            return value
+        return OracleSample(value, J(1.0 + kappa * act).reshape(1, -1),
                             np.array([[-kappa * E(act)]]))
 
 
@@ -211,8 +227,10 @@ class SquaredShortfallLevel(_ScenarioLevel):
     def formula(self, h, g, u_next, E, J):
         d = h - float(u_next[0])
         m0 = (d > 0.0) * d + 0.0  # max(0, d), +0.0 below the kink
-        return OracleSample(np.array([E(m0 * m0)]),
-                            J(2.0 * m0).reshape(1, -1),
+        value = np.array([E(m0 * m0)])
+        if J is None:
+            return value
+        return OracleSample(value, J(2.0 * m0).reshape(1, -1),
                             np.array([[-2.0 * E(m0)]]))
 
 
@@ -238,8 +256,10 @@ class SqrtRiskLevel(_ScenarioLevel):
         if clamped:
             arg = 0.5 * self.epsilon
         root = math.sqrt(arg)
-        return OracleSample(np.array([E(h) + self.kappa * root]),
-                            E(g).reshape(1, -1),
+        value = np.array([E(h) + self.kappa * root])
+        if J is None:
+            return value
+        return OracleSample(value, E(g).reshape(1, -1),
                             np.array([[self.kappa / (2.0 * root)]]),
                             clamped=clamped)
 

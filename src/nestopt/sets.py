@@ -12,6 +12,7 @@ of the projected step with certificate ``z``.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -130,11 +131,21 @@ class Simplex(FeasibleSet):
             raise ValueError("scale must be positive")
 
     def project(self, v):
-        # sort-and-threshold; ties resolved by the deterministic threshold
-        u = np.sort(v)[::-1]
-        css = (np.cumsum(u) - self.scale) / np.arange(1, self.dim + 1)
-        k = np.nonzero(u > css)[0][-1]
-        return np.maximum(v - css[k], 0.0)
+        # sort-and-threshold (Duchi et al., ICML 2008) on Python floats: the
+        # running sum adds left to right as np.cumsum does, and the threshold
+        # is the last candidate below its sorted entry
+        v = np.asarray(v, dtype=float)
+        scale = self.scale
+        total, theta = 0.0, None
+        for i, ui in enumerate(sorted(v.tolist(), reverse=True), 1):
+            total += ui
+            t = (total - scale) / i
+            if ui > t:
+                theta = t
+        if theta is None or not math.isfinite(total):
+            raise ProjectionError("simplex projection needs a finite vector whose "
+                                  "entries are not too large for the scale")
+        return np.maximum(v - theta, 0.0)
 
     def anchor(self):
         return np.full(self.dim, self.scale / self.dim)

@@ -7,7 +7,9 @@ random-iterate measures) by other means, so the tests can compare the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,6 +102,53 @@ def dykstra_projection(A: np.ndarray, b: np.ndarray, v: np.ndarray, tol: float =
     raise ProjectionError(
         f"Dykstra projection did not converge in {max_sweeps} sweeps"
     )
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: also tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def simplex_projection_reference(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Projection onto {y >= 0, sum(y) = scale} by array sort-and-threshold.
+
+    The vectorised form Simplex.project used before it moved to Python
+    floats: sort descending, cumulative sums, last index whose entry exceeds
+    its candidate threshold.  IndexError when no index qualifies.
+    """
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = (np.cumsum(u) - scale) / np.arange(1, v.size + 1)
+    k = np.nonzero(u > css)[0][-1]
+    return np.maximum(v - css[k], 0.0)
+
+
+def write_trace_csv_rowwise(record: RunRecord, path) -> None:
+    """trace.csv built one row at a time, as write_trace_csv did before streaming."""
+    def fmt(v: float) -> str:
+        return "" if math.isnan(v) else repr(float(v))
+
+    M = record.n_levels
+    cols = ["k", "tau", "d_sq", "eta"]
+    cols += [f"t_{m}" for m in range(1, M + 1)]
+    cols += [f"vres_{m}" for m in range(1, M + 1)]
+    cols += ["objective"]
+    if record.lyapunov is not None:
+        cols += ["W", "W_smooth"]
+    lines = [",".join(cols)]
+    track, vres = record.tracking, record.exact_residual
+    obj, lyap = record.objective, record.lyapunov
+    nan_row = [""] * M
+    for k in range(record.iterations):
+        row = [str(k), fmt(record.tau[k]), fmt(record.d_sq[k]), fmt(record.eta[k])]
+        row += [fmt(v) for v in track[k]] if track is not None else nan_row
+        row += [fmt(v) for v in vres[k]] if vres is not None else nan_row
+        row.append(fmt(obj[k]) if obj is not None else "")
+        if lyap is not None:
+            row += [fmt(lyap[k, 0]), fmt(lyap[k, 1])]
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def optimality_residual(z: np.ndarray, d: np.ndarray, rho: float) -> float:

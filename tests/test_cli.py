@@ -6,11 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nestopt.experiment
 from nestopt.cli import main
+from nestopt.diagnostics import RunRecord
 from nestopt.errors import ConfigError
 from nestopt.experiment import (load_config, parse_config, rate_experiment,
                                 schedule_from_spec, write_trace_csv)
+from nestopt.model import IterateState
+
+from helpers import write_trace_csv_rowwise
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -79,33 +86,60 @@ def _mutate(doc, path, value):
     doc[last] = value
 
 
-@pytest.mark.parametrize("config, path, value, field", [
-    ("risk_p1_run.json", ("run", "iterations"), "ten", "run.iterations"),
-    ("risk_p1_run.json", ("run", "iterations"), 2.5, "run.iterations"),
-    ("risk_p1_run.json", ("problem", "kappa"), "half", "problem.kappa"),
-    ("risk_p1_run.json", ("problem", "set"), {"kind": "ball", "radius": -1}, "problem.set"),
-    ("risk_p1_run.json", ("problem", "scenarios"), {"csv": "/nonexistent.csv"},
-     "problem.scenarios.csv"),
-    ("synthetic_run.json", ("problem", "noise"), {"value_sd": -1.0, "jac_sd": 0.1},
-     "problem.noise"),
-    ("synthetic_run.json", ("problem", "noise"), {"value_sd": 0.1, "distribution": "cauchy"},
-     "problem.noise"),
-    ("risk_p1_run.json", ("diagnostics", "track_every"), -1, "diagnostics.track_every"),
-    ("risk_p1_run.json", ("diagnostics", "exact_every"), -1, "diagnostics.exact_every"),
-], ids=["iterations-text", "iterations-fraction", "kappa-text", "ball-negative-radius",
-        "missing-csv", "noise-negative-sd", "noise-unknown-distribution",
-        "track-every-negative", "exact-every-negative"])
-def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, field):
+def _bad(case_id, config, path, value, field, args=()):
+    return pytest.param(config, path, value, field, args, id=case_id)
+
+
+@pytest.mark.parametrize("config, path, value, field, args", [
+    _bad("iterations-text", "risk_p1_run.json", ("run", "iterations"), "ten", "run.iterations"),
+    _bad("iterations-fraction", "risk_p1_run.json", ("run", "iterations"), 2.5,
+         "run.iterations"),
+    _bad("kappa-text", "risk_p1_run.json", ("problem", "kappa"), "half", "problem.kappa"),
+    _bad("ball-negative-radius", "risk_p1_run.json", ("problem", "set"),
+         {"kind": "ball", "radius": -1}, "problem.set"),
+    _bad("missing-csv", "risk_p1_run.json", ("problem", "scenarios"),
+         {"csv": "/nonexistent.csv"}, "problem.scenarios.csv"),
+    _bad("noise-negative-sd", "synthetic_run.json", ("problem", "noise"),
+         {"value_sd": -1.0, "jac_sd": 0.1}, "problem.noise"),
+    _bad("noise-unknown-distribution", "synthetic_run.json", ("problem", "noise"),
+         {"value_sd": 0.1, "distribution": "cauchy"}, "problem.noise"),
+    _bad("track-every-negative", "risk_p1_run.json", ("diagnostics", "track_every"), -1,
+         "diagnostics.track_every"),
+    _bad("exact-every-negative", "risk_p1_run.json", ("diagnostics", "exact_every"), -1,
+         "diagnostics.exact_every"),
+    _bad("tau0-negative", "risk_p1_run.json", ("algorithm", "schedule", "tau0"), -1,
+         "algorithm.schedule.tau0"),
+    _bad("constant-tau-zero", "risk_p1_run.json", ("algorithm", "schedule"),
+         {"kind": "constant", "tau": 0}, "algorithm.schedule.tau"),
+    _bad("custom-tau-negative", "risk_p1_run.json", ("algorithm", "schedule"),
+         {"kind": "custom", "taus": [0.5, -0.1]}, "algorithm.schedule.taus"),
+    _bad("lyapunov-without-gammas", "risk_p2_run.json", ("diagnostics", "lyapunov_every"), 5,
+         "diagnostics.gammas"),
+    _bad("gammas-wrong-count", "risk_p2_run.json", ("diagnostics",),
+         {"track_every": 1, "exact_every": 10, "lyapunov_every": 5, "gammas": [1.0]},
+         "diagnostics.gammas"),
+    _bad("init-x-wrong-length", "risk_p1_run.json", ("run", "init"),
+         {"policy": "one_sample", "x": [0.5, 0.5]}, "run.init.x"),
+    _bad("init-x-not-finite", "risk_p1_run.json", ("run", "init"),
+         {"policy": "one_sample", "x": [0.2, 0.2, 0.2, 0.2, float("inf")]}, "run.init.x"),
+    _bad("threads-zero", "synthetic_rate.json", None, None, "--threads", ("--threads", "0")),
+])
+def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, field, args):
     doc = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
-    _mutate(doc, path, value)
+    if path is not None:
+        _mutate(doc, path, value)
+    config_path = _write(tmp_path, doc)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "nestopt.cli", "validate",
-                           "--config", str(_write(tmp_path, doc))],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 1
-    assert field in proc.stderr
-    assert "Traceback" not in proc.stderr
+    commands = ("validate", "run") + (("rate-experiment",) if args else ())
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "nestopt.cli", command,
+                               "--config", str(config_path), "--out", str(tmp_path / "out"),
+                               *args], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert field in proc.stderr, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, (command, proc.stderr)
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_family_exit_code(tmp_path, capsys):
@@ -284,6 +318,50 @@ def test_shipped_run_configs_execute(name, tmp_path):
     assert summary["final"]["eta"] <= 1e-12
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(lines) == summary["iterations"] + 1
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5]
+
+
+def _trace_record(N, M, rng, tracking=True, exact=True, lyapunov=True):
+    """A RunRecord of random floats salted with NaN, +-inf, signed zeros and extremes."""
+    def col(*shape):
+        a = rng.standard_normal((N,) + shape) * 10.0 ** rng.integers(-20, 20, (N,) + shape)
+        salt = rng.random(a.shape) < 0.3
+        a[salt] = rng.choice(_SPECIAL, size=int(salt.sum()))
+        return a
+    state = IterateState(N, np.zeros(2), np.zeros(2), tuple(np.zeros(1) for _ in range(M)))
+    return RunRecord(iterations=N, tau=col(), d_sq=col(), eta=col(),
+                     tracking=col(M) if tracking else None,
+                     exact_residual=col(M) if exact else None,
+                     lyapunov=col(2) if lyapunov else None,
+                     final_state=state, seed=0, objective=col() if exact else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 40), M=st.integers(1, 4), chunk=st.integers(1, 9),
+       parts=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_trace_matches_rowwise_writer(tmp_path_factory, N, M, chunk, parts, seed):
+    # small chunks, so N = 1, N below, at and off a multiple of the chunk all occur
+    rec = _trace_record(N, M, np.random.default_rng(seed), *parts)
+    out = tmp_path_factory.mktemp("trace")
+    default_chunk = nestopt.experiment._TRACE_CHUNK
+    nestopt.experiment._TRACE_CHUNK = chunk
+    try:
+        write_trace_csv(rec, out / "new.csv")
+    finally:
+        nestopt.experiment._TRACE_CHUNK = default_chunk
+    write_trace_csv_rowwise(rec, out / "old.csv")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_streamed_trace_matches_rowwise_writer_across_default_chunks(tmp_path):
+    N = 2 * nestopt.experiment._TRACE_CHUNK + 3
+    rec = _trace_record(N, 3, np.random.default_rng(8))
+    write_trace_csv(rec, tmp_path / "new.csv")
+    write_trace_csv_rowwise(rec, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_trace_csv_empty_cells_for_unsampled(tmp_path, smooth_problem, default_params):

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nestopt import InvalidParamError, UnknownFamilyError, gap, validate_problem
+from nestopt import (InvalidParamError, NoiseModel, UnknownFamilyError, gap,
+                     validate_problem)
+from nestopt.diagnostics import tracking_errors
 from nestopt.problems import (FiniteScenarios, make_problem,
                               mean_semideviation, random_scenarios, risk_p1,
                               risk_p2, scenarios_from_csv, scenarios_to_csv,
@@ -11,7 +15,7 @@ from nestopt.problems import (FiniteScenarios, make_problem,
                               synthetic_smooth)
 from nestopt.sets import Box, Simplex
 
-from helpers import exact_composed_gradient, finite_difference_reference
+from helpers import exact_composed_gradient, finite_difference_reference, same_bits
 
 
 def _constant_loss_scenarios():
@@ -34,6 +38,99 @@ def test_synthetic_nested_at_zero_matches_bottom_up_compose(smooth_problem):
     for m in range(problem.M - 1, 0, -1):
         v = problem.exact.value(m, x, v)
         assert np.allclose(v, vals[m - 1], atol=1e-14)
+
+
+def _value_path_problems():
+    rng = np.random.default_rng(11)
+
+    def unequal(relu):
+        return FiniteScenarios(weights=rng.uniform(0.05, 2.0, 30),
+                               coef=0.3 + 0.4 * rng.standard_normal((30, 4)),
+                               offset=1.0 + 0.5 * rng.standard_normal(30), relu=relu)
+    problems = {
+        "synthetic-M1": synthetic_smooth(levels=1, n=4),
+        "synthetic-M3": synthetic_smooth(levels=3, n=6, inner_dim=2,
+                                         noise=NoiseModel(value_sd=0.1, jac_sd=0.1)),
+        "svi": svi_problem(n=4, noise_sd=0.1),
+    }
+    for relu in (False, True):
+        tag = "-relu" if relu else ""
+        equal = random_scenarios(n=4, count=40, seed=2, relu=relu)
+        weighted = unequal(relu)
+        problems["risk_p1" + tag] = risk_p1(equal, kappa=0.5)
+        problems["risk_p1-unequal" + tag] = risk_p1(weighted, kappa=0.8)
+        # epsilon 1e-2: trackers below -5e-3 take SqrtRiskLevel's clamp branch
+        problems["risk_p2" + tag] = risk_p2(equal, kappa=0.5, epsilon=1e-2)
+        problems["risk_p2-unequal" + tag] = risk_p2(weighted, kappa=0.3, epsilon=1e-2)
+    return problems
+
+
+VALUE_PATH_PROBLEMS = _value_path_problems()
+
+
+@st.composite
+def _problem_point(draw):
+    name = draw(st.sampled_from(sorted(VALUE_PATH_PROBLEMS)))
+    problem = VALUE_PATH_PROBLEMS[name]
+    coords = st.floats(-6.0, 6.0)  # well outside every feasible set too
+    x = np.array(draw(st.lists(coords, min_size=problem.n, max_size=problem.n)))
+    u = [np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+         for d in problem.level_dims]
+    return problem, x, u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_problem_point())
+def test_value_path_matches_value_jac_bits(case):
+    problem, x, u = case
+    exact, M = problem.exact, problem.M
+    for m in range(1, M + 1):
+        u_next = u[m] if m < M else None
+        reference = exact.value_jac(m, x, u_next)[0]
+        assert same_bits(exact.values[m - 1](x, u_next), reference)
+        assert same_bits(exact.value(m, x, u_next), reference)
+    folded, v = [None] * M, None
+    for m in range(M, 0, -1):
+        v = folded[m - 1] = exact.value_jac(m, x, v)[0]
+    assert all(same_bits(a, b) for a, b in zip(exact.nested(x), folded))
+    residuals = [exact.value_jac(m, x, u[m] if m < M else None)[0] - u[m - 1]
+                 for m in range(1, M + 1)]
+    assert tracking_errors(exact, x, u) == [math.sqrt(float(r @ r)) for r in residuals]
+
+
+def test_value_path_covers_the_sqrt_clamp():
+    for name in ("risk_p2", "risk_p2-relu"):
+        problem = VALUE_PATH_PROBLEMS[name]
+        x = problem.feasible_set.anchor()
+        u_next = np.array([-0.9e-2])
+        assert problem.oracles[0].sample(x, u_next, None).clamped
+        assert same_bits(problem.exact.value(1, x, u_next),
+                          problem.exact.value_jac(1, x, u_next)[0])
+
+
+def test_exact_values_call_no_oracle_sample_attribute():
+    # the benchmark tracer counts calls through these instance attributes
+    calls = []
+
+    def counted(sample):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
+        return wrapper
+
+    for name in sorted(VALUE_PATH_PROBLEMS):
+        problem = VALUE_PATH_PROBLEMS[name]
+        for oracle in problem.oracles:
+            oracle.sample = counted(oracle.sample)
+        try:
+            x = problem.feasible_set.anchor() + 0.5
+            u = problem.exact.nested(x)
+            tracking_errors(problem.exact, x, [v + 0.1 for v in u])
+            problem.exact.value(1, x, u[1] if problem.M > 1 else None)
+        finally:
+            for oracle in problem.oracles:
+                del oracle.sample
+    assert calls == []
 
 
 def test_risk_p1_hand_scenario_values():

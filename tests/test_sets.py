@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nestopt import (Ball, Box, CustomSet, Polytope, ProjectionError, Simplex,
                      gap, solve_subproblem)
 
-from helpers import dykstra_projection, is_stationary, optimality_residual
+from helpers import (dykstra_projection, is_stationary, optimality_residual, same_bits,
+                     simplex_projection_reference)
 
 # fixed example sequence and no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -50,6 +51,41 @@ def test_simplex_symmetric_point():
         if dist < best_d:
             best, best_d = y, dist
     assert np.linalg.norm(proj - best) < 2.0 / steps
+
+
+@st.composite
+def _simplex_case(draw):
+    dim = draw(st.integers(1, 8))
+    magnitude = draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e6, 1e12, 1e200]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 0.37, 7.0, 1e4]))
+    entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 0.25, 1.0]))
+    v = np.array(draw(st.lists(entries, min_size=dim, max_size=dim))) * magnitude
+    if draw(st.booleans()):  # an already-feasible point
+        v = np.abs(v)
+        v = scale * v / v.sum() if v.sum() > 0 else np.full(dim, scale / dim)
+    return Simplex(dim, scale), v
+
+
+@PROPERTY
+@given(_simplex_case())
+def test_simplex_matches_array_sort_threshold(case):
+    # ties (repeated entries, signed zeros), feasible inputs, dim 1, scale != 1 and
+    # magnitudes from 1e-300 to 1e200 against the vectorised reference, bit for bit
+    sim, v = case
+    try:
+        expected = simplex_projection_reference(v, sim.scale)
+    except IndexError:  # no threshold qualifies once |v| swamps the scale
+        with pytest.raises(ProjectionError):
+            sim.project(v)
+        return
+    assert same_bits(sim.project(v), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simplex_rejects_non_finite_input(bad):
+    v = np.array([0.2, bad, 0.5])
+    with pytest.raises(ProjectionError):
+        Simplex(3).project(v)
 
 
 def test_ball_radial_scaling():
