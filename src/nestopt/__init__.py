@@ -11,19 +11,16 @@ from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
                           default_gammas, fit_rate, lyapunov_nonsmooth,
                           lyapunov_smooth, objective_tail_oscillation,
                           optimality_measure)
-from .errors import (CompoptError, ConfigError, InsufficientReplicationsError,
-                     InvalidHorizonError, InvalidParamError,
-                     MissingExactEvaluatorsError, NonFiniteIterateError,
-                     ProjectionError, ScheduleExhaustedError, SolverSetupError,
-                     UnknownFamilyError)
+from .errors import (CompoptError, ConfigError, InvalidHorizonError,
+                     InvalidParamError, MissingExactEvaluatorsError,
+                     NonFiniteIterateError, ProjectionError,
+                     ScheduleExhaustedError, SolverSetupError, UnknownFamilyError)
 from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     Diminishing, ExactEvaluators, InitPolicy, IterateState,
                     StepSchedule, Violation, init_state, next_stepsize,
                     stepsize_cap, validate_problem)
-from .oracles import (DeterministicOracle, LevelOracle, NoiseModel, NoisyOracle,
-                      OracleSample, level_streams)
-from .sets import (Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap,
-                   solve_subproblem)
+from .oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, level_streams
+from .sets import Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap
 from .solver import (IterationTrace, assemble_subgradient, run, step,
                      update_trackers, update_z)
 
@@ -31,9 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
-    "ConfigError", "Constant", "Custom", "CustomSet", "DeterministicOracle",
-    "DiagnosticsConfig", "Diminishing", "ExactEvaluators", "FeasibleSet",
-    "InitPolicy", "InsufficientReplicationsError", "InvalidHorizonError",
+    "ConfigError", "Constant", "Custom", "CustomSet", "DiagnosticsConfig",
+    "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "InvalidHorizonError",
     "InvalidParamError", "IterateState", "IterationTrace", "LevelOracle",
     "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
     "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample", "Polytope",
@@ -41,7 +37,7 @@ __all__ = [
     "SolverSetupError", "StepSchedule", "UnknownFamilyError", "Violation",
     "assemble_subgradient", "default_gammas", "fit_rate", "gap", "init_state",
     "level_streams", "lyapunov_nonsmooth", "lyapunov_smooth", "next_stepsize",
-    "objective_tail_oscillation", "optimality_measure", "run",
-    "solve_subproblem", "step", "stepsize_cap", "update_trackers", "update_z",
+    "objective_tail_oscillation", "optimality_measure", "run", "step",
+    "stepsize_cap", "update_trackers", "update_z",
     "validate_problem",
 ]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import CompoptError, ConfigError
-from .experiment import check_against_problem, load_config, rate_experiment, run_single
+from .experiment import load_config, rate_experiment, run_single
 from .model import validate_problem
 from .problems import make_problem
 
@@ -36,41 +37,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"config error: --threads: must be >= 1, got {args.threads}", file=sys.stderr)
-        return 1
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
-    except OSError as exc:
-        print(f"config error: config: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = args.out if args.out is not None else cfg.output_dir
-
-    try:
-        if args.command in ("validate", "run"):
-            problem = make_problem(cfg.problem_spec)
-            check_against_problem(cfg, problem)
-            violations = validate_problem(problem)
-            for v in violations:
-                print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
-                      file=sys.stdout if args.command == "validate" else sys.stderr)
-            if violations:
-                return 1
+        if args.seed is not None:
+            try:
+                cfg.algorithm = replace(cfg.algorithm, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError("--seed", str(exc)) from exc
+        out_dir = args.out if args.out is not None else cfg.output_dir
+        # each replication builds its own problem; a build here as well would stay
+        # resident in every forked pool worker
+        if args.command == "rate-experiment":
+            payload = rate_experiment(cfg, out_dir, threads=args.threads)
+            print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
+            return 0
+        problem = make_problem(cfg.problem_spec)
+        violations = validate_problem(problem)
+        for v in violations:
+            print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
+                  file=sys.stdout if args.command == "validate" else sys.stderr)
+        if violations:
+            return 1
         if args.command == "validate":
             print("config and problem structure ok")
             return 0
-        if args.command == "run":
-            summary = run_single(cfg, problem, out_dir, seed_override=args.seed)
-            print(f"wrote {out_dir}/trace.csv and summary.json "
-                  f"({summary['iterations']} iterations)")
-            return 0
-        # rate-experiment
-        payload = rate_experiment(cfg, out_dir, seed_override=args.seed,
-                                  threads=args.threads)
-        print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
+        summary = run_single(cfg, problem, out_dir)
+        print(f"wrote {out_dir}/trace.csv and summary.json "
+              f"({summary['iterations']} iterations)")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

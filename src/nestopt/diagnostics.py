@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingExactEvaluatorsError
+from .errors import InvalidParamError, MissingExactEvaluatorsError
 from .model import AlgorithmParams, CompositionProblem, IterateState, init_state
 from .oracles import level_streams
 from .sets import gap as set_gap
@@ -34,6 +34,11 @@ class DiagnosticsConfig:
     exact_window: int = 0
     lyapunov_every: int = 0
     gammas: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.lyapunov_every and self.gammas is None:
+            raise InvalidParamError("diagnostics.gammas",
+                                    "lyapunov_every > 0 needs the merit weights")
 
 
 @dataclass

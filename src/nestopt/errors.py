@@ -1,6 +1,4 @@
-"""Exception types shared across the package, and the config number reader."""
-
-import numbers
+"""Exception types shared across the package."""
 
 
 class CompoptError(Exception):
@@ -11,19 +9,11 @@ class ConfigError(CompoptError):
     """A configuration document is invalid; ``field`` names the offending entry."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
 
-
-def config_number(value, field: str, integral: bool = False):
-    """A config entry as a float, or as an int when integral; else ConfigError(field)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not integral:
-            return float(value)
-        if float(value).is_integer():
-            return int(value)
-    raise ConfigError(field, f"expected {'an integer' if integral else 'a number'}, "
-                             f"got {value!r}")
+    def __reduce__(self):  # a pool worker's error reaches the parent with both arguments
+        return type(self), (self.field, self.message)
 
 
 class InvalidParamError(ConfigError):
@@ -60,7 +50,3 @@ class SolverSetupError(CompoptError):
 
 class MissingExactEvaluatorsError(CompoptError):
     """The requested diagnostic needs exact evaluators the problem does not carry."""
-
-
-class InsufficientReplicationsError(CompoptError):
-    """A replication-averaged diagnostic was asked for with too few replications."""

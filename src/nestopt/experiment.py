@@ -16,53 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import CONFIG, SCHEMA_VERSION, read
 from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate,
                           objective_tail_oscillation, optimality_measure)
-from .errors import ConfigError, config_number
-from .model import (AlgorithmParams, Constant, Custom, Diminishing, InitPolicy,
-                    StepSchedule)
+from .errors import ConfigError
+from .model import AlgorithmParams, Constant, InitPolicy
 from .problems import make_problem
 from .sets import gap as set_gap
 from .solver import run
 
-SCHEMA_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-def _require(doc: dict, field: str, path: str):
-    if field not in doc:
-        raise ConfigError(f"{path}.{field}" if path else field, "missing required field")
-    return doc[field]
-
-
-def schedule_from_spec(spec: dict, path: str = "algorithm.schedule") -> StepSchedule:
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "schedule must be an object with a 'kind'")
-    kind = _require(spec, "kind", path)
-
-    def step(value, key):  # a stepsize entry: a finite number > 0
-        tau = config_number(value, f"{path}.{key}")
-        if not 0.0 < tau < math.inf:
-            raise ConfigError(f"{path}.{key}", f"stepsizes must be finite and > 0, got {tau}")
-        return tau
-
-    if kind == "diminishing":
-        tau0 = step(_require(spec, "tau0", path), "tau0")
-        gamma = config_number(_require(spec, "gamma", path), f"{path}.gamma")
-        if not math.isfinite(gamma):
-            raise ConfigError(f"{path}.gamma", f"must be finite, got {gamma}")
-        return Diminishing(tau0, gamma)
-    if kind == "constant":
-        return Constant(step(_require(spec, "tau", path), "tau"))
-    if kind == "custom":
-        taus = _require(spec, "taus", path)
-        if not isinstance(taus, list) or not taus:
-            raise ConfigError(f"{path}.taus", "must be a non-empty list")
-        return Custom(tuple(step(t, "taus") for t in taus))
-    raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
-
 
 @dataclass
 class ExperimentConfig:
@@ -73,105 +38,25 @@ class ExperimentConfig:
     algorithm: AlgorithmParams
     iterations: int | None
     init_policy: InitPolicy
-    init_x: list | None
+    init_x: np.ndarray | None
     diagnostics: DiagnosticsConfig
     rate: dict | None
     output_dir: str
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top-level document must be an object")
-    version = _require(doc, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version}")
-    problem_spec = _require(doc, "problem", "")
-    algo = _require(doc, "algorithm", "")
-    a, b, rho, seed = (config_number(_require(algo, f, "algorithm"), f"algorithm.{f}",
-                                     integral=f == "seed") for f in ("a", "b", "rho", "seed"))
-    schedule = schedule_from_spec(_require(algo, "schedule", "algorithm"))
-    try:
-        params = AlgorithmParams(a=a, b=b, rho=rho, schedule=schedule, seed=seed)
-    except ValueError as exc:
-        raise ConfigError("algorithm", str(exc)) from exc
-
-    run_doc = doc.get("run", {})
-    iterations = run_doc.get("iterations")
-    if iterations is not None:
-        iterations = config_number(iterations, "run.iterations", integral=True)
-        if iterations < 1:
-            raise ConfigError("run.iterations", "must be a positive integer")
-    init = run_doc.get("init", "one_sample")
-    if not isinstance(init, dict):
-        init = {"policy": init}
-    policy_name, init_x = init.get("policy", "one_sample"), init.get("x")
-    try:
-        policy = InitPolicy(policy_name)
-    except ValueError as exc:
-        raise ConfigError("run.init", f"unknown init policy {policy_name!r}") from exc
-    if init_x is not None:
-        if not isinstance(init_x, list):
-            raise ConfigError("run.init.x", "must be a list of numbers")
-        init_x = [config_number(v, "run.init.x") for v in init_x]
-        if not all(map(math.isfinite, init_x)):
-            raise ConfigError("run.init.x", "entries must be finite")
-
-    diag_doc = doc.get("diagnostics", {})
-    counts = {f: config_number(diag_doc.get(f, default), f"diagnostics.{f}", integral=True)
-              for f, default in (("track_every", 1), ("exact_every", 10),
-                                 ("exact_window", 0), ("lyapunov_every", 0))}
-    for f, count in counts.items():
-        if count < 0:
-            raise ConfigError(f"diagnostics.{f}", "must be >= 0 (0 disables)")
-    gammas = diag_doc.get("gammas")
-    if gammas is not None:
-        if not isinstance(gammas, list):
-            raise ConfigError("diagnostics.gammas", "must be a list of numbers")
-        gammas = tuple(config_number(g, "diagnostics.gammas") for g in gammas)
-        if not all(0.0 < g < math.inf for g in gammas):
-            raise ConfigError("diagnostics.gammas", "weights must be finite and > 0")
-    elif counts["lyapunov_every"]:
-        raise ConfigError("diagnostics.gammas", "lyapunov_every > 0 needs the merit weights")
-    diagnostics = DiagnosticsConfig(**counts, gammas=gammas)
-
-    rate = doc.get("rate_experiment")
-    if rate is not None:
-        horizons = _require(rate, "horizons", "rate_experiment")
-        if not isinstance(horizons, list) or not horizons:
-            raise ConfigError("rate_experiment.horizons", "must be a non-empty list")
-        rate = {"horizons": [config_number(n, "rate_experiment.horizons", integral=True)
-                             for n in horizons],
-                "replications": config_number(_require(rate, "replications", "rate_experiment"),
-                                              "rate_experiment.replications", integral=True),
-                "theta": config_number(rate.get("theta", 1.0), "rate_experiment.theta")}
-        if rate["replications"] < 1:
-            raise ConfigError("rate_experiment.replications", "must be >= 1")
-
-    return ExperimentConfig(
-        raw=doc, problem_spec=problem_spec, algorithm=params,
-        iterations=iterations, init_policy=policy, init_x=init_x,
-        diagnostics=diagnostics, rate=rate,
-        output_dir=doc.get("output_dir", "out"),
-    )
-
-
-def check_against_problem(cfg: ExperimentConfig, problem) -> None:
-    """ConfigError for config entries whose size must match the built problem."""
-    if cfg.init_x is not None and len(cfg.init_x) != problem.n:
-        raise ConfigError("run.init.x", f"has {len(cfg.init_x)} entries, the problem "
-                                        f"has n={problem.n}")
-    gammas = cfg.diagnostics.gammas
-    if gammas is not None and len(gammas) != problem.M - 1:
-        raise ConfigError("diagnostics.gammas", f"has {len(gammas)} weights, need one per "
-                                                f"level 2..M ({problem.M - 1})")
+    cfg = read(doc, CONFIG)
+    (init_policy, init_x), iterations = cfg["run"]["init"], cfg["run"]["iterations"]
+    return ExperimentConfig(doc, doc["problem"], cfg["algorithm"], iterations, init_policy,
+                            init_x, cfg["diagnostics"], cfg["rate_experiment"], cfg["output_dir"])
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError("config", str(exc)) from exc
     return parse_config(doc)
 
 
@@ -265,16 +150,13 @@ def _effective_config(raw: dict, seed: int) -> dict:
     return echo
 
 
-def run_single(cfg: ExperimentConfig, problem, out_dir,
-               seed_override: int | None = None) -> dict:
+def run_single(cfg: ExperimentConfig, problem, out_dir) -> dict:
     """Run the problem built from cfg.problem_spec; write trace.csv + summary.json."""
     if cfg.iterations is None:
         raise ConfigError("run.iterations", "missing required field")
-    params = cfg.algorithm if seed_override is None else \
-        replace(cfg.algorithm, seed=seed_override)
-    init_x = None if cfg.init_x is None else np.asarray(cfg.init_x, dtype=float)
+    params = cfg.algorithm
     record = run(problem, params, cfg.iterations, diagnostics=cfg.diagnostics,
-                 init_x=init_x, init_policy=cfg.init_policy)
+                 init_x=cfg.init_x, init_policy=cfg.init_policy)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(record, out / "trace.csv")
@@ -294,7 +176,7 @@ def _replication_task(payload: dict) -> dict:
     problem = make_problem(payload["problem"])
     record = run(problem, payload["params"], payload["iterations"],
                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
-                 init_policy=payload["init_policy"],
+                 init_x=payload["init_x"], init_policy=payload["init_policy"],
                  replication=payload["replication"])
     if record.tracking is None:
         measure = float(np.nanmean(record.d_sq))
@@ -314,8 +196,7 @@ def _replication_task(payload: dict) -> dict:
     return result
 
 
-def rate_experiment(cfg: ExperimentConfig, out_dir, seed_override: int | None = None,
-                    threads: int = 1) -> dict:
+def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Constant-stepsize sweep tau = theta / sqrt(N) over the config horizons.
 
     Runs the configured number of replications per horizon (optionally on a
@@ -325,14 +206,13 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, seed_override: int | None = 
     """
     if cfg.rate is None:
         raise ConfigError("rate_experiment", "missing required section")
-    seed = cfg.algorithm.seed if seed_override is None else int(seed_override)
+    seed = cfg.algorithm.seed
     theta = cfg.rate["theta"]
     horizons = cfg.rate["horizons"]
     reps = cfg.rate["replications"]
     payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
-                 "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter)),
-                                   seed=seed),
-                 "init_policy": cfg.init_policy}
+                 "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter))),
+                 "init_x": cfg.init_x, "init_policy": cfg.init_policy}
                 for n_iter in horizons for r in range(reps)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

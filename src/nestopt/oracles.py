@@ -112,19 +112,6 @@ class LevelOracle(ABC):
         """Draw one estimate at (x, u_next); k indexes bias schedules."""
 
 
-class DeterministicOracle(LevelOracle):
-    """Wraps an exact value/Jacobian callable as a (noise-free) oracle."""
-
-    def __init__(self, out_dim: int, in_dim: int, value_jac):
-        self.out_dim = int(out_dim)
-        self.in_dim = int(in_dim)
-        self._value_jac = value_jac
-
-    def sample(self, x, u_next, rng, k=0):
-        value, jac_x, jac_u = self._value_jac(x, u_next)
-        return OracleSample(value, jac_x, jac_u)
-
-
 class NoisyOracle(LevelOracle):
     """Adds NoiseModel perturbations on top of a base oracle.
 

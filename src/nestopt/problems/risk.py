@@ -130,26 +130,6 @@ def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
                            offset=data[:, -1], relu=relu)
 
 
-def scenarios_to_csv(scen: FiniteScenarios, path) -> None:
-    data = np.column_stack([scen.weights, scen.coef, scen.offset])
-    np.savetxt(path, data, delimiter=",")
-
-
-def mean_semideviation(scen: FiniteScenarios, x: np.ndarray, kappa: float,
-                       p: int, epsilon: float = 0.0) -> float:
-    """Risk functional computed directly on the scenario set.
-
-    Independent of the nested-composition code path; used to cross-check
-    that the composition reproduces the risk measure.
-    """
-    losses, _ = scen.all_losses(x)
-    mean = float(scen.weights @ losses)
-    dev = np.maximum(losses - mean, 0.0)
-    if p == 1:
-        return mean + kappa * float(scen.weights @ dev)
-    return mean + kappa * math.sqrt(epsilon + float(scen.weights @ dev**2))
-
-
 # ---------------------------------------------------------------------------
 # level oracles
 

@@ -269,21 +269,13 @@ class CustomSet(FeasibleSet):
         return self._anchor.copy()
 
 
-def solve_subproblem(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
-                     rho: float) -> np.ndarray:
-    """Minimizer of <z, y-x> + (rho/2)||y-x||^2 over the set.
-
-    Equals the projection of ``x - z/rho``; homogeneous in (z, rho) jointly.
-    """
-    return feasible_set.project(x - z / rho)
-
-
 def gap(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
         rho: float) -> float:
     """Optimal value of the regularized subproblem; always <= 0.
 
-    Zero exactly when x is already the subproblem minimizer, which is the
+    The minimizer of <z, y-x> + (rho/2)||y-x||^2 over the set is the
+    projection of x - z/rho.  The value is zero exactly when x is already the subproblem minimizer, which is the
     stationarity certificate used throughout.
     """
-    d = solve_subproblem(feasible_set, x, z, rho) - x
+    d = feasible_set.project(x - z / rho) - x
     return float(z @ d) + 0.5 * rho * float(d @ d)

@@ -150,8 +150,6 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         if diag.lyapunov_every:
             raise MissingExactEvaluatorsError("lyapunov recording needs exact evaluators")
         diag = DiagnosticsConfig(track_every=0, exact_every=0, lyapunov_every=0)
-    if diag.lyapunov_every and diag.gammas is None:
-        raise ValueError("lyapunov recording needs DiagnosticsConfig.gammas")
 
     N = iterations
     a, b, rho = params.a, params.b, params.rho

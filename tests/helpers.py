@@ -15,9 +15,57 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from nestopt.diagnostics import SQUARED, RunRecord, optimality_measure
-from nestopt.errors import InsufficientReplicationsError, ProjectionError
-from nestopt.oracles import OracleSample
+from nestopt.errors import CompoptError, ProjectionError
+from nestopt.oracles import LevelOracle, OracleSample
+from nestopt.problems import FiniteScenarios
+from nestopt.sets import FeasibleSet
 from nestopt.solver import assemble_subgradient
+
+
+class InsufficientReplicationsError(CompoptError):
+    """A replication-averaged diagnostic was asked for with too few replications."""
+
+
+class DeterministicOracle(LevelOracle):
+    """Wraps an exact value/Jacobian callable as a (noise-free) oracle."""
+
+    def __init__(self, out_dim: int, in_dim: int, value_jac):
+        self.out_dim = int(out_dim)
+        self.in_dim = int(in_dim)
+        self._value_jac = value_jac
+
+    def sample(self, x, u_next, rng, k=0):
+        value, jac_x, jac_u = self._value_jac(x, u_next)
+        return OracleSample(value, jac_x, jac_u)
+
+
+def solve_subproblem(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
+                     rho: float) -> np.ndarray:
+    """Minimizer of <z, y-x> + (rho/2)||y-x||^2 over the set.
+
+    Equals the projection of ``x - z/rho``; homogeneous in (z, rho) jointly.
+    """
+    return feasible_set.project(x - z / rho)
+
+
+def scenarios_to_csv(scen: FiniteScenarios, path) -> None:
+    data = np.column_stack([scen.weights, scen.coef, scen.offset])
+    np.savetxt(path, data, delimiter=",")
+
+
+def mean_semideviation(scen: FiniteScenarios, x: np.ndarray, kappa: float,
+                       p: int, epsilon: float = 0.0) -> float:
+    """Risk functional computed directly on the scenario set.
+
+    Independent of the nested-composition code path; used to cross-check
+    that the composition reproduces the risk measure.
+    """
+    losses, _ = scen.all_losses(x)
+    mean = float(scen.weights @ losses)
+    dev = np.maximum(losses - mean, 0.0)
+    if p == 1:
+        return mean + kappa * float(scen.weights @ dev)
+    return mean + kappa * math.sqrt(epsilon + float(scen.weights @ dev**2))
 
 
 def finite_difference_reference(f, x: np.ndarray, u_next: np.ndarray | None = None,

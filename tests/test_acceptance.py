@@ -19,7 +19,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nestopt import (AlgorithmParams, Ball, Box, Diminishing, NoiseModel,
-                     Polytope, Simplex, run, solve_subproblem)
+                     Polytope, Simplex, run)
 from nestopt.cli import main
 from nestopt.diagnostics import DiagnosticsConfig
 from nestopt.problems import (random_scenarios, risk_p1, svi_problem,
@@ -28,6 +28,7 @@ from nestopt.sets import gap as set_gap
 from nestopt.solver import assemble_subgradient
 
 from conftest import noisy_norm_bounds
+from helpers import solve_subproblem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONVERGENCE_SEEDS = (101, 102, 103, 104, 105)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 import nestopt.experiment
 from nestopt.cli import main
+from nestopt.config import CONFIG, SCHEDULES, Variants, read
 from nestopt.diagnostics import RunRecord
 from nestopt.errors import ConfigError
-from nestopt.experiment import (load_config, parse_config, rate_experiment,
-                                schedule_from_spec, write_trace_csv)
+from nestopt.experiment import load_config, parse_config, rate_experiment, write_trace_csv
 from nestopt.model import IterateState
 
 from helpers import write_trace_csv_rowwise
@@ -76,7 +77,7 @@ def test_schedule_spec_roundtrip():
              ({"kind": "constant", "tau": 0.25}, Constant(0.25)),
              ({"kind": "custom", "taus": [0.5, 0.1]}, Custom((0.5, 0.1)))]
     for spec, sched in specs:
-        assert schedule_from_spec(spec) == sched
+        assert read(spec, SCHEDULES, "algorithm.schedule") == sched
 
 
 def _mutate(doc, path, value):
@@ -123,6 +124,35 @@ def _bad(case_id, config, path, value, field, args=()):
     _bad("init-x-not-finite", "risk_p1_run.json", ("run", "init"),
          {"policy": "one_sample", "x": [0.2, 0.2, 0.2, 0.2, float("inf")]}, "run.init.x"),
     _bad("threads-zero", "synthetic_rate.json", None, None, "--threads", ("--threads", "0")),
+    _bad("svi-matrix-text", "svi_run.json", ("problem", "matrix"), [["a"] * 5] * 5,
+         "problem.matrix"),
+    _bad("gaussian-coef-mean-text", "risk_p1_run.json", ("problem", "scenarios"),
+         {"kind": "gaussian", "coef_mean": ["a"] * 5}, "problem.scenarios.coef_mean"),
+    _bad("kappa-misspelt", "risk_p1_run.json", ("problem", "kapa"), 0.9, "problem.kapa"),
+    _bad("schedule-misspelt", "risk_p1_run.json", ("algorithm", "shedule"),
+         {"kind": "constant", "tau": 0.1}, "algorithm.shedule"),
+    _bad("exact-every-misspelt", "risk_p1_run.json", ("diagnostics", "exact_evry"), 5,
+         "diagnostics.exact_evry"),
+    _bad("relu-text", "risk_p1_run.json", ("problem", "scenarios", "relu"), "no",
+         "problem.scenarios.relu"),
+    _bad("theta-zero", "synthetic_rate.json", ("rate_experiment", "theta"), 0,
+         "rate_experiment.theta"),
+    _bad("theta-negative", "synthetic_rate.json", ("rate_experiment", "theta"), -1,
+         "rate_experiment.theta"),
+    _bad("horizon-zero", "synthetic_rate.json", ("rate_experiment", "horizons"), [0, 100],
+         "rate_experiment.horizons"),
+    _bad("horizon-negative", "synthetic_rate.json", ("rate_experiment", "horizons"),
+         [-5, 100], "rate_experiment.horizons"),
+    _bad("noise-list", "synthetic_run.json", ("problem", "noise"), [0.1, 0.1], "problem.noise"),
+    _bad("diagnostics-list", "risk_p1_run.json", ("diagnostics",), [1, 10], "diagnostics"),
+    _bad("run-list", "risk_p1_run.json", ("run",), [20000], "run"),
+    _bad("rate-init-x-wrong-length", "synthetic_rate.json", ("run",),
+         {"init": {"policy": "one_sample", "x": [0.5, 0.5]}}, "run.init.x"),
+    _bad("halfwidth-negative-pooled", "synthetic_rate.json", ("problem", "halfwidth"), -1.0,
+         "problem.halfwidth", ("--threads", "2")),
+    _bad("seed-negative", "synthetic_rate.json", None, None, "--seed", ("--seed", "-1")),
+    _bad("seed-above-64-bits", "synthetic_rate.json", None, None, "--seed",
+         ("--seed", str(2**64))),
 ])
 def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, field, args):
     doc = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
@@ -131,15 +161,29 @@ def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, 
     config_path = _write(tmp_path, doc)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
-    commands = ("validate", "run") + (("rate-experiment",) if args else ())
-    for command in commands:
+    rate = ("rate-experiment",) if config == "synthetic_rate.json" else ()
+    for command in ("validate", "run") + rate:
         proc = subprocess.run([sys.executable, "-m", "nestopt.cli", command,
                                "--config", str(config_path), "--out", str(tmp_path / "out"),
                                *args], capture_output=True, text=True, env=env)
         assert proc.returncode == 1, (command, proc.stderr)
-        assert field in proc.stderr, (command, proc.stderr)
+        assert f"config error: {field}:" in proc.stderr, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, (command, proc.stderr)
         assert not (tmp_path / "out").exists()
+
+
+def _table_keys(spec):
+    """Every key a config table (or its variants and subsections) accepts."""
+    if isinstance(spec, Variants):
+        return {spec.key}.union(*map(_table_keys, spec.tables.values()))
+    return set(spec.fields).union(*(_table_keys(f.of) for f in spec.fields.values()
+                                    if f.kind == "section"))
+
+
+def test_readme_schema_lists_every_config_key():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config schema")[1].split("```jsonc")[1].split("```")[0]
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == _table_keys(CONFIG)
 
 
 def test_unknown_family_exit_code(tmp_path, capsys):
@@ -287,6 +331,20 @@ def test_rate_experiment_without_ground_truth(tmp_path):
     payload = rate_experiment(cfg, tmp_path / "gauss")
     assert np.isfinite(payload["slope"])
     assert "tracking_mean_sq" not in payload["entries"][0]
+
+
+def test_rate_experiment_starts_from_init_x(tmp_path, capsys):
+    doc = _rate_config()
+    plain = rate_experiment(parse_config(doc), tmp_path / "plain")
+    doc["run"] = {"init": {"policy": "one_sample", "x": [1.5, -1.5, 1.0, 0.5]}}
+    moved = rate_experiment(parse_config(doc), tmp_path / "moved")
+    assert moved["entries"] != plain["entries"]
+    doc["run"]["init"]["x"] = [1.5, -1.5]
+    code = main(["rate-experiment", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "short")])
+    assert code == 1
+    assert "run.init.x" in capsys.readouterr().err
+    assert not (tmp_path / "short").exists()
 
 
 def test_rate_experiment_thread_count_invariant(tmp_path):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     DeterministicOracle, Diminishing,
-                     InsufficientReplicationsError, IterateState, NoiseModel,
-                     init_state, level_streams, run, step)
+                     Diminishing, IterateState, NoiseModel, init_state,
+                     level_streams, run, step)
 from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, default_gammas,
                                  fit_rate, lyapunov_nonsmooth, lyapunov_smooth,
                                  objective_tail_oscillation, optimality_measure)
 from nestopt.errors import MissingExactEvaluatorsError
 from nestopt.problems import synthetic_smooth
 
-from helpers import random_iterate_measure, tracking_error_bound_check
+from helpers import (DeterministicOracle, InsufficientReplicationsError,
+                     random_iterate_measure, tracking_error_bound_check)
 
 
 def _fake_record(d_sq, tracking=None, n_levels=1):

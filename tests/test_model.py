@@ -3,7 +3,7 @@ import pytest
 from scipy.special import zeta
 
 from nestopt import (AlgorithmParams, CompositionProblem, Constant, Custom,
-                     Diminishing, DeterministicOracle, InitPolicy,
+                     Diminishing, InitPolicy,
                      ScheduleExhaustedError, init_state, level_streams, next_stepsize, stepsize_cap,
                      validate_problem)
 from nestopt.model import IterateState
@@ -12,7 +12,7 @@ from nestopt.problems import make_problem
 from nestopt.sets import Box
 from nestopt.solver import step
 
-from helpers import finite_difference_reference
+from helpers import DeterministicOracle, finite_difference_reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nestopt import (DeterministicOracle, NoiseModel, NoisyOracle,
-                     level_streams)
+from nestopt import NoiseModel, NoisyOracle, level_streams
 from nestopt.oracles import OracleSample, _centered_draw
 
-from helpers import finite_difference_reference
+from helpers import DeterministicOracle, finite_difference_reference
 
 
 def _affine_oracle(A, B=None, c=None):

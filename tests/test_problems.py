@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from nestopt import (InvalidParamError, NoiseModel, UnknownFamilyError, gap,
                      validate_problem)
 from nestopt.diagnostics import tracking_errors
-from nestopt.problems import (FiniteScenarios, make_problem,
-                              mean_semideviation, random_scenarios, risk_p1,
-                              risk_p2, scenarios_from_csv, scenarios_to_csv,
-                              solve_vi_fixed_point, svi_problem,
-                              synthetic_smooth)
+from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
+                              risk_p1, risk_p2, scenarios_from_csv,
+                              solve_vi_fixed_point, svi_problem, synthetic_smooth)
 from nestopt.sets import Box, Simplex
 
-from helpers import exact_composed_gradient, finite_difference_reference, same_bits
+from helpers import (exact_composed_gradient, finite_difference_reference,
+                     mean_semideviation, same_bits, scenarios_to_csv)
 
 
 def _constant_loss_scenarios():

@@ -5,9 +5,8 @@ def test_public_names_pinned():
     assert sorted(nestopt.__all__) == sorted([
         "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
         "ConfigError", "Constant", "Custom", "CustomSet",
-        "DeterministicOracle", "DiagnosticsConfig", "Diminishing",
-        "ExactEvaluators", "FeasibleSet", "InitPolicy",
-        "InsufficientReplicationsError", "InvalidHorizonError",
+        "DiagnosticsConfig", "Diminishing", "ExactEvaluators", "FeasibleSet",
+        "InitPolicy", "InvalidHorizonError",
         "InvalidParamError", "IterateState", "IterationTrace", "LevelOracle",
         "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
         "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample",
@@ -16,7 +15,7 @@ def test_public_names_pinned():
         "Violation", "assemble_subgradient", "default_gammas", "fit_rate",
         "gap", "init_state", "level_streams", "lyapunov_nonsmooth",
         "lyapunov_smooth", "next_stepsize", "objective_tail_oscillation",
-        "optimality_measure", "run", "solve_subproblem", "step",
+        "optimality_measure", "run", "step",
         "stepsize_cap", "update_trackers", "update_z", "validate_problem",
     ])
     assert len(set(nestopt.__all__)) == len(nestopt.__all__)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestopt import (Ball, Box, CustomSet, Polytope, ProjectionError, Simplex,
-                     gap, solve_subproblem)
+from nestopt import Ball, Box, CustomSet, Polytope, ProjectionError, Simplex, gap
 
 from helpers import (dykstra_projection, is_stationary, optimality_residual, same_bits,
-                     simplex_projection_reference)
+                     simplex_projection_reference, solve_subproblem)
 
 # fixed example sequence and no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     Custom, CustomSet, DeterministicOracle, Diminishing,
+                     Custom, CustomSet, Diminishing,
                      InitPolicy, InvalidHorizonError, IterateState,
                      NonFiniteIterateError, ProjectionError,
                      ScheduleExhaustedError, SolverSetupError,
@@ -16,7 +16,7 @@ from nestopt.problems import make_problem
 from nestopt.solver import IterationTrace
 
 from conftest import noisy_norm_bounds
-from helpers import exact_composed_gradient, finite_difference_reference
+from helpers import DeterministicOracle, exact_composed_gradient, finite_difference_reference
 
 
 # ---------------------------------------------------------------------------
