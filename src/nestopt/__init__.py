@@ -8,8 +8,7 @@ of all nested values simultaneously.
 """
 
 from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
-                          default_gammas, fit_rate, lyapunov_nonsmooth,
-                          lyapunov_smooth, objective_tail_oscillation,
+                          fit_rate, lyapunov, objective_tail_oscillation,
                           optimality_measure)
 from .errors import (CompoptError, ConfigError, InvalidHorizonError,
                      InvalidParamError, MissingExactEvaluatorsError,
@@ -21,8 +20,7 @@ from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     stepsize_cap, validate_problem)
 from .oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, level_streams
 from .sets import Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap
-from .solver import (IterationTrace, assemble_subgradient, run, step,
-                     update_trackers, update_z)
+from .solver import assemble_subgradient, run, update_trackers, update_z
 
 __version__ = "0.1.0"
 
@@ -30,14 +28,13 @@ __all__ = [
     "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
     "ConfigError", "Constant", "Custom", "CustomSet", "DiagnosticsConfig",
     "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "InvalidHorizonError",
-    "InvalidParamError", "IterateState", "IterationTrace", "LevelOracle",
+    "InvalidParamError", "IterateState", "LevelOracle",
     "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
     "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample", "Polytope",
     "ProjectionError", "RunRecord", "ScheduleExhaustedError", "Simplex",
     "SolverSetupError", "StepSchedule", "UnknownFamilyError", "Violation",
-    "assemble_subgradient", "default_gammas", "fit_rate", "gap", "init_state",
-    "level_streams", "lyapunov_nonsmooth", "lyapunov_smooth", "next_stepsize",
-    "objective_tail_oscillation", "optimality_measure", "run", "step",
-    "stepsize_cap", "update_trackers", "update_z",
+    "assemble_subgradient", "fit_rate", "gap", "init_state", "level_streams",
+    "lyapunov", "next_stepsize", "objective_tail_oscillation",
+    "optimality_measure", "run", "stepsize_cap", "update_trackers", "update_z",
     "validate_problem",
 ]

@@ -57,6 +57,8 @@ def section(table, default=REQUIRED):
 
 
 POSITIVE, NONNEGATIVE, AT_LEAST_ONE = "(0, inf)", "[0, inf)", "[1, inf)"
+# size caps: no build allocates an array of more than about 10^7 entries
+DIM, SCENARIO_COUNT = "[1, 1000]", "[1, 10000]"
 SCHEDULES = Variants("kind", {
     "diminishing": Table({"tau0": number(within=POSITIVE), "gamma": number()},
                          lambda f: Diminishing(f["tau0"], f["gamma"])),
@@ -74,7 +76,7 @@ SETS = Variants("kind", {
                       lambda f: Polytope(f["A"], f["b"], f["interior"])),
 })
 SCENARIOS = Variants("kind", {
-    "count": Table({"count": count(within=AT_LEAST_ONE), "seed": count(0, NONNEGATIVE),
+    "count": Table({"count": count(within=SCENARIO_COUNT), "seed": count(0, NONNEGATIVE),
                     "coef_loc": number(0.3), "coef_scale": number(0.4), "offset_loc": number(1.0),
                     "offset_scale": number(0.5), "relu": Field("bool", False)}),
     "csv": Table({"csv": Field("path"), "relu": Field("bool", False)}),
@@ -84,15 +86,16 @@ SCENARIOS = Variants("kind", {
 NOISE = Table({"value_sd": number(0.0), "jac_sd": number(0.0),
                "distribution": Field("enum", "gaussian")},
               lambda f: NoiseModel(f["value_sd"], f["jac_sd"], f["distribution"]))
-RISK = {"n": count(5, AT_LEAST_ONE), "kappa": number(0.5),
+RISK = {"n": count(5, DIM), "kappa": number(0.5),
         "scenarios": section(SCENARIOS, {"count": 50}), "set": section(SETS, None)}
 PROBLEMS = Variants("family", {
-    "synthetic_smooth": Table({"levels": count(3), "n": count(10), "inner_dim": count(3),
+    "synthetic_smooth": Table({"levels": count(3, "[1, 32]"), "n": count(10, DIM),
+                               "inner_dim": count(3, "[1, 100]"),
                                "instance_seed": count(1, NONNEGATIVE), "halfwidth": number(2.0),
                                "coupling": number(0.4), "noise": section(NOISE, None)}),
     "risk_p1": Table(RISK, levels=2),
     "risk_p2": Table({**RISK, "epsilon": number(1e-4)}, levels=3),
-    "svi": Table({"n": count(5, AT_LEAST_ONE), "instance_seed": count(3, NONNEGATIVE),
+    "svi": Table({"n": count(5, DIM), "instance_seed": count(3, NONNEGATIVE),
                   "skew_scale": number(0.5), "r": number(1.0), "noise_sd": number(0.0, NONNEGATIVE),
                   "matrix": Field("matrix", "identity_plus_skew", length="n"),
                   "b": Field("vector", "auto", length="n"), "monotone": Field("bool", True),

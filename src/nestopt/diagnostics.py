@@ -9,12 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParamError, MissingExactEvaluatorsError
-from .model import AlgorithmParams, CompositionProblem, IterateState, init_state
-from .oracles import level_streams
+from .model import CompositionProblem, IterateState
 from .sets import gap as set_gap
-
-SQUARED = "squared"
-MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -25,8 +21,8 @@ class DiagnosticsConfig:
     (0 disables; needs exact evaluators).  exact_every: interval for the
     fully nested residuals ||V_m(x) - u_m||; these require a full nested
     evaluation, so exact_window > 0 restricts them to the final that-many
-    iterations of the run.  lyapunov_every: interval for both merit
-    functions; requires gammas (one weight per level 2..M).
+    iterations of the run.  lyapunov_every: interval for the merit pair
+    (W, W_smooth); requires gammas (one weight per level 2..M).
     """
 
     track_every: int = 1
@@ -72,17 +68,13 @@ class RunRecord:
         return len(self.final_state.u)
 
 
-def optimality_measure(record: RunRecord, mode: str = SQUARED) -> np.ndarray:
-    """Per-iteration non-optimality series.
+def optimality_measure(record: RunRecord) -> np.ndarray:
+    """Per-iteration non-optimality series ||d^k||^2 + sum_{m>=2} t_m^2.
 
-    squared: ||d^k||^2 + sum_{m>=2} t_m^2 (the quantity whose run average
-    the fixed-stepsize analysis bounds).  mixed: ||d^k||^2 + sum_{m>=2} t_m,
-    with unsquared tracking norms.  Iterations where tracking was not
-    recorded yield NaN (for a single-level problem the sum is empty and the
-    series is just ||d^k||^2).
+    This is the quantity whose run average the fixed-stepsize analysis
+    bounds.  Iterations where tracking was not recorded yield NaN (for a
+    single-level problem the sum is empty and the series is just ||d^k||^2).
     """
-    if mode not in (SQUARED, MIXED):
-        raise ValueError(f"unknown measure mode {mode!r}")
     out = record.d_sq.astype(float)
     if record.n_levels >= 2:
         if record.tracking is None:
@@ -90,8 +82,7 @@ def optimality_measure(record: RunRecord, mode: str = SQUARED) -> np.ndarray:
                 "optimality measure needs tracking columns; "
                 "run with track_every >= 1 on a problem with exact evaluators"
             )
-        t = record.tracking[:, 1:]
-        out += np.sum(t**2 if mode == SQUARED else t, axis=1)
+        out += np.sum(record.tracking[:, 1:]**2, axis=1)
     return out
 
 
@@ -106,66 +97,31 @@ def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> list[float
     return out
 
 
-def _merit(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
-           u: Sequence[np.ndarray], a: float, rho: float,
-           gammas: Sequence[float], smooth: bool) -> float:
-    if problem.exact is None:
+def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
+             u: Sequence[np.ndarray], a: float, rho: float,
+             gammas: Sequence[float]) -> tuple[float, float]:
+    """The merit pair (W, W_smooth) at (x, z, u), from exact evaluators.
+
+    W = a*f_1(x, u_2) - eta(x, z) + sum_m gamma_m ||f_m(x, u_{m+1}) - u_m||,
+    with the top level evaluated at the tracker u_2.  W_smooth =
+    a*V_1(x) - eta(x, z) + sum_m gamma_m ||f_m(x, u_{m+1}) - u_m||^2, with
+    the fully nested objective.  Both sums run over m = 2..M.
+    """
+    exact = problem.exact
+    if exact is None:
         raise MissingExactEvaluatorsError("Lyapunov diagnostics need exact evaluators")
     M = problem.M
     if len(gammas) != max(M - 1, 0):
         raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma weights must be positive")
-    if smooth:
-        f1 = problem.exact.nested(x)[0]
-    else:
-        f1 = problem.exact.value(1, x, u[1] if M >= 2 else None)
-    w = a * float(np.squeeze(f1)) - set_gap(problem.feasible_set, x, z, rho)
-    for g, r in zip(gammas, tracking_errors(problem.exact, x, u)[1:]):
-        w += g * r * r if smooth else g * r
-    return w
-
-
-def lyapunov_nonsmooth(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
-                       u: Sequence[np.ndarray], a: float, rho: float,
-                       gammas: Sequence[float]) -> float:
-    """Merit function a*f_1(x, u_2) - eta(x, z) + sum gamma_m ||f_m - u_m||.
-
-    Uses exact evaluators; the top level is evaluated at the tracker u_2,
-    the residual terms at (x, u_{m+1}) for m = 2..M.
-    """
-    return _merit(problem, x, z, u, a, rho, gammas, smooth=False)
-
-
-def lyapunov_smooth(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
-                    u: Sequence[np.ndarray], a: float, rho: float,
-                    gammas: Sequence[float]) -> float:
-    """Smooth-case merit: a*V_1(x) - eta(x, z) + sum gamma_m ||f_m - u_m||^2."""
-    return _merit(problem, x, z, u, a, rho, gammas, smooth=True)
-
-
-def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
-                   calibration_iters: int = 200) -> tuple[float, ...]:
-    """Merit weights a * Lhat^(m-1) + 1 from a short calibration run.
-
-    Lhat is the largest u-block Jacobian norm observed while sampling along
-    a short trajectory; the growth in m mirrors how inner residuals
-    propagate through the chain rule.
-    """
-    from .solver import step  # local import to avoid a cycle
-
-    M = problem.M
-    if M == 1:
-        return ()
-    streams = level_streams(params.seed, M)
-    state = init_state(problem, params, streams=streams)
-    max_jusq = 0.0
-    for _ in range(max(2, calibration_iters)):
-        state, trace = step(state, problem, params, streams)
-        for s in trace.samples[:-1]:
-            max_jusq = max(max_jusq, float(np.sum(s.jac_u * s.jac_u)))
-    lhat = max(math.sqrt(max_jusq), 1.0)
-    return tuple(params.a * lhat ** (m - 1) + 1.0 for m in range(2, M + 1))
+    eta = set_gap(problem.feasible_set, x, z, rho)
+    w = a * float(np.squeeze(exact.values[0](x, u[1] if M >= 2 else None))) - eta
+    w_smooth = a * float(np.squeeze(exact.nested(x)[0])) - eta
+    for g, r in zip(gammas, tracking_errors(exact, x, u)[1:]):
+        w += g * r
+        w_smooth += g * r * r
+    return w, w_smooth
 
 
 @dataclass(frozen=True)

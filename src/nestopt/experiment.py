@@ -128,7 +128,7 @@ def summarize_run(record: RunRecord, problem, params: AlgorithmParams) -> dict:
                 np.linalg.norm(state.x - problem.exact.x_star))
     if record.tracking is not None:
         summary["mean_squared_measure"] = float(
-            np.nanmean(optimality_measure(record, "squared")))
+            np.nanmean(optimality_measure(record)))
     if record.objective is not None:
         osc = objective_tail_oscillation(record)
         summary["objective_tail"] = None if osc is None else {
@@ -181,7 +181,7 @@ def _replication_task(payload: dict) -> dict:
     if record.tracking is None:
         measure = float(np.nanmean(record.d_sq))
     else:
-        measure = float(np.nanmean(optimality_measure(record, "squared")))
+        measure = float(np.nanmean(optimality_measure(record)))
     result = {
         "replication": payload["replication"],
         "measure": measure,
@@ -200,9 +200,10 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Constant-stepsize sweep tau = theta / sqrt(N) over the config horizons.
 
     Runs the configured number of replications per horizon (optionally on a
-    process pool; results are merged in replication order so the artifact
-    does not depend on the pool size) and writes rate.json with the mean
-    squared measure per horizon and the fitted log-log slope.
+    process pool of at most one worker per replication; results are merged
+    in replication order so the artifact does not depend on the pool size)
+    and writes rate.json with the mean squared measure per horizon and the
+    fitted log-log slope.
     """
     if cfg.rate is None:
         raise ConfigError("rate_experiment", "missing required section")
@@ -214,8 +215,10 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                  "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter))),
                  "init_x": cfg.init_x, "init_policy": cfg.init_policy}
                 for n_iter in horizons for r in range(reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool forks all its workers at once, so never more than there are tasks
+    workers = min(threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, payloads))
     else:
         results = [_replication_task(p) for p in payloads]

@@ -135,9 +135,6 @@ class ExactEvaluators:
                        for o, s in zip(oracles, samplers))
         return cls(value_jac, len(samplers), x_star, f_star, values)
 
-    def value(self, m: int, x: np.ndarray, u_next: np.ndarray | None) -> np.ndarray:
-        return self.values[m - 1](x, u_next)
-
     def nested(self, x: np.ndarray) -> list[np.ndarray]:
         """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
         vals: list = [None] * self.levels

@@ -43,21 +43,15 @@ def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.ran
 class OracleSample(NamedTuple):
     """One stochastic observation of a level: value and split Jacobian.
 
-    ``jac_u`` is None for the innermost level (no inner argument).  The full
-    Jacobian in row-block form is ``jac``.  ``clamped`` flags samples whose
-    evaluation had to guard a domain boundary (e.g. a square-root argument).
+    ``jac_u`` is None for the innermost level (no inner argument).
+    ``clamped`` flags samples whose evaluation had to guard a domain
+    boundary (e.g. a square-root argument).
     """
 
     value: np.ndarray
     jac_x: np.ndarray
     jac_u: np.ndarray | None = None
     clamped: bool = False
-
-    @property
-    def jac(self) -> np.ndarray:
-        if self.jac_u is None:
-            return self.jac_x
-        return np.concatenate([self.jac_x, self.jac_u], axis=1)
 
     def check_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self[:3] if a is not None)

@@ -260,8 +260,6 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
         meta = {
             "value_bounds": [bh * (1.0 + 2.0 * kappa), bh],
             "jac_bounds": [((1.0 + kappa) * bg, kappa), (bg, 0.0)],
-            "g_bound": (1.0 + 2.0 * kappa) * bg,
-            "f_bound": bh * (1.0 + 2.0 * kappa),
         }
     return CompositionProblem(scen.n, (1, 1), fs, oracles, exact,
                               name="risk_p1", meta=meta)
@@ -287,8 +285,6 @@ def risk_p2(scen, kappa: float, epsilon: float,
         meta = {
             "value_bounds": [bh + kappa * math.sqrt(epsilon + bv2), bv2, bh],
             "jac_bounds": [(bg, bu_top), (4.0 * bh * bg, 4.0 * bh), (bg, 0.0)],
-            "g_bound": bg + bu_top * (4.0 * bh * bg + 4.0 * bh * bg),
-            "f_bound": max(bh + kappa * math.sqrt(epsilon + bv2), bv2),
         }
     return CompositionProblem(scen.n, (1, 1, 1), fs, oracles, exact,
                               name="risk_p2", meta=meta)

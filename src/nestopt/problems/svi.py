@@ -138,8 +138,6 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
     meta = {
         "value_bounds": [bmap * diam + 0.5 * r * diam**2, bmap],
         "jac_bounds": [(bmap + r * diam, diam), (float(np.linalg.norm(A)), 0.0)],
-        "g_bound": bmap + r * diam + diam * float(np.linalg.norm(A)),
-        "f_bound": max(bmap * diam + 0.5 * r * diam**2, bmap),
     }
     return CompositionProblem(n, (1, n), fs, oracles, exact,
                               name="svi", meta=meta)

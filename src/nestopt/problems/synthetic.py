@@ -105,8 +105,6 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
         return build([QuadraticPointLevel(x_hat)], (1,), {
             "value_bounds": [0.5 * g_bound**2],
             "jac_bounds": [(g_bound, 0.0)],
-            "g_bound": g_bound,
-            "f_bound": 0.5 * g_bound**2,
         })
 
     d = inner_dim
@@ -145,13 +143,5 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     b1u = value_bounds[1] + float(np.linalg.norm(u_hat))
     value_bounds[0] = 0.5 * b1x**2 + 0.5 * b1u**2
     jac_bounds[0] = (b1x, b1u)
-    g_bound = jac_bounds[M - 1][0]
-    for m in range(M - 1, 0, -1):
-        bx, bu = jac_bounds[m - 1]
-        g_bound = bx + bu * g_bound
-    return build(level_oracles, (1,) + (d,) * (M - 1), {
-        "value_bounds": value_bounds,
-        "jac_bounds": jac_bounds,
-        "g_bound": float(g_bound),
-        "f_bound": float(max(value_bounds)),
-    })
+    return build(level_oracles, (1,) + (d,) * (M - 1),
+                 {"value_bounds": value_bounds, "jac_bounds": jac_bounds})

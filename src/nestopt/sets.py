@@ -40,15 +40,6 @@ class FeasibleSet(ABC):
     def anchor(self) -> np.ndarray:
         """A canonical feasible point (interior whenever the set has one)."""
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a feasible point; almost surely not a vertex of the set."""
-        p = self.project(self.anchor() + rng.standard_normal(self.dim))
-        return self.anchor() + rng.uniform(0.05, 0.95) * (p - self.anchor())
-
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(self.project(v) - v)) <= tol
-
     def diameter(self) -> float:
         """An upper bound on max ||y - y'|| over the set; inf when unknown."""
         return float("inf")
@@ -76,9 +67,6 @@ class Box(FeasibleSet):
     def anchor(self):
         return 0.5 * (self.lo + self.hi)
 
-    def random_point(self, rng):
-        return self.lo + (self.hi - self.lo) * rng.random(self.dim)
-
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -105,12 +93,6 @@ class Ball(FeasibleSet):
 
     def anchor(self):
         return self.center.copy()
-
-    def random_point(self, rng):
-        # uniform in the ball: gaussian direction, radius ~ U^(1/dim)
-        g = rng.standard_normal(self.dim)
-        g /= max(np.linalg.norm(g), 1e-300)
-        return self.center + self.radius * rng.random() ** (1.0 / self.dim) * g
 
     def diameter(self):
         return 2.0 * self.radius
@@ -149,9 +131,6 @@ class Simplex(FeasibleSet):
 
     def anchor(self):
         return np.full(self.dim, self.scale / self.dim)
-
-    def random_point(self, rng):
-        return self.scale * rng.dirichlet(np.ones(self.dim))
 
     def diameter(self):
         return self.scale * np.sqrt(2.0)

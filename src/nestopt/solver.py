@@ -11,30 +11,16 @@ the movement of x and of the inner trackers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsConfig, RunRecord, lyapunov_nonsmooth,
-                          lyapunov_smooth, tracking_errors)
+from .diagnostics import DiagnosticsConfig, RunRecord, lyapunov, tracking_errors
 from .errors import (InvalidHorizonError, MissingExactEvaluatorsError,
                      NonFiniteIterateError, ProjectionError, SolverSetupError)
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
 from .oracles import OracleSample, level_streams
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Everything one step computed, for inspection and tests."""
-
-    k: int
-    tau: float
-    y: np.ndarray
-    d: np.ndarray
-    g1: np.ndarray
-    samples: tuple[OracleSample, ...]
 
 
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
@@ -108,25 +94,6 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     return y, d, dsq, samples, g1, x, z, u, zsq, usq
 
 
-def _check_scalar_top(problem: CompositionProblem) -> None:
-    if problem.level_dims[0] != 1:
-        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
-
-
-def step(state: IterateState, problem: CompositionProblem, params: AlgorithmParams,
-         streams: Sequence[np.random.Generator]) -> tuple[IterateState, IterationTrace]:
-    """Advance the state by one iteration; NonFiniteIterateError if it diverges."""
-    _check_scalar_top(problem)
-    tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    try:
-        y, d, _, samples, g1, x, z, u, _, _ = _advance(
-            problem, params, state.x, state.z, state.u, tau, streams, state.k)
-    except ProjectionError as exc:
-        raise ProjectionError(f"{exc} at iteration {state.k}") from exc
-    return (IterateState(state.k + 1, x, z, tuple(u)),
-            IterationTrace(state.k, tau, y, d, g1, tuple(samples)))
-
-
 def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         diagnostics: DiagnosticsConfig | None = None,
         init_x: np.ndarray | None = None,
@@ -141,7 +108,8 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     """
     if not isinstance(iterations, int) or iterations < 1:
         raise InvalidHorizonError(f"iterations must be a positive integer, got {iterations}")
-    _check_scalar_top(problem)
+    if problem.level_dims[0] != 1:
+        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
     M = problem.M
     exact = problem.exact
@@ -184,8 +152,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
                     r = vals[m] - u[m]
                     rec_exact[k, m] = math.sqrt(float(r @ r))
             if rec_lyap is not None and k % diag.lyapunov_every == 0:
-                rec_lyap[k, 0] = lyapunov_nonsmooth(problem, x, z, u, a, rho, diag.gammas)
-                rec_lyap[k, 1] = lyapunov_smooth(problem, x, z, u, a, rho, diag.gammas)
+                rec_lyap[k] = lyapunov(problem, x, z, u, a, rho, diag.gammas)
 
             _, d, dsq, samples, _, x, z_new, u, zsq, usq = _advance(
                 problem, params, x, z, u, taus[k], streams, k)

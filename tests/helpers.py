@@ -1,8 +1,9 @@
-"""Independent reference computations shared by the tests.
+"""Independent reference computations and test-only drivers shared by the tests.
 
 None of these is on the solver's path: they recompute quantities the
 package produces (Jacobians, composed gradients, optimality certificates,
-random-iterate measures) by other means, so the tests can compare the two.
+merit values, random-iterate measures) by other means, so the tests can
+compare the two, or drive the method one iteration at a time.
 """
 
 from __future__ import annotations
@@ -10,16 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from nestopt.diagnostics import SQUARED, RunRecord, optimality_measure
+from nestopt.diagnostics import RunRecord, optimality_measure
 from nestopt.errors import CompoptError, ProjectionError
-from nestopt.oracles import LevelOracle, OracleSample
+from nestopt.model import (AlgorithmParams, CompositionProblem, IterateState, init_state,
+                           next_stepsize)
+from nestopt.oracles import LevelOracle, OracleSample, level_streams
 from nestopt.problems import FiniteScenarios
-from nestopt.sets import FeasibleSet
-from nestopt.solver import assemble_subgradient
+from nestopt.sets import Ball, Box, FeasibleSet, Simplex, gap
+from nestopt.solver import _advance, assemble_subgradient
 
 
 class InsufficientReplicationsError(CompoptError):
@@ -37,6 +40,99 @@ class DeterministicOracle(LevelOracle):
     def sample(self, x, u_next, rng, k=0):
         value, jac_x, jac_u = self._value_jac(x, u_next)
         return OracleSample(value, jac_x, jac_u)
+
+
+class StepTrace(NamedTuple):
+    """What one step computed: subproblem solution, direction, subgradient, samples."""
+
+    y: np.ndarray
+    d: np.ndarray
+    g1: np.ndarray
+    samples: tuple[OracleSample, ...]
+
+
+def step(state: IterateState, problem: CompositionProblem, params: AlgorithmParams,
+         streams: Sequence[np.random.Generator]) -> tuple[IterateState, StepTrace]:
+    """One iteration of the method from ``state``, through run's own body."""
+    tau = next_stepsize(params.schedule, state.k, params.a, params.b)
+    y, d, _, samples, g1, x, z, u, _, _ = _advance(
+        problem, params, state.x, state.z, state.u, tau, streams, state.k)
+    return (IterateState(state.k + 1, x, z, tuple(u)),
+            StepTrace(y, d, g1, tuple(samples)))
+
+
+def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
+                   calibration_iters: int = 200) -> tuple[float, ...]:
+    """Merit weights a * Lhat^(m-1) + 1 from a short calibration run.
+
+    Lhat is the largest u-block Jacobian norm observed while sampling along
+    a short trajectory; the growth in m mirrors how inner residuals
+    propagate through the chain rule.
+    """
+    M = problem.M
+    if M == 1:
+        return ()
+    streams = level_streams(params.seed, M)
+    state = init_state(problem, params, streams=streams)
+    max_jusq = 0.0
+    for _ in range(max(2, calibration_iters)):
+        state, trace = step(state, problem, params, streams)
+        for s in trace.samples[:-1]:
+            max_jusq = max(max_jusq, float(np.sum(s.jac_u * s.jac_u)))
+    lhat = max(math.sqrt(max_jusq), 1.0)
+    return tuple(params.a * lhat ** (m - 1) + 1.0 for m in range(2, M + 1))
+
+
+def merit_reference(problem: CompositionProblem, state: IterateState, a: float, rho: float,
+                    gammas: Sequence[float]) -> tuple[float, float]:
+    """(W, W_smooth) at the state, from value_jac.
+
+    W = a f_1(x, u_2) - eta + sum gamma_m r_m and W_smooth = a V_1(x) - eta
+    + sum gamma_m r_m^2, with r_m = ||f_m(x, u_{m+1}) - u_m|| for m = 2..M
+    and V_1 folded bottom-up.
+    """
+    x, z, u = state.x, state.z, state.u
+    M = problem.M
+
+    def level(m, u_next):
+        return problem.exact.value_jac(m, x, u_next)[0]
+
+    res = [level(m, u[m] if m < M else None) - u[m - 1] for m in range(2, M + 1)]
+    v = None
+    for m in range(M, 0, -1):
+        v = level(m, v)
+    eta = gap(problem.feasible_set, x, z, rho)
+    w = a * float(level(1, u[1] if M > 1 else None)[0]) - eta
+    w_smooth = a * float(v[0]) - eta
+    for g, r in zip(gammas, (math.sqrt(float(r @ r)) for r in res)):
+        w += g * r
+        w_smooth += g * r * r
+    return w, w_smooth
+
+
+def random_point(fs: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
+    """A random feasible point, almost surely not a vertex of the set.
+
+    Box: uniform.  Ball: uniform (gaussian direction, radius ~ U^(1/dim)).
+    Simplex: Dirichlet(1).  Any other set: a random fraction of the way from
+    its anchor to the projection of a gaussian perturbation of it.
+    """
+    if isinstance(fs, Box):
+        return fs.lo + (fs.hi - fs.lo) * rng.random(fs.dim)
+    if isinstance(fs, Ball):
+        g = rng.standard_normal(fs.dim)
+        g /= max(np.linalg.norm(g), 1e-300)
+        return fs.center + fs.radius * rng.random() ** (1.0 / fs.dim) * g
+    if isinstance(fs, Simplex):
+        return fs.scale * rng.dirichlet(np.ones(fs.dim))
+    p = fs.project(fs.anchor() + rng.standard_normal(fs.dim))
+    return fs.anchor() + rng.uniform(0.05, 0.95) * (p - fs.anchor())
+
+
+def contains(fs: FeasibleSet, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether ``v`` is within ``tol`` of its own projection."""
+    v = np.asarray(v, dtype=float)
+    return float(np.linalg.norm(fs.project(v) - v)) <= tol
 
 
 def solve_subproblem(feasible_set: FeasibleSet, x: np.ndarray, z: np.ndarray,
@@ -74,7 +170,7 @@ def finite_difference_reference(f, x: np.ndarray, u_next: np.ndarray | None = No
 
     ``f(x, u_next)`` must return the level value as a 1-D array (or scalar).
     Returns the full Jacobian with the x-block first, then the u-block, so
-    its shape matches OracleSample.jac.  Entrywise error is O(step^2) for
+    its shape matches [jac_x, jac_u] side by side.  Entrywise error is O(step^2) for
     three times differentiable levels.
     """
     x = np.asarray(x, dtype=float)
@@ -216,15 +312,14 @@ class RandomIterateMeasure:
     mean: float
 
 
-def random_iterate_measure(record: RunRecord, rng: np.random.Generator,
-                           mode: str = SQUARED) -> RandomIterateMeasure:
+def random_iterate_measure(record: RunRecord, rng: np.random.Generator) -> RandomIterateMeasure:
     """Measure at a uniformly drawn iteration, plus the run mean.
 
     The mean over all iterations is the quantity the finite-horizon bound
     actually controls; the random-index value is what a single estimate of
     it looks like.
     """
-    series = optimality_measure(record, mode)
+    series = optimality_measure(record)
     r = int(rng.integers(0, record.iterations))
     return RandomIterateMeasure(r, float(series[r]), float(np.nanmean(series)))
 

@@ -28,7 +28,7 @@ from nestopt.sets import gap as set_gap
 from nestopt.solver import assemble_subgradient
 
 from conftest import noisy_norm_bounds
-from helpers import solve_subproblem
+from helpers import random_point, solve_subproblem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONVERGENCE_SEEDS = (101, 102, 103, 104, 105)
@@ -146,7 +146,7 @@ def test_criterion_01_chain_rule_matches_finite_differences():
     worst = 0.0
     h = 1e-6
     for _ in range(100):
-        x = problem.feasible_set.random_point(rng)
+        x = random_point(problem.feasible_set, rng)
         samples = [None] * M
         v = None
         for m in range(M, 0, -1):
@@ -182,7 +182,7 @@ def test_criterion_02_gap_contract_over_all_set_types():
     worst_eta, worst_resid = -np.inf, -np.inf
     for fs, draws in sets:
         for _ in range(draws):
-            x = fs.random_point(rng)
+            x = random_point(fs, rng)
             z = 2.0 * rng.standard_normal(fs.dim)
             y = solve_subproblem(fs, x, z, rho)
             d = y - x

@@ -150,6 +150,15 @@ def _bad(case_id, config, path, value, field, args=()):
          {"init": {"policy": "one_sample", "x": [0.5, 0.5]}}, "run.init.x"),
     _bad("halfwidth-negative-pooled", "synthetic_rate.json", ("problem", "halfwidth"), -1.0,
          "problem.halfwidth", ("--threads", "2")),
+    _bad("levels-above-cap", "synthetic_run.json", ("problem", "levels"), 1e308,
+         "problem.levels"),
+    _bad("synthetic-n-above-cap", "synthetic_rate.json", ("problem", "n"), 1001, "problem.n"),
+    _bad("inner-dim-above-cap", "synthetic_run.json", ("problem", "inner_dim"), 101,
+         "problem.inner_dim"),
+    _bad("risk-n-above-cap", "risk_p2_run.json", ("problem", "n"), 1001, "problem.n"),
+    _bad("svi-n-above-cap", "svi_run.json", ("problem", "n"), 10**6, "problem.n"),
+    _bad("scenario-count-above-cap", "risk_p1_run.json", ("problem", "scenarios", "count"),
+         10001, "problem.scenarios.count"),
     _bad("seed-negative", "synthetic_rate.json", None, None, "--seed", ("--seed", "-1")),
     _bad("seed-above-64-bits", "synthetic_rate.json", None, None, "--seed",
          ("--seed", str(2**64))),
@@ -355,6 +364,34 @@ def test_rate_experiment_thread_count_invariant(tmp_path):
           "--out", str(tmp_path / "r2"), "--threads", "2"])
     assert (tmp_path / "r1" / "rate.json").read_bytes() == \
         (tmp_path / "r2" / "rate.json").read_bytes()
+
+
+def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):
+    # a pool forks all its workers up front; this one records its size and
+    # maps in-process, so the test starts no process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(nestopt.experiment, "ProcessPoolExecutor", InProcessPool)
+    cfg_path = _write(tmp_path, _rate_config())
+    for threads in ("1", "5000", "4"):
+        assert main(["rate-experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / threads), "--threads", threads]) == 0
+    assert sizes == [9, 4]  # 3 horizons x 3 replications; none for --threads 1
+    assert (tmp_path / "5000" / "rate.json").read_bytes() == \
+        (tmp_path / "1" / "rate.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

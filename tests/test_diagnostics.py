@@ -3,15 +3,15 @@ import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      Diminishing, IterateState, NoiseModel, init_state,
-                     level_streams, run, step)
-from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, default_gammas,
-                                 fit_rate, lyapunov_nonsmooth, lyapunov_smooth,
+                     level_streams, run)
+from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, lyapunov,
                                  objective_tail_oscillation, optimality_measure)
 from nestopt.errors import MissingExactEvaluatorsError
-from nestopt.problems import synthetic_smooth
+from nestopt.problems import make_problem, synthetic_smooth
 
-from helpers import (DeterministicOracle, InsufficientReplicationsError,
-                     random_iterate_measure, tracking_error_bound_check)
+from helpers import (DeterministicOracle, InsufficientReplicationsError, default_gammas,
+                     merit_reference, random_iterate_measure, same_bits, step,
+                     tracking_error_bound_check)
 
 
 def _fake_record(d_sq, tracking=None, n_levels=1):
@@ -33,15 +33,7 @@ def _fake_record(d_sq, tracking=None, n_levels=1):
 def test_measure_arithmetic_example():
     # d = (0.1, 0) and t_2 = 0.2: squared measure 0.01 + 0.04
     rec = _fake_record([0.01], tracking=[[0.7, 0.2]])
-    assert optimality_measure(rec, "squared")[0] == pytest.approx(0.05)
-    assert optimality_measure(rec, "mixed")[0] == pytest.approx(0.21)
-
-
-def test_measure_modes_agree_on_unit_terms():
-    rec = _fake_record([1.0, 0.0], tracking=[[0.0, 1.0], [0.0, 0.0]])
-    sq = optimality_measure(rec, "squared")
-    mx = optimality_measure(rec, "mixed")
-    assert np.array_equal(sq, mx)
+    assert optimality_measure(rec)[0] == pytest.approx(0.05)
 
 
 def test_measure_single_level_is_just_direction():
@@ -109,10 +101,9 @@ def test_lyapunov_hand_computed_two_level():
     z = np.array([0.3])
     u = [np.array([0.2]), np.array([0.4])]
     # independent transcription: f1(x,u2)=1.4, eta=-0.045, |f2-u2|=2.1
-    w = lyapunov_nonsmooth(problem, x, z, u, a=2.0, rho=1.0, gammas=(1.5,))
+    w, ws = lyapunov(problem, x, z, u, a=2.0, rho=1.0, gammas=(1.5,))
     assert w == pytest.approx(2 * 1.4 + 0.045 + 1.5 * 2.1, abs=1e-12)
     # smooth variant: F1(x)=3.5 and the residual enters squared
-    ws = lyapunov_smooth(problem, x, z, u, a=2.0, rho=1.0, gammas=(1.5,))
     assert ws == pytest.approx(2 * 3.5 + 0.045 + 1.5 * 2.1**2, abs=1e-12)
 
 
@@ -122,9 +113,10 @@ def test_lyapunov_at_stationary_point():
     vals = problem.exact.nested(x_star)
     u = [v.copy() for v in vals]
     z = np.zeros(problem.n)
-    w = lyapunov_nonsmooth(problem, x_star, z, u, a=1.5, rho=1.0, gammas=(1.0, 1.0))
+    w, ws = lyapunov(problem, x_star, z, u, a=1.5, rho=1.0, gammas=(1.0, 1.0))
     # eta and all residuals vanish, leaving a * F1(x*)
     assert w == pytest.approx(1.5 * float(vals[0][0]), abs=1e-12)
+    assert ws == pytest.approx(w, abs=1e-12)
 
 
 def test_lyapunov_gamma_scaling_linear_in_residuals():
@@ -132,20 +124,48 @@ def test_lyapunov_gamma_scaling_linear_in_residuals():
     x = np.array([0.1])
     z = np.array([0.0])
     u = [np.array([0.0]), np.array([0.5])]
-    base = lyapunov_nonsmooth(problem, x, z, u, a=1.0, rho=1.0, gammas=(1.0,))
-    doubled = lyapunov_nonsmooth(problem, x, z, u, a=1.0, rho=1.0, gammas=(2.0,))
+    base = lyapunov(problem, x, z, u, a=1.0, rho=1.0, gammas=(1.0,))
+    doubled = lyapunov(problem, x, z, u, a=1.0, rho=1.0, gammas=(2.0,))
     resid = abs(3.0 * 0.1 + 1.0 - 0.5)
-    assert doubled - base == pytest.approx(resid, abs=1e-12)
+    assert doubled[0] - base[0] == pytest.approx(resid, abs=1e-12)
+    assert doubled[1] - base[1] == pytest.approx(resid**2, abs=1e-12)
 
 
 def test_lyapunov_gamma_validation():
     problem = _two_level_scalar_problem()
     with pytest.raises(ValueError):
-        lyapunov_nonsmooth(problem, np.zeros(1), np.zeros(1),
-                           [np.zeros(1), np.zeros(1)], 1.0, 1.0, gammas=())
+        lyapunov(problem, np.zeros(1), np.zeros(1),
+                 [np.zeros(1), np.zeros(1)], 1.0, 1.0, gammas=())
     with pytest.raises(ValueError):
-        lyapunov_nonsmooth(problem, np.zeros(1), np.zeros(1),
-                           [np.zeros(1), np.zeros(1)], 1.0, 1.0, gammas=(-1.0,))
+        lyapunov(problem, np.zeros(1), np.zeros(1),
+                 [np.zeros(1), np.zeros(1)], 1.0, 1.0, gammas=(-1.0,))
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ({"family": "synthetic_smooth", "levels": 3, "n": 10, "inner_dim": 3,
+      "noise": {"value_sd": 0.1, "jac_sd": 0.1}}, 42),
+    ({"family": "risk_p2", "n": 5, "kappa": 0.5, "epsilon": 1e-4,
+      "scenarios": {"count": 50, "seed": 7}}, 11),
+], ids=["synthetic-noisy", "risk_p2-clamped"])
+def test_run_merit_columns_match_reference_bits(spec, seed):
+    # run's (W, W_smooth) rows against the reference at the replayed states
+    problem = make_problem(spec)
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=seed)
+    gammas = (0.7, 1.3)  # not 1, so that g*r*r and g*(r*r) may round apart
+    rec = run(problem, params, 60, diagnostics=DiagnosticsConfig(
+        track_every=0, exact_every=0, lyapunov_every=7, gammas=gammas))
+    if problem.name == "risk_p2":
+        assert rec.clamp_events > 0  # the clamped sqrt branch is on the path
+    streams = level_streams(params.seed, problem.M)
+    state = init_state(problem, params, streams=streams)
+    for k in range(rec.iterations):
+        if k % 7 == 0:
+            assert same_bits(rec.lyapunov[k], np.array(
+                merit_reference(problem, state, params.a, params.rho, gammas))), k
+        else:
+            assert np.all(np.isnan(rec.lyapunov[k]))
+        state, _ = step(state, problem, params, streams)
+    assert same_bits(state.x, rec.final_state.x)
 
 
 def test_default_gammas_growth_pattern():
@@ -181,14 +201,14 @@ def test_smooth_merit_descends_in_expectation():
             states.append(state)
     ok = 0
     for i, s in enumerate(states[:20]):
-        w0 = lyapunov_smooth(problem, s.x, s.z, s.u, params.a, params.rho, gammas)
+        w0 = lyapunov(problem, s.x, s.z, s.u, params.a, params.rho, gammas)[1]
         drifts = []
         for rep in range(100):
             rep_streams = level_streams(params.seed, problem.M,
                                         replication=1000 + 100 * i + rep)
             nxt, _ = step(s, problem, params, rep_streams)
-            drifts.append(lyapunov_smooth(problem, nxt.x, nxt.z, nxt.u,
-                                          params.a, params.rho, gammas) - w0)
+            drifts.append(lyapunov(problem, nxt.x, nxt.z, nxt.u,
+                                   params.a, params.rho, gammas)[1] - w0)
         if float(np.mean(drifts)) <= 100.0 * tau**2:
             ok += 1
     assert ok >= 19  # 95% of sampled states
@@ -308,8 +328,7 @@ def test_merits_agree_on_shared_terms_when_top_ignores_tracker():
     z = np.array([0.1])
     for resid in (0.0, 1.0):
         u = [np.array([0.0]), np.array([3.0 * x[0] - resid])]
-        w = lyapunov_nonsmooth(problem, x, z, u, a=1.3, rho=1.0, gammas=(0.8,))
-        ws = lyapunov_smooth(problem, x, z, u, a=1.3, rho=1.0, gammas=(0.8,))
+        w, ws = lyapunov(problem, x, z, u, a=1.3, rho=1.0, gammas=(0.8,))
         assert w == pytest.approx(ws, abs=1e-12)
 
 

@@ -10,9 +10,8 @@ from nestopt.model import IterateState
 from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.problems import make_problem
 from nestopt.sets import Box
-from nestopt.solver import step
 
-from helpers import DeterministicOracle, finite_difference_reference
+from helpers import DeterministicOracle, finite_difference_reference, step
 
 
 # ---------------------------------------------------------------------------

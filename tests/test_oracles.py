@@ -139,10 +139,11 @@ def test_noise_model_validation():
 
 
 def test_sample_block_split_roundtrip():
-    s = OracleSample(np.zeros(2), np.arange(6.0).reshape(2, 3),
-                     np.arange(4.0).reshape(2, 2))
-    assert np.array_equal(s.jac, np.hstack([s.jac_x, s.jac_u]))
-    assert np.array_equal(s.jac[:, :3], s.jac_x)
-    assert np.array_equal(s.jac[:, 3:], s.jac_u)
-    bottom = OracleSample(np.zeros(2), np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(bottom.jac, bottom.jac_x)
+    # exact evaluators read sample[:3] as (value, jac_x, jac_u)
+    jac = np.arange(10.0).reshape(2, 5)
+    s = OracleSample(np.zeros(2), jac[:, :3], jac[:, 3:])
+    assert np.array_equal(np.hstack(s[1:3]), jac)
+    value, jac_x, jac_u, clamped = s
+    assert jac_x is s.jac_x and jac_u is s.jac_u and clamped is False
+    bottom = OracleSample(np.zeros(2), jac[:, :3])
+    assert bottom.jac_u is None and not bottom.clamped

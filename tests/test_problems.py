@@ -14,7 +14,7 @@ from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
 from nestopt.sets import Box, Simplex
 
 from helpers import (exact_composed_gradient, finite_difference_reference,
-                     mean_semideviation, same_bits, scenarios_to_csv)
+                     mean_semideviation, random_point, same_bits, scenarios_to_csv)
 
 
 def _constant_loss_scenarios():
@@ -32,10 +32,10 @@ def test_synthetic_nested_at_zero_matches_bottom_up_compose(smooth_problem):
     x = np.zeros(problem.n)
     vals = problem.exact.nested(x)
     # recompose bottom-up through value_jac, independently of nested()
-    v = problem.exact.value(problem.M, x, None)
+    v = problem.exact.value_jac(problem.M, x, None)[0]
     assert np.allclose(v, vals[problem.M - 1], atol=1e-14)
     for m in range(problem.M - 1, 0, -1):
-        v = problem.exact.value(m, x, v)
+        v = problem.exact.value_jac(m, x, v)[0]
         assert np.allclose(v, vals[m - 1], atol=1e-14)
 
 
@@ -87,7 +87,6 @@ def test_value_path_matches_value_jac_bits(case):
         u_next = u[m] if m < M else None
         reference = exact.value_jac(m, x, u_next)[0]
         assert same_bits(exact.values[m - 1](x, u_next), reference)
-        assert same_bits(exact.value(m, x, u_next), reference)
     folded, v = [None] * M, None
     for m in range(M, 0, -1):
         v = folded[m - 1] = exact.value_jac(m, x, v)[0]
@@ -103,7 +102,7 @@ def test_value_path_covers_the_sqrt_clamp():
         x = problem.feasible_set.anchor()
         u_next = np.array([-0.9e-2])
         assert problem.oracles[0].sample(x, u_next, None).clamped
-        assert same_bits(problem.exact.value(1, x, u_next),
+        assert same_bits(problem.exact.values[0](x, u_next),
                           problem.exact.value_jac(1, x, u_next)[0])
 
 
@@ -125,7 +124,7 @@ def test_exact_values_call_no_oracle_sample_attribute():
             x = problem.feasible_set.anchor() + 0.5
             u = problem.exact.nested(x)
             tracking_errors(problem.exact, x, [v + 0.1 for v in u])
-            problem.exact.value(1, x, u[1] if problem.M > 1 else None)
+            problem.exact.values[0](x, u[1] if problem.M > 1 else None)
         finally:
             for oracle in problem.oracles:
                 del oracle.sample
@@ -159,7 +158,7 @@ def test_mean_semideviation_identity_both_orders():
     p1 = risk_p1(scen, kappa=0.4)
     p2 = risk_p2(scen, kappa=0.4, epsilon=1e-4)
     for _ in range(20):
-        x = p1.feasible_set.random_point(rng)
+        x = random_point(p1.feasible_set, rng)
         assert float(p1.exact.nested(x)[0][0]) == pytest.approx(
             mean_semideviation(scen, x, 0.4, p=1), abs=1e-12)
         assert float(p2.exact.nested(x)[0][0]) == pytest.approx(
@@ -195,7 +194,7 @@ def test_exact_risk_levels_are_weighted_means_of_scenario_samples(relu):
     clamped = 0
     for problem in (risk_p1(scen, kappa=0.5), risk_p2(scen, kappa=0.5, epsilon=epsilon)):
         for u_val in (-0.9 * epsilon, -0.2 * epsilon, 0.05, 0.4, 1.5):
-            x = problem.feasible_set.random_point(rng)
+            x = random_point(problem.feasible_set, rng)
             for m, oracle in enumerate(problem.oracles, start=1):
                 u_next = np.array([u_val]) if m < problem.M else None
                 exact = oracle.sample(x, u_next, None)
@@ -216,7 +215,7 @@ def test_synthetic_oracles_match_exact(smooth_problem):
     problem = smooth_problem
     rng = np.random.default_rng(2)
     for _ in range(10):
-        x = problem.feasible_set.random_point(rng)
+        x = random_point(problem.feasible_set, rng)
         u_next = rng.standard_normal(problem.level_dims[1])
         for m in range(1, problem.M + 1):
             u_arg = u_next if m < problem.M else None
@@ -235,7 +234,7 @@ def test_exact_jacobians_match_finite_differences(family):
     rng = np.random.default_rng(4)
     checked = 0
     while checked < 100:
-        x = problem.feasible_set.random_point(rng)
+        x = random_point(problem.feasible_set, rng)
         u = rng.uniform(0.05, 3.0, size=1)
         m = 1 + checked % problem.M
         u_next = u if m < problem.M else None
@@ -246,7 +245,7 @@ def test_exact_jacobians_match_finite_differences(family):
         v, jx, ju = problem.exact.value_jac(m, x, u_next)
 
         def f(xv, uv, m=m):
-            return problem.exact.value(m, xv, uv)
+            return problem.exact.values[m - 1](xv, uv)
 
         fd = finite_difference_reference(f, x, u_next, step=1e-6)
         full = jx if ju is None else np.hstack([jx, ju])
@@ -341,7 +340,7 @@ def test_svi_gap_gradients_match_finite_differences():
         return problem.oracles[0].sample(xv, uv, None).value
 
     for _ in range(20):
-        x = fs.random_point(rng)
+        x = random_point(fs, rng)
         u = 0.5 * rng.standard_normal(3)
         s = problem.oracles[0].sample(x, u, None)
         fd = finite_difference_reference(f, x, u, step=1e-6)
@@ -442,7 +441,7 @@ def test_risk_p2_solver_reaches_scipy_optimum():
 def test_exact_composed_gradient_matches_fd(smooth_problem):
     problem = smooth_problem
     rng = np.random.default_rng(3)
-    x = problem.feasible_set.random_point(rng)
+    x = random_point(problem.feasible_set, rng)
 
     def f1(xv, uv):
         return problem.exact.nested(xv)[0]

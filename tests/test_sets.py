@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from nestopt import Ball, Box, CustomSet, Polytope, ProjectionError, Simplex, gap
 
-from helpers import (dykstra_projection, is_stationary, optimality_residual, same_bits,
-                     simplex_projection_reference, solve_subproblem)
+from helpers import (contains, dykstra_projection, is_stationary, optimality_residual,
+                     random_point, same_bits, simplex_projection_reference, solve_subproblem)
 
 # fixed example sequence and no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -111,7 +111,7 @@ def test_projection_variational_inequality():
             v = 3.0 * rng.standard_normal(fs.dim)
             pv = fs.project(v)
             for _ in range(5):
-                w = fs.random_point(rng)
+                w = random_point(fs, rng)
                 assert float((v - pv) @ (w - pv)) <= 1e-9
 
 
@@ -119,7 +119,7 @@ def test_random_point_feasible():
     rng = np.random.default_rng(13)
     for fs in _all_sets():
         for _ in range(25):
-            assert fs.contains(fs.random_point(rng), tol=1e-8)
+            assert contains(fs, random_point(fs, rng), tol=1e-8)
 
 
 def test_norm_bounds_hold_on_random_points():
@@ -208,7 +208,7 @@ def test_property_projection_variational_inequality(case):
     fs, v, _, rng = case
     pv = fs.project(v)
     for _ in range(5):
-        w = fs.random_point(rng)
+        w = random_point(fs, rng)
         assert float((v - pv) @ (w - pv)) <= 1e-9
 
 
@@ -381,7 +381,7 @@ def test_gap_nonpositive_and_residual():
     rng = np.random.default_rng(21)
     for fs in _all_sets():
         for _ in range(250):
-            x = fs.random_point(rng)
+            x = random_point(fs, rng)
             z = 2.0 * rng.standard_normal(fs.dim)
             y = solve_subproblem(fs, x, z, 1.0)
             d = y - x
@@ -394,7 +394,7 @@ def test_subproblem_scale_invariance():
     fs = Ball(np.zeros(3), 1.0)
     rng = np.random.default_rng(8)
     for _ in range(20):
-        x = fs.random_point(rng)
+        x = random_point(fs, rng)
         z = rng.standard_normal(3)
         y1 = solve_subproblem(fs, x, z, 0.7)
         y2 = solve_subproblem(fs, x, 3.7 * z, 3.7 * 0.7)

@@ -9,14 +9,14 @@ from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      NonFiniteIterateError, ProjectionError,
                      ScheduleExhaustedError, SolverSetupError,
                      assemble_subgradient, init_state, level_streams, run,
-                     step, update_trackers, update_z)
+                     update_trackers, update_z)
 from nestopt.diagnostics import DiagnosticsConfig
 from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.problems import make_problem
-from nestopt.solver import IterationTrace
 
 from conftest import noisy_norm_bounds
-from helpers import DeterministicOracle, exact_composed_gradient, finite_difference_reference
+from helpers import (DeterministicOracle, StepTrace, contains, exact_composed_gradient,
+                     finite_difference_reference, step)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +201,12 @@ def test_step_fixed_point_at_solution(smooth_problem, default_params):
     assert np.allclose(trace.d, 0.0, atol=1e-13)
 
 
-def test_step_rejects_vector_objective():
+def test_run_rejects_vector_objective():
     n = 3
     oracle = DeterministicOracle(2, 0, lambda x, u: (np.zeros(2), np.zeros((2, n)), None))
     problem = CompositionProblem(n, (2,), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (oracle,))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
-    state = init_state(problem, params, policy=InitPolicy.ZEROS)
-    with pytest.raises(SolverSetupError):
-        step(state, problem, params, level_streams(0, 1))
     with pytest.raises(SolverSetupError):
         run(problem, params, 5)
 
@@ -258,7 +255,7 @@ def test_iterates_stay_feasible():
     state = init_state(problem, params, streams=streams)
     for _ in range(300):
         state, _ = step(state, problem, params, streams)
-        assert problem.feasible_set.contains(state.x, tol=1e-9)
+        assert contains(problem.feasible_set, state.x, tol=1e-9)
 
 
 def test_deterministic_reduction_linear_convergence():
@@ -320,10 +317,6 @@ def test_projection_error_names_iteration(smooth_problem, default_params):
     with pytest.raises(ProjectionError, match="callback gave up at iteration 2$"):
         run(problem, default_params, 10)
 
-    state = dataclasses.replace(init_state(smooth_problem, default_params), k=7)
-    with pytest.raises(ProjectionError, match="at iteration 7$"):
-        step(state, problem, default_params, level_streams(default_params.seed, 3, 0))
-
 
 def test_run_without_exact_evaluators_disables_tracking():
     problem = make_problem({"family": "risk_p1", "n": 3, "kappa": 0.2,
@@ -358,7 +351,7 @@ def test_trace_fields_consistent(smooth_problem, default_params):
     streams = level_streams(default_params.seed, smooth_problem.M)
     state = init_state(smooth_problem, default_params, streams=streams)
     _, trace = step(state, smooth_problem, default_params, streams)
-    assert isinstance(trace, IterationTrace)
+    assert isinstance(trace, StepTrace)
     assert np.array_equal(trace.d, trace.y - state.x)
     assert len(trace.samples) == smooth_problem.M
     assert np.array_equal(trace.g1, assemble_subgradient(trace.samples)[0])
