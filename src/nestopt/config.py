@@ -34,6 +34,7 @@ class Field(NamedTuple):
     within: str | None = None  # bounds the value, or each entry
     length: str | None = None  # the size of a vector or list, or a matrix's rows of n entries
     of: object = None  # a section's table, or "count" for a list of counts
+    most: int | None = None  # the most entries a list may have
 
 
 class Table(NamedTuple):
@@ -56,9 +57,13 @@ def section(table, default=REQUIRED):
     return Field("section", default, of=table)
 
 
-POSITIVE, NONNEGATIVE, AT_LEAST_ONE = "(0, inf)", "[0, inf)", "[1, inf)"
+POSITIVE, NONNEGATIVE = "(0, inf)", "[0, inf)"
 # size caps: no build allocates an array of more than about 10^7 entries
 DIM, SCENARIO_COUNT = "[1, 1000]", "[1, 10000]"
+# run allocates about 64 + 16 M bytes per iteration before iteration 0, so at
+# most 0.6 GB at the levels cap of 32; a rate experiment holds one small
+# payload and result per replication of each horizon
+ITERATIONS, REPLICATIONS, HORIZONS = "[1, 1000000]", "[1, 1000]", 100
 SCHEDULES = Variants("kind", {
     "diminishing": Table({"tau0": number(within=POSITIVE), "gamma": number()},
                          lambda f: Diminishing(f["tau0"], f["gamma"])),
@@ -109,7 +114,7 @@ CONFIG = Table({
         {"a": number(), "b": number(), "rho": number(), "seed": count(),
          "schedule": section(SCHEDULES)},
         lambda f: AlgorithmParams(f["a"], f["b"], f["rho"], f["schedule"], f["seed"]))),
-    "run": section(Table({"iterations": count(None, AT_LEAST_ONE), "init": section(Table(
+    "run": section(Table({"iterations": count(None, ITERATIONS), "init": section(Table(
         {"policy": Field("enum", "one_sample"), "x": Field("vector", None, length="n")},
         lambda f: (InitPolicy(f["policy"]), f["x"]), shorthand="policy"), {})}), {}),
     "diagnostics": section(Table(
@@ -119,8 +124,8 @@ CONFIG = Table({
         lambda f: DiagnosticsConfig(f["track_every"], f["exact_every"], f["exact_window"],
                                     f["lyapunov_every"], f["gammas"])), {}),
     "rate_experiment": section(Table(
-        {"horizons": Field("numbers", within=AT_LEAST_ONE, of="count"),
-         "replications": count(within=AT_LEAST_ONE), "theta": number(1.0, POSITIVE)}), None),
+        {"horizons": Field("numbers", within=ITERATIONS, of="count", most=HORIZONS),
+         "replications": count(within=REPLICATIONS), "theta": number(1.0, POSITIVE)}), None),
 })
 
 
@@ -148,11 +153,13 @@ def _scalar(value, f: Field, name: str, integral: bool):
     return value
 
 
-def _list(value, name: str, size: int | None, entry: Callable) -> list:
+def _list(value, name: str, size: int | None, entry: Callable, most: int | None = None) -> list:
     if not isinstance(value, list) or not (value or size == 0):
         raise _expected(name, "a non-empty list", value)
     if size is not None and len(value) != size:
         raise ConfigError(name, f"has {len(value)} entries, need {size}")
+    if most is not None and len(value) > most:
+        raise ConfigError(name, f"has {len(value)} entries, at most {most} allowed")
     return [entry(v) for v in value]
 
 
@@ -179,7 +186,7 @@ def _field(value, f: Field, name: str, sizes: dict):
     if kind == "matrix":
         return np.array(_list(value, name, sizes.get(f.length),
                               lambda row: _list(row, name, sizes["n"], entry)))
-    values = _list(value, name, sizes.get(f.length), entry)
+    values = _list(value, name, sizes.get(f.length), entry, f.most)
     return np.array(values) if kind == "vector" else tuple(values)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,14 +99,13 @@ class ExactEvaluators:
     value_jac(m, x, u_next) returns the exact (value, jac_x, jac_u) of level
     m = 1..levels (jac_u is None for the innermost level, m = levels).
     values[m-1](x, u_next) returns level m's exact value alone; when not
-    given, it is read off value_jac.  x_star / f_star carry a known
-    solution when one exists.
+    given, it is read off value_jac.  x_star carries a known solution when
+    one exists.
     """
 
     value_jac: Callable[[int, np.ndarray, np.ndarray | None], tuple]
     levels: int
     x_star: np.ndarray | None = None
-    f_star: float | None = None
     values: tuple[Callable[[np.ndarray, np.ndarray | None], np.ndarray], ...] | None = None
 
     def __post_init__(self):
@@ -117,8 +116,8 @@ class ExactEvaluators:
                 for m in range(1, self.levels + 1)))
 
     @classmethod
-    def from_oracles(cls, oracles: Sequence[LevelOracle], x_star: np.ndarray | None = None,
-                     f_star: float | None = None) -> ExactEvaluators:
+    def from_oracles(cls, oracles: Sequence[LevelOracle],
+                     x_star: np.ndarray | None = None) -> ExactEvaluators:
         """Exact evaluators read off noise-free level oracles.
 
         A level with an exact_value(x, u_next) method gives its value without
@@ -133,7 +132,7 @@ class ExactEvaluators:
             return lambda x, u_next: sample(x, u_next, None, 0)[0]
         values = tuple(getattr(o, "exact_value", None) or value_of(s)
                        for o, s in zip(oracles, samplers))
-        return cls(value_jac, len(samplers), x_star, f_star, values)
+        return cls(value_jac, len(samplers), x_star, values)
 
     def nested(self, x: np.ndarray) -> list[np.ndarray]:
         """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
@@ -150,7 +149,6 @@ class CompositionProblem:
 
     level_dims holds (d_1, ..., d_M); d_1 = 1 is required to run the solver
     (scalar objective) but larger d_1 is allowed for diagnostics-only use.
-    meta carries optional family-specific data such as norm bounds.
     """
 
     n: int
@@ -159,7 +157,6 @@ class CompositionProblem:
     oracles: tuple[LevelOracle, ...]
     exact: ExactEvaluators | None = None
     name: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def M(self) -> int:

@@ -37,9 +37,12 @@ class FiniteScenarios:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise InvalidParamError("scenarios.weights", "weights must be >= 0 and sum > 0")
-        w = w / w.sum()
+        with np.errstate(over="ignore"):  # an infinite sum is rejected below
+            total = w.sum()
+        if np.any(w < 0) or not 0 < total < np.inf:  # also rejects NaN
+            raise InvalidParamError("scenarios.weights",
+                                    "weights must be >= 0 with a finite sum > 0")
+        w = w / total
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "coef", np.atleast_2d(np.asarray(self.coef, dtype=float)))
         object.__setattr__(self, "offset", np.atleast_1d(np.asarray(self.offset, dtype=float)))
@@ -78,12 +81,6 @@ class FiniteScenarios:
         if not self.relu:
             return h, self.coef
         return h, self.coef * (h > 0.0)[:, None]  # max(t, 0) > 0 exactly where t > 0
-
-    def loss_bounds(self, x_norm_bound: float):
-        """(sup |H|, sup ||grad H||) over ||x|| <= bound."""
-        row_norms = np.linalg.norm(self.coef, axis=1)
-        bh = float(np.max(row_norms) * x_norm_bound + np.max(np.abs(self.offset)))
-        return bh, float(np.max(row_norms))
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,13 @@ def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
         raise InvalidParamError("problem.scenarios.csv", str(exc)) from exc
     if data.shape[1] < 3:
         raise InvalidParamError("problem.scenarios.csv", "need columns weight, coef..., offset")
-    return FiniteScenarios(weights=data[:, 0], coef=data[:, 1:-1],
-                           offset=data[:, -1], relu=relu)
+    if not np.isfinite(data).all():
+        raise InvalidParamError("problem.scenarios.csv", "every entry must be finite")
+    try:
+        return FiniteScenarios(weights=data[:, 0], coef=data[:, 1:-1],
+                               offset=data[:, -1], relu=relu)
+    except InvalidParamError as exc:
+        raise InvalidParamError("problem.scenarios.csv", exc.message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +255,8 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
         raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
-    exact, meta = None, {}
-    if isinstance(scen, FiniteScenarios):
-        exact = ExactEvaluators.from_oracles(oracles)
-        bh, bg = scen.loss_bounds(fs.sup_norm())
-        meta = {
-            "value_bounds": [bh * (1.0 + 2.0 * kappa), bh],
-            "jac_bounds": [((1.0 + kappa) * bg, kappa), (bg, 0.0)],
-        }
-    return CompositionProblem(scen.n, (1, 1), fs, oracles, exact,
-                              name="risk_p1", meta=meta)
+    exact = ExactEvaluators.from_oracles(oracles) if isinstance(scen, FiniteScenarios) else None
+    return CompositionProblem(scen.n, (1, 1), fs, oracles, exact, name="risk_p1")
 
 
 def risk_p2(scen, kappa: float, epsilon: float,
@@ -276,15 +270,5 @@ def risk_p2(scen, kappa: float, epsilon: float,
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),
                MeanLossLevel(scen))
-    exact, meta = None, {}
-    if isinstance(scen, FiniteScenarios):
-        exact = ExactEvaluators.from_oracles(oracles)
-        bh, bg = scen.loss_bounds(fs.sup_norm())
-        bv2 = 4.0 * bh * bh
-        bu_top = kappa / math.sqrt(2.0 * epsilon)
-        meta = {
-            "value_bounds": [bh + kappa * math.sqrt(epsilon + bv2), bv2, bh],
-            "jac_bounds": [(bg, bu_top), (4.0 * bh * bg, 4.0 * bh), (bg, 0.0)],
-        }
-    return CompositionProblem(scen.n, (1, 1, 1), fs, oracles, exact,
-                              name="risk_p2", meta=meta)
+    exact = ExactEvaluators.from_oracles(oracles) if isinstance(scen, FiniteScenarios) else None
+    return CompositionProblem(scen.n, (1, 1, 1), fs, oracles, exact, name="risk_p2")

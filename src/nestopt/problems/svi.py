@@ -129,16 +129,6 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
         if noise_sd > 0 else inner
     oracles = (gap_level, inner_oracle)
 
-    exact = ExactEvaluators.from_oracles((gap_level, inner), x_star=x_star,
-                                         f_star=0.0 if monotone else None)
-
-    bx = fs.sup_norm()
-    bmap = float(np.linalg.norm(A)) * bx + float(np.linalg.norm(b_vec))
-    diam = fs.diameter()
-    meta = {
-        "value_bounds": [bmap * diam + 0.5 * r * diam**2, bmap],
-        "jac_bounds": [(bmap + r * diam, diam), (float(np.linalg.norm(A)), 0.0)],
-    }
-    return CompositionProblem(n, (1, n), fs, oracles, exact,
-                              name="svi", meta=meta)
+    exact = ExactEvaluators.from_oracles((gap_level, inner), x_star=x_star)
+    return CompositionProblem(n, (1, n), fs, oracles, exact, name="svi")
 

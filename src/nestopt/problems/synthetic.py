@@ -94,18 +94,13 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     x_hat = rng.uniform(-0.5 * halfwidth, 0.5 * halfwidth, size=n)
     fs = Box(np.full(n, -halfwidth), np.full(n, halfwidth))
 
-    def build(level_oracles: list[LevelOracle], dims: tuple[int, ...], meta: dict):
+    def build(level_oracles: list[LevelOracle], dims: tuple[int, ...]):
         oracles = tuple(NoisyOracle(o, noise) for o in level_oracles) if noise else tuple(level_oracles)
-        exact = ExactEvaluators.from_oracles(level_oracles, x_star=x_hat.copy(), f_star=0.0)
-        return CompositionProblem(n, dims, fs, oracles, exact,
-                                  name="synthetic_smooth", meta=meta)
+        exact = ExactEvaluators.from_oracles(level_oracles, x_star=x_hat.copy())
+        return CompositionProblem(n, dims, fs, oracles, exact, name="synthetic_smooth")
 
     if M == 1:
-        g_bound = fs.sup_norm() + float(np.linalg.norm(x_hat))
-        return build([QuadraticPointLevel(x_hat)], (1,), {
-            "value_bounds": [0.5 * g_bound**2],
-            "jac_bounds": [(g_bound, 0.0)],
-        })
+        return build([QuadraticPointLevel(x_hat)], (1,))
 
     d = inner_dim
     Qs, Rs, cs = {}, {}, {}
@@ -127,21 +122,4 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     for m in range(2, M):
         level_oracles.append(LinearLevel(Qs[m], Rs[m], cs[m]))
     level_oracles.append(LinearBottomLevel(Qs[M], cs[M]))
-
-    # conservative norm bounds over the box, innermost first
-    bx_sup = fs.sup_norm()
-    value_bounds = [0.0] * M
-    jac_bounds = [(0.0, 0.0)] * M
-    value_bounds[M - 1] = float(np.linalg.norm(Qs[M])) * bx_sup + float(np.linalg.norm(cs[M]))
-    jac_bounds[M - 1] = (float(np.linalg.norm(Qs[M])), 0.0)
-    for m in range(M - 1, 1, -1):
-        value_bounds[m - 1] = (float(np.linalg.norm(Qs[m])) * bx_sup
-                               + float(np.linalg.norm(Rs[m])) * value_bounds[m]
-                               + float(np.linalg.norm(cs[m])))
-        jac_bounds[m - 1] = (float(np.linalg.norm(Qs[m])), float(np.linalg.norm(Rs[m])))
-    b1x = bx_sup + float(np.linalg.norm(x_hat))
-    b1u = value_bounds[1] + float(np.linalg.norm(u_hat))
-    value_bounds[0] = 0.5 * b1x**2 + 0.5 * b1u**2
-    jac_bounds[0] = (b1x, b1u)
-    return build(level_oracles, (1,) + (d,) * (M - 1),
-                 {"value_bounds": value_bounds, "jac_bounds": jac_bounds})
+    return build(level_oracles, (1,) + (d,) * (M - 1))

@@ -40,14 +40,6 @@ class FeasibleSet(ABC):
     def anchor(self) -> np.ndarray:
         """A canonical feasible point (interior whenever the set has one)."""
 
-    def diameter(self) -> float:
-        """An upper bound on max ||y - y'|| over the set; inf when unknown."""
-        return float("inf")
-
-    def sup_norm(self) -> float:
-        """An upper bound on max ||y|| over the set; inf when unknown."""
-        return float(np.linalg.norm(self.anchor())) + self.diameter()
-
 
 class Box(FeasibleSet):
     """Axis-aligned box {lo <= y <= hi}."""
@@ -66,12 +58,6 @@ class Box(FeasibleSet):
 
     def anchor(self):
         return 0.5 * (self.lo + self.hi)
-
-    def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
-
-    def sup_norm(self):
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
 
 
 class Ball(FeasibleSet):
@@ -93,12 +79,6 @@ class Ball(FeasibleSet):
 
     def anchor(self):
         return self.center.copy()
-
-    def diameter(self):
-        return 2.0 * self.radius
-
-    def sup_norm(self):
-        return float(np.linalg.norm(self.center)) + self.radius
 
 
 class Simplex(FeasibleSet):
@@ -131,12 +111,6 @@ class Simplex(FeasibleSet):
 
     def anchor(self):
         return np.full(self.dim, self.scale / self.dim)
-
-    def diameter(self):
-        return self.scale * np.sqrt(2.0)
-
-    def sup_norm(self):
-        return self.scale
 
 
 class Polytope(FeasibleSet):

@@ -4,6 +4,8 @@ import pytest
 from nestopt import AlgorithmParams, Diminishing, NoiseModel
 from nestopt.problems import synthetic_smooth
 
+from helpers import norm_bounds
+
 
 @pytest.fixture
 def smooth_problem():
@@ -25,15 +27,14 @@ def default_params():
 def noisy_norm_bounds(problem, sigma: float, b: float = 1.0):
     """Problem-derived ceilings for max_k ||z^k|| and max_k ||u^k||.
 
-    Rebuilds the chain-rule norm bound from the per-level sup norms stored
-    in problem.meta, inflating every level's Jacobian and value bound by a
-    10*sigma-per-entry margin for the estimation noise.  The tracker bound
+    Rebuilds the chain-rule norm bound from the per-level sup norms of
+    helpers.norm_bounds, inflating every level's Jacobian and value bound by
+    a 10*sigma-per-entry margin for the estimation noise.  The tracker bound
     adds the inertia of the correction terms, which scale with the feasible
     diameter over the tracker gain b.  Intentionally loose: a guard against
     divergence, not a sharp estimate.
     """
-    jac_bounds = problem.meta["jac_bounds"]
-    value_bounds = problem.meta["value_bounds"]
+    value_bounds, jac_bounds, diameter = norm_bounds(problem)
     dims = problem.level_dims
     n = problem.n
     M = problem.M
@@ -46,5 +47,5 @@ def noisy_norm_bounds(problem, sigma: float, b: float = 1.0):
         bx, bu = jac_bounds[m - 1]
         g = infl(bx, dims[m - 1], n) + infl(bu, dims[m - 1], dims[m]) * g
     f = max(infl(v, d, 1) for v, d in zip(value_bounds, dims))
-    u_bound = f + g * problem.feasible_set.diameter() / b
+    u_bound = f + g * diameter / b
     return float(g), float(u_bound)

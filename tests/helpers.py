@@ -3,7 +3,8 @@
 None of these is on the solver's path: they recompute quantities the
 package produces (Jacobians, composed gradients, optimality certificates,
 merit values, random-iterate measures) by other means, so the tests can
-compare the two, or drive the method one iteration at a time.
+compare the two, or drive the method one iteration at a time.  The norm
+bounds of the boundedness guard are computed here from the problems' fields.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from nestopt.diagnostics import RunRecord, optimality_measure
 from nestopt.errors import CompoptError, ProjectionError
 from nestopt.model import (AlgorithmParams, CompositionProblem, IterateState, init_state,
                            next_stepsize)
-from nestopt.oracles import LevelOracle, OracleSample, level_streams
+from nestopt.oracles import LevelOracle, NoisyOracle, OracleSample, level_streams
 from nestopt.problems import FiniteScenarios
+from nestopt.problems.risk import MeanLossLevel, UpperSemidevLevel
+from nestopt.problems.svi import NegatedMeanMapLevel, RegularizedGapLevel
+from nestopt.problems.synthetic import LinearBottomLevel, LinearLevel, QuadraticTopLevel
 from nestopt.sets import Ball, Box, FeasibleSet, Simplex, gap
 from nestopt.solver import _advance, assemble_subgradient
 
@@ -127,6 +131,60 @@ def random_point(fs: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
         return fs.scale * rng.dirichlet(np.ones(fs.dim))
     p = fs.project(fs.anchor() + rng.standard_normal(fs.dim))
     return fs.anchor() + rng.uniform(0.05, 0.95) * (p - fs.anchor())
+
+
+def set_norm_bounds(fs: FeasibleSet) -> tuple[float, float]:
+    """(max ||y||, max ||y - y'||) over a Box or a Simplex; vertices attain both."""
+    if isinstance(fs, Box):
+        return (float(np.linalg.norm(np.maximum(np.abs(fs.lo), np.abs(fs.hi)))),
+                float(np.linalg.norm(fs.hi - fs.lo)))
+    if isinstance(fs, Simplex):
+        return fs.scale, float(fs.scale * np.sqrt(2.0))
+    raise TypeError(f"no norm bounds for a {type(fs).__name__}")
+
+
+class NormBounds(NamedTuple):
+    value: list[float]               # value[m-1] >= ||f_m(x, V_{m+1}(x))||
+    jac: list[tuple[float, float]]   # jac[m-1] >= (||x-block||, ||u-block||), Frobenius
+    diameter: float                  # of the feasible set
+
+
+def norm_bounds(problem: CompositionProblem) -> NormBounds:
+    """Per-level norm bounds over the feasible set, at exact nested arguments.
+
+    Folded innermost first: a level's bound takes the value bound ``v`` of
+    the level below as the bound on its inner argument.  Covers the levels
+    of synthetic_smooth with M >= 2 and of svi (noisy or not) on a Box, and
+    of risk_p1 on a Simplex; any other level or set is a TypeError.
+    """
+    sup, diam = set_norm_bounds(problem.feasible_set)
+    value, jac, v = [], [], 0.0
+
+    def norm(a):
+        return float(np.linalg.norm(a))
+
+    for oracle in reversed(problem.oracles):
+        o = oracle.base if isinstance(oracle, NoisyOracle) else oracle
+        if isinstance(o, (LinearLevel, LinearBottomLevel)):
+            nr = norm(o.R) if isinstance(o, LinearLevel) else 0.0
+            v, j = norm(o.Q) * sup + nr * v + norm(o.c), (norm(o.Q), nr)
+        elif isinstance(o, QuadraticTopLevel):
+            bx, bu = sup + norm(o.x_hat), v + norm(o.u_hat)
+            v, j = 0.5 * bx**2 + 0.5 * bu**2, (bx, bu)
+        elif isinstance(o, (MeanLossLevel, UpperSemidevLevel)):
+            bg = float(np.max(np.linalg.norm(o.scen.coef, axis=1)))
+            bh = bg * sup + float(np.max(np.abs(o.scen.offset)))
+            kappa = getattr(o, "kappa", 0.0)  # the mean loss is the kappa = 0 case
+            v, j = bh * (1.0 + 2.0 * kappa), ((1.0 + kappa) * bg, kappa)
+        elif isinstance(o, NegatedMeanMapLevel):
+            v, j = norm(o.neg_A) * sup + norm(o.neg_b), (norm(o.neg_A), 0.0)
+        elif isinstance(o, RegularizedGapLevel):
+            v, j = v * diam + 0.5 * o.r * diam**2, (v + o.r * diam, diam)
+        else:
+            raise TypeError(f"no norm bounds for a {type(o).__name__} level")
+        value.append(v)
+        jac.append(j)
+    return NormBounds(value[::-1], jac[::-1], diam)
 
 
 def contains(fs: FeasibleSet, v: np.ndarray, tol: float = 1e-9) -> bool:

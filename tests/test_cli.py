@@ -159,6 +159,14 @@ def _bad(case_id, config, path, value, field, args=()):
     _bad("svi-n-above-cap", "svi_run.json", ("problem", "n"), 10**6, "problem.n"),
     _bad("scenario-count-above-cap", "risk_p1_run.json", ("problem", "scenarios", "count"),
          10001, "problem.scenarios.count"),
+    _bad("iterations-above-cap", "risk_p1_run.json", ("run", "iterations"), 10**12,
+         "run.iterations"),
+    _bad("horizon-above-cap", "synthetic_rate.json", ("rate_experiment", "horizons"),
+         [100, 10**12], "rate_experiment.horizons"),
+    _bad("horizon-count-above-cap", "synthetic_rate.json", ("rate_experiment", "horizons"),
+         [1] * 101, "rate_experiment.horizons"),
+    _bad("replications-above-cap", "synthetic_rate.json", ("rate_experiment", "replications"),
+         10**9, "rate_experiment.replications"),
     _bad("seed-negative", "synthetic_rate.json", None, None, "--seed", ("--seed", "-1")),
     _bad("seed-above-64-bits", "synthetic_rate.json", None, None, "--seed",
          ("--seed", str(2**64))),
@@ -178,6 +186,32 @@ def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, 
         assert proc.returncode == 1, (command, proc.stderr)
         assert f"config error: {field}:" in proc.stderr, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, (command, proc.stderr)
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, column, value", [
+    pytest.param(1, 0, float("nan"), id="nan-weight"),
+    pytest.param(1, -1, float("nan"), id="nan-offset"),
+    pytest.param(1, 2, float("inf"), id="inf-coef"),
+    pytest.param(1, 0, -0.5, id="negative-weight"),
+    pytest.param(None, 0, 0.0, id="zero-weights"),
+    pytest.param(None, 0, 1e308, id="weight-sum-overflows"),
+])
+def test_bad_scenario_csv_exit_one_naming_field(tmp_path, capsys, rows, column, value):
+    # one column of the first `rows` rows (of all rows for None) of a good table set to value
+    table = np.column_stack([np.full(10, 0.1), np.full((10, 5), 0.3), 1.0 + np.arange(10)])
+    table[:rows, column] = value
+    csv = tmp_path / "scenarios.csv"
+    np.savetxt(csv, table, delimiter=",")
+    doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
+    doc["problem"]["scenarios"] = {"csv": str(csv)}
+    doc["run"]["iterations"] = 100
+    config_path = _write(tmp_path, doc)
+    for command in ("validate", "run"):
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, (command, err)
+        assert "config error: problem.scenarios.csv:" in err, (command, err)
         assert not (tmp_path / "out").exists()
 
 

@@ -11,10 +11,11 @@ from nestopt.diagnostics import tracking_errors
 from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
                               risk_p1, risk_p2, scenarios_from_csv,
                               solve_vi_fixed_point, svi_problem, synthetic_smooth)
-from nestopt.sets import Box, Simplex
+from nestopt.sets import Ball, Box, Simplex
 
 from helpers import (exact_composed_gradient, finite_difference_reference,
-                     mean_semideviation, random_point, same_bits, scenarios_to_csv)
+                     mean_semideviation, norm_bounds, random_point, same_bits,
+                     scenarios_to_csv)
 
 
 def _constant_loss_scenarios():
@@ -251,6 +252,38 @@ def test_exact_jacobians_match_finite_differences(family):
         full = jx if ju is None else np.hstack([jx, ju])
         assert np.allclose(full, fd, atol=1e-5)
         checked += 1
+
+
+# the problems whose bounds feed the boundedness guard of criterion 9
+GUARDED_PROBLEMS = {
+    "synthetic": lambda: synthetic_smooth(noise=NoiseModel(value_sd=0.1, jac_sd=0.1)),
+    "risk_p1": lambda: risk_p1(random_scenarios(n=5, count=50, seed=7), kappa=0.5),
+    "svi": lambda: svi_problem(n=5, instance_seed=3, skew_scale=0.5, noise_sd=0.1),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED_PROBLEMS)
+def test_norm_bounds_hold_at_exact_nested_arguments(name):
+    problem = GUARDED_PROBLEMS[name]()
+    value_bounds, jac_bounds, _ = norm_bounds(problem)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        x = random_point(problem.feasible_set, rng)
+        nested = problem.exact.nested(x)
+        for m in range(1, problem.M + 1):
+            v, jx, ju = problem.exact.value_jac(m, x, nested[m] if m < problem.M else None)
+            bx, bu = jac_bounds[m - 1]
+            assert np.linalg.norm(v) <= value_bounds[m - 1] * (1 + 1e-12)
+            assert np.linalg.norm(jx) <= bx * (1 + 1e-12)
+            assert ju is None or np.linalg.norm(ju) <= bu * (1 + 1e-12)
+
+
+def test_norm_bounds_reject_unguarded_problems():
+    for problem in (synthetic_smooth(levels=1),
+                    risk_p2(random_scenarios(n=3, count=5), 0.5, epsilon=1e-3),
+                    svi_problem(n=2, feasible_set=Ball(np.zeros(2), 1.0))):
+        with pytest.raises(TypeError):
+            norm_bounds(problem)
 
 
 # ---------------------------------------------------------------------------

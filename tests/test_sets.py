@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nestopt import Ball, Box, CustomSet, Polytope, ProjectionError, Simplex, gap
 
 from helpers import (contains, dykstra_projection, is_stationary, optimality_residual,
-                     random_point, same_bits, simplex_projection_reference, solve_subproblem)
+                     random_point, same_bits, set_norm_bounds, simplex_projection_reference,
+                     solve_subproblem)
 
 # fixed example sequence and no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -125,13 +126,18 @@ def test_random_point_feasible():
 def test_norm_bounds_hold_on_random_points():
     rng = np.random.default_rng(6)
     for fs in _all_sets():
+        if not isinstance(fs, (Box, Simplex)):
+            with pytest.raises(TypeError):
+                set_norm_bounds(fs)
+            continue
+        sup_norm, diameter = set_norm_bounds(fs)
         pts = [fs.project(3.0 * rng.standard_normal(fs.dim)) for _ in range(200)]
-        assert max(np.linalg.norm(p) for p in pts) <= fs.sup_norm() + 1e-12
-        assert np.linalg.norm(pts[0] - pts[1]) <= fs.diameter() + 1e-12
+        assert max(np.linalg.norm(p) for p in pts) <= sup_norm + 1e-12
+        assert np.linalg.norm(pts[0] - pts[1]) <= diameter + 1e-12
     # exact on Box and Simplex: a vertex attains the bound
-    assert Box(np.full(2, -1.0), np.full(2, 3.0)).sup_norm() == pytest.approx(np.sqrt(18.0))
-    assert Simplex(4, scale=2.0).sup_norm() == 2.0
-    assert CustomSet(2, lambda v: v).sup_norm() == np.inf
+    assert set_norm_bounds(Box(np.full(2, -1.0), np.full(2, 3.0)))[0] == pytest.approx(
+        np.sqrt(18.0))
+    assert set_norm_bounds(Simplex(4, scale=2.0))[0] == 2.0
 
 
 def test_polytope_matches_box():
