@@ -12,6 +12,13 @@ from .model import validate_problem
 from .problems import make_problem
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="experiment JSON file")
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -21,7 +28,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nestopt",
         description="Single time-scale stochastic subgradient solver for "
                     "nested composition problems.",
@@ -36,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
@@ -54,6 +61,10 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
             return 0
         problem = make_problem(cfg.problem_spec)
+        if cfg.diagnostics.lyapunov_every and problem.exact is None:
+            raise ConfigError("diagnostics.lyapunov_every",
+                              "the merit pair needs exact evaluators, which this problem "
+                              "does not carry")
         violations = validate_problem(problem)
         for v in violations:
             print(f"violation (level={v.level}, kind={v.kind}): {v.message}",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,51 +94,39 @@ class AlgorithmParams:
 
 @dataclass(frozen=True)
 class ExactEvaluators:
-    """Ground-truth evaluators attached to test problems.
+    """Ground-truth evaluators read off a problem's noise-free levels.
 
-    value_jac(m, x, u_next) returns the exact (value, jac_x, jac_u) of level
-    m = 1..levels (jac_u is None for the innermost level, m = levels).
-    values[m-1](x, u_next) returns level m's exact value alone; when not
-    given, it is read off value_jac.  x_star carries a known solution when
-    one exists.
+    levels[m-1] is level m's noise-free oracle: called with rng=None, its
+    sample returns the exact (value, jac_x, jac_u), which value_jac(m, x,
+    u_next) gives for m = 1..M (jac_u is None at the innermost level).
+    values[m-1](x, u_next) gives level m's exact value alone: the level's
+    exact_value where it has one, else that sample's value.  Both are bound
+    when the evaluators are built, so they never call an oracle's sample
+    attribute afterwards.  x_star carries a known solution when one exists.
     """
 
-    value_jac: Callable[[int, np.ndarray, np.ndarray | None], tuple]
-    levels: int
+    levels: tuple[LevelOracle, ...]
     x_star: np.ndarray | None = None
-    values: tuple[Callable[[np.ndarray, np.ndarray | None], np.ndarray], ...] | None = None
 
     def __post_init__(self):
-        if self.values is None:
-            # looked up per call, so a value_jac replaced later is the one used
-            object.__setattr__(self, "values", tuple(
-                lambda x, u_next, m=m: self.value_jac(m, x, u_next)[0]
-                for m in range(1, self.levels + 1)))
-
-    @classmethod
-    def from_oracles(cls, oracles: Sequence[LevelOracle],
-                     x_star: np.ndarray | None = None) -> ExactEvaluators:
-        """Exact evaluators read off noise-free level oracles.
-
-        A level with an exact_value(x, u_next) method gives its value without
-        building Jacobians; any other level gives sample(x, u_next, None)'s.
-        """
-        samplers = [o.sample for o in oracles]
-
-        def value_jac(m, x, u_next):
-            return samplers[m - 1](x, u_next, None, 0)[:3]
+        samplers = tuple(o.sample for o in self.levels)
 
         def value_of(sample):
             return lambda x, u_next: sample(x, u_next, None, 0)[0]
-        values = tuple(getattr(o, "exact_value", None) or value_of(s)
-                       for o, s in zip(oracles, samplers))
-        return cls(value_jac, len(samplers), x_star, values)
+        object.__setattr__(self, "_samplers", samplers)
+        object.__setattr__(self, "values", tuple(
+            getattr(o, "exact_value", None) or value_of(s)
+            for o, s in zip(self.levels, samplers)))
+
+    def value_jac(self, m: int, x: np.ndarray, u_next: np.ndarray | None) -> tuple:
+        """Exact (value, jac_x, jac_u) of level m."""
+        return self._samplers[m - 1](x, u_next, None, 0)[:3]
 
     def nested(self, x: np.ndarray) -> list[np.ndarray]:
         """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
-        vals: list = [None] * self.levels
+        vals: list = [None] * len(self.levels)
         v = None
-        for m in range(self.levels, 0, -1):
+        for m in range(len(vals), 0, -1):
             v = vals[m - 1] = self.values[m - 1](x, v)
         return vals
 
@@ -156,7 +144,6 @@ class CompositionProblem:
     feasible_set: FeasibleSet
     oracles: tuple[LevelOracle, ...]
     exact: ExactEvaluators | None = None
-    name: str = ""
 
     @property
     def M(self) -> int:

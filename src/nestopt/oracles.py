@@ -92,13 +92,10 @@ def _centered_draw(rng: np.random.Generator, size: int, distribution: str) -> np
 class LevelOracle(ABC):
     """Produces stochastic samples of one level of the composition.
 
-    ``out_dim`` is the level's output dimension; ``in_dim`` the dimension of
-    its inner argument (0 for the innermost level).  Oracles are stateless:
-    all randomness comes through the explicit generator argument.
+    Oracles are stateless: all randomness comes through the explicit
+    generator argument.  Their shapes are declared once, by the problem's
+    level_dims.
     """
-
-    out_dim: int
-    in_dim: int
 
     @abstractmethod
     def sample(self, x: np.ndarray, u_next: np.ndarray | None,
@@ -117,8 +114,6 @@ class NoisyOracle(LevelOracle):
     def __init__(self, base: LevelOracle, noise: NoiseModel):
         self.base = base
         self.noise = noise
-        self.out_dim = base.out_dim
-        self.in_dim = base.in_dim
 
     def sample(self, x, u_next, rng, k=0):
         s = self.base.sample(x, u_next, rng, k)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from ..config import PROBLEMS, SETS, read
+from ..config import PROBLEMS, read
 from ..errors import InvalidParamError
 from ..model import CompositionProblem
-from ..sets import FeasibleSet
 from .risk import (FiniteScenarios, GaussianScenarios, random_scenarios, risk_p1,
                    risk_p2, scenarios_from_csv)
 from .svi import solve_vi_fixed_point, svi_problem
@@ -14,13 +13,8 @@ from .synthetic import synthetic_smooth
 __all__ = [
     "FiniteScenarios", "GaussianScenarios", "random_scenarios", "risk_p1",
     "risk_p2", "scenarios_from_csv", "solve_vi_fixed_point", "svi_problem",
-    "synthetic_smooth", "make_problem", "set_from_spec",
+    "synthetic_smooth", "make_problem",
 ]
-
-
-def set_from_spec(spec: dict, n: int) -> FeasibleSet:
-    """Build a feasible set from its JSON description."""
-    return read(spec, SETS, "problem.set", {"n": n})
 
 
 def _scenarios(spec: dict, n: int):

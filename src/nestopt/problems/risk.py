@@ -11,6 +11,7 @@ scenarios and serve as the exact evaluators.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,10 @@ def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,
 def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
     """Load a scenario table: one row per scenario, columns weight, coef..., offset."""
     try:
-        data = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns about an empty file
+            data = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except (OSError, ValueError, UserWarning) as exc:
         raise InvalidParamError("problem.scenarios.csv", str(exc)) from exc
     if data.shape[1] < 3:
         raise InvalidParamError("problem.scenarios.csv", "need columns weight, coef..., offset")
@@ -150,8 +153,6 @@ class _ScenarioLevel(LevelOracle):
     Jacobian; exact_value uses that on the finite table.
     """
 
-    out_dim = 1
-
     def __init__(self, scen):
         self.scen = scen
 
@@ -172,8 +173,6 @@ class _ScenarioLevel(LevelOracle):
 class MeanLossLevel(_ScenarioLevel):
     """Innermost level: E[H(x)]."""
 
-    in_dim = 0
-
     def formula(self, h, g, u_next, E, J):
         value = np.array([E(h)])
         if J is None:
@@ -183,8 +182,6 @@ class MeanLossLevel(_ScenarioLevel):
 
 class UpperSemidevLevel(_ScenarioLevel):
     """p=1 top level: E[H(x) + kappa * max(0, H(x) - u)]."""
-
-    in_dim = 1
 
     def __init__(self, scen, kappa: float):
         super().__init__(scen)
@@ -204,8 +201,6 @@ class UpperSemidevLevel(_ScenarioLevel):
 class SquaredShortfallLevel(_ScenarioLevel):
     """p=2 middle level: E[max(0, H(x) - u)^2]."""
 
-    in_dim = 1
-
     def formula(self, h, g, u_next, E, J):
         d = h - float(u_next[0])
         m0 = (d > 0.0) * d + 0.0  # max(0, d), +0.0 below the kink
@@ -224,8 +219,6 @@ class SqrtRiskLevel(_ScenarioLevel):
     keep the square root away from its singularity, and the sample is
     flagged so runs can report how often that happened.
     """
-
-    in_dim = 1
 
     def __init__(self, scen, kappa: float, epsilon: float):
         super().__init__(scen)
@@ -255,8 +248,8 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
         raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
-    exact = ExactEvaluators.from_oracles(oracles) if isinstance(scen, FiniteScenarios) else None
-    return CompositionProblem(scen.n, (1, 1), fs, oracles, exact, name="risk_p1")
+    exact = ExactEvaluators(oracles) if isinstance(scen, FiniteScenarios) else None
+    return CompositionProblem(scen.n, (1, 1), fs, oracles, exact)
 
 
 def risk_p2(scen, kappa: float, epsilon: float,
@@ -270,5 +263,5 @@ def risk_p2(scen, kappa: float, epsilon: float,
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),
                MeanLossLevel(scen))
-    exact = ExactEvaluators.from_oracles(oracles) if isinstance(scen, FiniteScenarios) else None
-    return CompositionProblem(scen.n, (1, 1, 1), fs, oracles, exact, name="risk_p2")
+    exact = ExactEvaluators(oracles) if isinstance(scen, FiniteScenarios) else None
+    return CompositionProblem(scen.n, (1, 1, 1), fs, oracles, exact)

@@ -36,8 +36,6 @@ class RegularizedGapLevel(LevelOracle):
             raise InvalidParamError("problem.r", "regularization r must be positive")
         self.feasible_set = feasible_set
         self.r = float(r)
-        self.out_dim = 1
-        self.in_dim = feasible_set.dim
 
     def sample(self, x, u_next, rng, k=0):
         r = self.r
@@ -52,8 +50,6 @@ class NegatedMeanMapLevel(LevelOracle):
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.neg_A = -np.asarray(A, dtype=float)
         self.neg_b = -np.asarray(b, dtype=float)
-        self.out_dim = self.neg_A.shape[0]
-        self.in_dim = 0
 
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.neg_A @ x + self.neg_b, self.neg_A)
@@ -129,6 +125,6 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
         if noise_sd > 0 else inner
     oracles = (gap_level, inner_oracle)
 
-    exact = ExactEvaluators.from_oracles((gap_level, inner), x_star=x_star)
-    return CompositionProblem(n, (1, n), fs, oracles, exact, name="svi")
+    exact = ExactEvaluators((gap_level, inner), x_star)
+    return CompositionProblem(n, (1, n), fs, oracles, exact)
 

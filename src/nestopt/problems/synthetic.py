@@ -22,8 +22,6 @@ class QuadraticTopLevel(LevelOracle):
     def __init__(self, x_hat: np.ndarray, u_hat: np.ndarray):
         self.x_hat = np.asarray(x_hat, dtype=float)
         self.u_hat = np.asarray(u_hat, dtype=float)
-        self.out_dim = 1
-        self.in_dim = self.u_hat.size
 
     def sample(self, x, u_next, rng, k=0):
         dx = x - self.x_hat
@@ -37,8 +35,6 @@ class QuadraticPointLevel(LevelOracle):
 
     def __init__(self, x_hat: np.ndarray):
         self.x_hat = np.asarray(x_hat, dtype=float)
-        self.out_dim = 1
-        self.in_dim = 0
 
     def sample(self, x, u_next, rng, k=0):
         dx = x - self.x_hat
@@ -52,8 +48,6 @@ class LinearLevel(LevelOracle):
         self.Q = np.asarray(Q, dtype=float)
         self.R = np.asarray(R, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.out_dim = self.Q.shape[0]
-        self.in_dim = self.R.shape[1]
 
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q @ x + self.R @ u_next + self.c, self.Q, self.R)
@@ -65,8 +59,6 @@ class LinearBottomLevel(LevelOracle):
     def __init__(self, Q: np.ndarray, c: np.ndarray):
         self.Q = np.asarray(Q, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.out_dim = self.Q.shape[0]
-        self.in_dim = 0
 
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q @ x + self.c, self.Q)
@@ -96,8 +88,8 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
 
     def build(level_oracles: list[LevelOracle], dims: tuple[int, ...]):
         oracles = tuple(NoisyOracle(o, noise) for o in level_oracles) if noise else tuple(level_oracles)
-        exact = ExactEvaluators.from_oracles(level_oracles, x_star=x_hat.copy())
-        return CompositionProblem(n, dims, fs, oracles, exact, name="synthetic_smooth")
+        exact = ExactEvaluators(tuple(level_oracles), x_hat.copy())
+        return CompositionProblem(n, dims, fs, oracles, exact)
 
     if M == 1:
         return build([QuadraticPointLevel(x_hat)], (1,))

@@ -36,9 +36,7 @@ class InsufficientReplicationsError(CompoptError):
 class DeterministicOracle(LevelOracle):
     """Wraps an exact value/Jacobian callable as a (noise-free) oracle."""
 
-    def __init__(self, out_dim: int, in_dim: int, value_jac):
-        self.out_dim = int(out_dim)
-        self.in_dim = int(in_dim)
+    def __init__(self, value_jac):
         self._value_jac = value_jac
 
     def sample(self, x, u_next, rng, k=0):

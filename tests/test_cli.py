@@ -215,6 +215,34 @@ def test_bad_scenario_csv_exit_one_naming_field(tmp_path, capsys, rows, column, 
         assert not (tmp_path / "out").exists()
 
 
+def test_empty_scenario_csv_prints_only_the_config_error(tmp_path, capsys):
+    csv = tmp_path / "scenarios.csv"
+    csv.write_text("", encoding="utf-8")
+    doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
+    doc["problem"]["scenarios"] = {"csv": str(csv)}
+    config_path = _write(tmp_path, doc)
+    for command in ("validate", "run"):
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, (command, err)
+        assert err.startswith("config error: problem.scenarios.csv:"), (command, err)
+        assert err.count("\n") == 1, (command, err)
+
+
+def test_lyapunov_without_exact_evaluators_exit_one_naming_field(tmp_path, capsys):
+    # continuous scenarios carry no exact evaluators, so the merit pair cannot be recorded
+    doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
+    doc["problem"]["scenarios"] = {"kind": "gaussian"}
+    doc["diagnostics"].update(lyapunov_every=5, gammas=[1.0])
+    config_path = _write(tmp_path, doc)
+    for command in ("validate", "run"):
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, (command, err)
+        assert "config error: diagnostics.lyapunov_every:" in err, (command, err)
+        assert not (tmp_path / "out").exists()
+
+
 def _table_keys(spec):
     """Every key a config table (or its variants and subsections) accepts."""
     if isinstance(spec, Variants):
@@ -238,6 +266,30 @@ def test_unknown_family_exit_code(tmp_path, capsys):
 
 def test_missing_config_file(capsys):
     assert main(["run", "--config", "/does/not/exist.json"]) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param([], "command", id="no-command"),
+    pytest.param(["frobnicate"], "frobnicate", id="unknown-command"),
+    pytest.param(["run"], "--config", id="no-config"),
+    pytest.param(["run", "--config", "c.json", "--seed", "2.5"], "--seed", id="seed-fraction"),
+    pytest.param(["run", "--config", "c.json", "--threads", "x"], "--threads",
+                 id="threads-text"),
+    pytest.param(["validate", "--config", "c.json", "--verbose"], "--verbose",
+                 id="unknown-flag"),
+])
+def test_usage_errors_exit_one_naming_argument(capsys, argv, named):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: nestopt"), err
+    assert named in err, err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_zero_replications_rejected(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     Diminishing, IterateState, NoiseModel, init_state,
-                     level_streams, run)
+                     Diminishing, ExactEvaluators, IterateState, NoiseModel,
+                     init_state, level_streams, run)
 from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, lyapunov,
                                  objective_tail_oscillation, optimality_measure)
 from nestopt.errors import MissingExactEvaluatorsError
@@ -80,19 +80,12 @@ def test_random_iterate_measure():
 
 def _two_level_scalar_problem():
     # f1(x, u) = 2x + u, f2(x) = 3x + 1 on X = [-1, 1]
-    top = DeterministicOracle(1, 1, lambda x, u: (
+    top = DeterministicOracle(lambda x, u: (
         np.array([2.0 * x[0] + u[0]]), np.array([[2.0]]), np.array([[1.0]])))
-    bottom = DeterministicOracle(1, 0, lambda x, u: (
+    bottom = DeterministicOracle(lambda x, u: (
         np.array([3.0 * x[0] + 1.0]), np.array([[3.0]]), None))
-
-    def value_jac(m, x, u_next):
-        if m == 1:
-            return np.array([2.0 * x[0] + u_next[0]]), np.array([[2.0]]), np.array([[1.0]])
-        return np.array([3.0 * x[0] + 1.0]), np.array([[3.0]]), None
-
-    from nestopt import ExactEvaluators
     return CompositionProblem(1, (1, 1), Box([-1.0], [1.0]), (top, bottom),
-                              ExactEvaluators(value_jac, 2))
+                              ExactEvaluators((top, bottom)))
 
 
 def test_lyapunov_hand_computed_two_level():
@@ -154,7 +147,7 @@ def test_run_merit_columns_match_reference_bits(spec, seed):
     gammas = (0.7, 1.3)  # not 1, so that g*r*r and g*(r*r) may round apart
     rec = run(problem, params, 60, diagnostics=DiagnosticsConfig(
         track_every=0, exact_every=0, lyapunov_every=7, gammas=gammas))
-    if problem.name == "risk_p2":
+    if spec["family"] == "risk_p2":
         assert rec.clamp_events > 0  # the clamped sqrt branch is on the path
     streams = level_streams(params.seed, problem.M)
     state = init_state(problem, params, streams=streams)
@@ -311,19 +304,12 @@ def test_exact_window_limits_nested_residual_rows(smooth_problem, default_params
 def test_merits_agree_on_shared_terms_when_top_ignores_tracker():
     # top level does not read its inner argument, so f1(x, u2) = V1(x) and
     # residuals of size one enter both merit functions identically
-    top = DeterministicOracle(1, 1, lambda x, u: (
+    top = DeterministicOracle(lambda x, u: (
         np.array([2.0 * x[0]]), np.array([[2.0]]), np.array([[0.0]])))
-    bottom = DeterministicOracle(1, 0, lambda x, u: (
+    bottom = DeterministicOracle(lambda x, u: (
         np.array([3.0 * x[0]]), np.array([[3.0]]), None))
-
-    def value_jac(m, x, u_next):
-        if m == 1:
-            return np.array([2.0 * x[0]]), np.array([[2.0]]), np.array([[0.0]])
-        return np.array([3.0 * x[0]]), np.array([[3.0]]), None
-
-    from nestopt import CompositionProblem, ExactEvaluators
     problem = CompositionProblem(1, (1, 1), Box([-1.0], [1.0]), (top, bottom),
-                                 ExactEvaluators(value_jac, 2))
+                                 ExactEvaluators((top, bottom)))
     x = np.array([0.5])
     z = np.array([0.1])
     for resid in (0.0, 1.0):

@@ -94,7 +94,7 @@ def _linear_problem(n=4):
     def value_jac(x, u):
         return A @ x, A, None
 
-    oracle = DeterministicOracle(1, 0, value_jac)
+    oracle = DeterministicOracle(value_jac)
     return CompositionProblem(n, (1,), Box(np.full(n, -1.0), np.full(n, 1.0)),
                               (oracle,))
 
@@ -104,11 +104,9 @@ def test_validate_minimal_single_level():
 
 
 class _BadColumnsOracle(LevelOracle):
-    """Claims in_dim=3 but emits a 2-column u-block."""
+    """Emits a 2-column u-block where level_dims says 3 columns."""
 
     def __init__(self, n):
-        self.out_dim = 1
-        self.in_dim = 3
         self.n = n
 
     def sample(self, x, u_next, rng, k=0):
@@ -117,7 +115,7 @@ class _BadColumnsOracle(LevelOracle):
 
 def test_validate_reports_column_mismatch():
     n = 4
-    bottom = DeterministicOracle(3, 0, lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
+    bottom = DeterministicOracle(lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
     problem = CompositionProblem(n, (1, 3), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (_BadColumnsOracle(n), bottom))
     violations = validate_problem(problem)
@@ -136,7 +134,7 @@ def test_validate_shipped_risk_clean():
 
 def test_validate_is_pure():
     n = 4
-    bottom = DeterministicOracle(3, 0, lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
+    bottom = DeterministicOracle(lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
     problem = CompositionProblem(n, (1, 3), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (_BadColumnsOracle(n), bottom))
     assert validate_problem(problem) == validate_problem(problem)
@@ -150,7 +148,7 @@ def _square_problem():
     def value_jac(x, u):
         return np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None
 
-    oracle = DeterministicOracle(1, 0, value_jac)
+    oracle = DeterministicOracle(value_jac)
     return CompositionProblem(1, (1,), Box([-10.0], [10.0]), (oracle,))
 
 
@@ -173,7 +171,7 @@ def test_init_one_sample_matches_derivative(default_params):
 
 def test_init_projects_onto_box(default_params):
     n = 6
-    oracle = DeterministicOracle(1, 0, lambda x, u: (np.array([0.0]), np.zeros((1, n)), None))
+    oracle = DeterministicOracle(lambda x, u: (np.array([0.0]), np.zeros((1, n)), None))
     problem = CompositionProblem(n, (1,), Box(np.zeros(n), np.ones(n)), (oracle,))
     state = init_state(problem, default_params, init_x=2.0 * np.ones(n))
     assert np.array_equal(state.x, np.ones(n))

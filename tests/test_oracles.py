@@ -18,7 +18,7 @@ def _affine_oracle(A, B=None, c=None):
             val = val + B @ u
         return val, A, B
 
-    return DeterministicOracle(A.shape[0], 0 if B is None else B.shape[1], value_jac)
+    return DeterministicOracle(value_jac)
 
 
 def test_deterministic_linear_exact_and_idempotent():

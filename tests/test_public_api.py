@@ -1,4 +1,5 @@
 import nestopt
+import nestopt.problems
 
 
 def test_public_names_pinned():
@@ -21,3 +22,13 @@ def test_public_names_pinned():
     assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 47
     for name in nestopt.__all__:
         assert hasattr(nestopt, name), name
+
+
+def test_problems_names_pinned():
+    assert sorted(nestopt.problems.__all__) == sorted([
+        "FiniteScenarios", "GaussianScenarios", "make_problem", "random_scenarios",
+        "risk_p1", "risk_p2", "scenarios_from_csv", "solve_vi_fixed_point",
+        "svi_problem", "synthetic_smooth",
+    ])
+    for name in nestopt.problems.__all__:
+        assert hasattr(nestopt.problems, name), name

@@ -154,7 +154,7 @@ def _square_problem(record_box=None):
             record_box.append(x.copy())
         return np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None
 
-    oracle = DeterministicOracle(1, 0, value_jac)
+    oracle = DeterministicOracle(value_jac)
     return CompositionProblem(1, (1,), Box([-1.0], [1.0]), (oracle,))
 
 
@@ -203,7 +203,7 @@ def test_step_fixed_point_at_solution(smooth_problem, default_params):
 
 def test_run_rejects_vector_objective():
     n = 3
-    oracle = DeterministicOracle(2, 0, lambda x, u: (np.zeros(2), np.zeros((2, n)), None))
+    oracle = DeterministicOracle(lambda x, u: (np.zeros(2), np.zeros((2, n)), None))
     problem = CompositionProblem(n, (2,), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (oracle,))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
@@ -268,7 +268,7 @@ def test_deterministic_reduction_linear_convergence():
 
     problem = CompositionProblem(
         n, (1,), Box(np.full(n, -1e12), np.full(n, 1e12)),
-        (DeterministicOracle(1, 0, value_jac),))
+        (DeterministicOracle(value_jac),))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
     x0 = np.ones(n)
     record = run(problem, params, 1000,
@@ -282,8 +282,6 @@ class _PoisonOracle(LevelOracle):
     """Returns NaN from iteration 3 onward."""
 
     def __init__(self, n):
-        self.out_dim = 1
-        self.in_dim = 0
         self.n = n
 
     def sample(self, x, u_next, rng, k=0):
