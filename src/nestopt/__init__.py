@@ -10,10 +10,7 @@ of all nested values simultaneously.
 from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
                           fit_rate, lyapunov, objective_tail_oscillation,
                           optimality_measure)
-from .errors import (CompoptError, ConfigError, InvalidHorizonError,
-                     InvalidParamError, MissingExactEvaluatorsError,
-                     NonFiniteIterateError, ProjectionError,
-                     ScheduleExhaustedError, SolverSetupError, UnknownFamilyError)
+from .errors import CompoptError, ConfigError, NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     Diminishing, ExactEvaluators, InitPolicy, IterateState,
                     StepSchedule, Violation, init_state, next_stepsize,
@@ -27,12 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmParams", "Ball", "Box", "CompoptError", "CompositionProblem",
     "ConfigError", "Constant", "Custom", "CustomSet", "DiagnosticsConfig",
-    "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "InvalidHorizonError",
-    "InvalidParamError", "IterateState", "LevelOracle",
-    "MissingExactEvaluatorsError", "NoiseModel", "NoisyOracle",
-    "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample", "Polytope",
-    "ProjectionError", "RunRecord", "ScheduleExhaustedError", "Simplex",
-    "SolverSetupError", "StepSchedule", "UnknownFamilyError", "Violation",
+    "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "IterateState",
+    "LevelOracle", "NoiseModel", "NoisyOracle", "NonFiniteIterateError",
+    "ObjectiveTailReport", "OracleSample", "Polytope", "ProjectionError", "RunRecord",
+    "Simplex", "StepSchedule", "Violation",
     "assemble_subgradient", "fit_rate", "gap", "init_state", "level_streams",
     "lyapunov", "next_stepsize", "objective_tail_oscillation",
     "optimality_measure", "run", "stepsize_cap", "update_trackers", "update_z",

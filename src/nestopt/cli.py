@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .errors import CompoptError, ConfigError
-from .experiment import load_config, rate_experiment, run_single
+from .experiment import check_diagnostics, load_config, rate_experiment, run_single
 from .model import validate_problem
 from .problems import make_problem
 
@@ -61,10 +61,7 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
             return 0
         problem = make_problem(cfg.problem_spec)
-        if cfg.diagnostics.lyapunov_every and problem.exact is None:
-            raise ConfigError("diagnostics.lyapunov_every",
-                              "the merit pair needs exact evaluators, which this problem "
-                              "does not carry")
+        check_diagnostics(cfg.diagnostics, problem)
         violations = validate_problem(problem)
         for v in violations:
             print(f"violation (level={v.level}, kind={v.kind}): {v.message}",

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig
-from .errors import ConfigError, InvalidParamError, UnknownFamilyError
+from .errors import ConfigError
 from .model import AlgorithmParams, Constant, Custom, Diminishing, InitPolicy
 from .oracles import NoiseModel
 from .sets import Ball, Box, Polytope, Simplex
@@ -57,15 +57,20 @@ def section(table, default=REQUIRED):
     return Field("section", default, of=table)
 
 
-POSITIVE, NONNEGATIVE = "(0, inf)", "[0, inf)"
+# positive and far from underflow: tau0 / 10^6, theta / 10^3 and epsilon / 2 stay above 0
+POSITIVE, NONNEGATIVE = "[1e-300, inf)", "[0, inf)"
 # size caps: no build allocates an array of more than about 10^7 entries
 DIM, SCENARIO_COUNT = "[1, 1000]", "[1, 10000]"
 # run allocates about 64 + 16 M bytes per iteration before iteration 0, so at
 # most 0.6 GB at the levels cap of 32; a rate experiment holds one small
 # payload and result per replication of each horizon
 ITERATIONS, REPLICATIONS, HORIZONS = "[1, 1000000]", "[1, 1000]", 100
+# (k+1)^gamma within [1, 10^6] up to the iterations cap: no overflow, no division by 0
+STEP_DECAY = "[0, 1]"
+# the svi ground truth's fixed-point steps grow with the square of the skew part
+SKEW = "[-10, 10]"
 SCHEDULES = Variants("kind", {
-    "diminishing": Table({"tau0": number(within=POSITIVE), "gamma": number()},
+    "diminishing": Table({"tau0": number(within=POSITIVE), "gamma": number(within=STEP_DECAY)},
                          lambda f: Diminishing(f["tau0"], f["gamma"])),
     "constant": Table({"tau": number(within=POSITIVE)}, lambda f: Constant(f["tau"])),
     "custom": Table({"taus": Field("numbers", within=POSITIVE)}, lambda f: Custom(f["taus"])),
@@ -99,9 +104,10 @@ PROBLEMS = Variants("family", {
                                "instance_seed": count(1, NONNEGATIVE), "halfwidth": number(2.0),
                                "coupling": number(0.4), "noise": section(NOISE, None)}),
     "risk_p1": Table(RISK, levels=2),
-    "risk_p2": Table({**RISK, "epsilon": number(1e-4)}, levels=3),
+    "risk_p2": Table({**RISK, "epsilon": number(1e-4, POSITIVE)}, levels=3),
     "svi": Table({"n": count(5, DIM), "instance_seed": count(3, NONNEGATIVE),
-                  "skew_scale": number(0.5), "r": number(1.0), "noise_sd": number(0.0, NONNEGATIVE),
+                  "skew_scale": number(0.5, SKEW), "r": number(1.0),
+                  "noise_sd": number(0.0, NONNEGATIVE),
                   "matrix": Field("matrix", "identity_plus_skew", length="n"),
                   "b": Field("vector", "auto", length="n"), "monotone": Field("bool", True),
                   "set": section(SETS, None)}, levels=2),
@@ -149,7 +155,7 @@ def _scalar(value, f: Field, name: str, integral: bool):
         lo, hi = (float(end) for end in f.within[1:-1].split(","))
         if not ((lo <= value if f.within[0] == "[" else lo < value)
                 and (value <= hi if f.within[-1] == "]" else value < hi)):
-            raise InvalidParamError(name, f"must be in {f.within}, got {value}")
+            raise ConfigError(name, f"must be in {f.within}, got {value}")
     return value
 
 
@@ -203,9 +209,7 @@ def read(doc, spec: Table | Variants, path: str = "", sizes: dict | None = None)
         if name is None:
             name, doc = doc.get(spec.key), {k: v for k, v in doc.items() if k != spec.key}
             if not (isinstance(name, str) and name in spec.tables):
-                error = UnknownFamilyError if spec.key == "family" else ConfigError
-                raise error(_join(path, spec.key), f"expected one of {', '.join(spec.tables)}, "
-                                                   f"got {reprlib.repr(name)}")
+                raise _expected(_join(path, spec.key), f"one of {', '.join(spec.tables)}", name)
         out[spec.key], spec = name, spec.tables[name]
     unknown = [key for key in doc if key not in spec.fields]
     if unknown:

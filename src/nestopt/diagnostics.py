@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParamError, MissingExactEvaluatorsError
+from .errors import ConfigError
 from .model import CompositionProblem, IterateState
 from .sets import gap as set_gap
 
@@ -33,8 +33,7 @@ class DiagnosticsConfig:
 
     def __post_init__(self):
         if self.lyapunov_every and self.gammas is None:
-            raise InvalidParamError("diagnostics.gammas",
-                                    "lyapunov_every > 0 needs the merit weights")
+            raise ConfigError("diagnostics.gammas", "lyapunov_every > 0 needs the merit weights")
 
 
 @dataclass
@@ -78,10 +77,8 @@ def optimality_measure(record: RunRecord) -> np.ndarray:
     out = record.d_sq.astype(float)
     if record.n_levels >= 2:
         if record.tracking is None:
-            raise MissingExactEvaluatorsError(
-                "optimality measure needs tracking columns; "
-                "run with track_every >= 1 on a problem with exact evaluators"
-            )
+            raise ValueError("optimality measure needs tracking columns; run with "
+                             "track_every >= 1 on a problem with exact evaluators")
         out += np.sum(record.tracking[:, 1:]**2, axis=1)
     return out
 
@@ -109,7 +106,7 @@ def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
     """
     exact = problem.exact
     if exact is None:
-        raise MissingExactEvaluatorsError("Lyapunov diagnostics need exact evaluators")
+        raise ValueError("Lyapunov diagnostics need exact evaluators")
     M = problem.M
     if len(gammas) != max(M - 1, 0):
         raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
@@ -147,8 +144,7 @@ def objective_tail_oscillation(record: RunRecord,
     the sampling interval over the tail fraction).
     """
     if record.objective is None:
-        raise MissingExactEvaluatorsError(
-            "objective series not recorded; run with exact_every >= 1")
+        raise ValueError("objective series not recorded; run with exact_every >= 1")
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
     start = record.iterations - max(1, int(tail_fraction * record.iterations))

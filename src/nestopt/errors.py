@@ -2,7 +2,10 @@
 
 
 class CompoptError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class of the package's errors: the CLI exits 1 on a ConfigError, 2 on any other.
+
+    A library call given an argument no config can produce raises ValueError.
+    """
 
 
 class ConfigError(CompoptError):
@@ -16,22 +19,6 @@ class ConfigError(CompoptError):
         return type(self), (self.field, self.message)
 
 
-class InvalidParamError(ConfigError):
-    """A problem or algorithm parameter is outside its admissible range."""
-
-
-class UnknownFamilyError(ConfigError):
-    """The requested problem family is not registered."""
-
-
-class InvalidHorizonError(CompoptError):
-    """Iteration count must be a positive integer."""
-
-
-class ScheduleExhaustedError(CompoptError):
-    """A custom stepsize sequence has fewer entries than requested iterations."""
-
-
 class ProjectionError(CompoptError):
     """A projection subroutine failed to converge."""
 
@@ -42,11 +29,3 @@ class NonFiniteIterateError(CompoptError):
     def __init__(self, iteration: int, what: str = "state"):
         self.iteration = iteration
         super().__init__(f"non-finite {what} at iteration {iteration}")
-
-
-class SolverSetupError(CompoptError):
-    """The problem cannot be run as configured (e.g. non-scalar objective level)."""
-
-
-class MissingExactEvaluatorsError(CompoptError):
-    """The requested diagnostic needs exact evaluators the problem does not carry."""

@@ -20,7 +20,7 @@ from .config import CONFIG, SCHEMA_VERSION, read
 from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate,
                           objective_tail_oscillation, optimality_measure)
 from .errors import ConfigError
-from .model import AlgorithmParams, Constant, InitPolicy
+from .model import AlgorithmParams, Constant, Custom, InitPolicy
 from .problems import make_problem
 from .sets import gap as set_gap
 from .solver import run
@@ -47,8 +47,20 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     cfg = read(doc, CONFIG)
     (init_policy, init_x), iterations = cfg["run"]["init"], cfg["run"]["iterations"]
+    schedule = cfg["algorithm"].schedule
+    if iterations is not None and isinstance(schedule, Custom) and len(schedule.taus) < iterations:
+        raise ConfigError("algorithm.schedule.taus", f"has {len(schedule.taus)} entries, "
+                                                     f"need run.iterations = {iterations}")
     return ExperimentConfig(doc, doc["problem"], cfg["algorithm"], iterations, init_policy,
                             init_x, cfg["diagnostics"], cfg["rate_experiment"], cfg["output_dir"])
+
+
+def check_diagnostics(diagnostics: DiagnosticsConfig, problem) -> None:
+    """ConfigError unless ``problem`` can record what ``diagnostics`` asks for."""
+    if diagnostics.lyapunov_every and problem.exact is None:
+        raise ConfigError("diagnostics.lyapunov_every",
+                          "the merit pair needs exact evaluators, which this problem "
+                          "does not carry")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -174,6 +186,7 @@ def _replication_task(payload: dict) -> dict:
     ||d||^2 alone (tracking errors need ground truth).
     """
     problem = make_problem(payload["problem"])
+    check_diagnostics(payload["diagnostics"], problem)
     record = run(problem, payload["params"], payload["iterations"],
                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
                  init_x=payload["init_x"], init_policy=payload["init_policy"],
@@ -213,7 +226,8 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     reps = cfg.rate["replications"]
     payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
                  "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter))),
-                 "init_x": cfg.init_x, "init_policy": cfg.init_policy}
+                 "init_x": cfg.init_x, "init_policy": cfg.init_policy,
+                 "diagnostics": cfg.diagnostics}
                 for n_iter in horizons for r in range(reps)]
     # the pool forks all its workers at once, so never more than there are tasks
     workers = min(threads, len(payloads))

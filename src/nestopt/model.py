@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScheduleExhaustedError
 from .oracles import _SEED_MAX, LevelOracle, OracleSample, level_streams
 from .sets import FeasibleSet
 
@@ -56,9 +55,7 @@ def next_stepsize(schedule: StepSchedule, k: int, a: float, b: float) -> float:
         raw = schedule.tau
     elif isinstance(schedule, Custom):
         if k >= len(schedule.taus):
-            raise ScheduleExhaustedError(
-                f"custom schedule has {len(schedule.taus)} entries, needed k={k}"
-            )
+            raise ValueError(f"custom schedule has {len(schedule.taus)} entries, needed k={k}")
         raw = schedule.taus[k]
     else:
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..config import PROBLEMS, read
-from ..errors import InvalidParamError
+from ..errors import ConfigError
 from ..model import CompositionProblem
 from .risk import (FiniteScenarios, GaussianScenarios, random_scenarios, risk_p1,
                    risk_p2, scenarios_from_csv)
@@ -25,8 +25,8 @@ def _scenarios(spec: dict, n: int):
         return GaussianScenarios(**spec)
     scen = scenarios_from_csv(spec["csv"], spec["relu"])
     if scen.n != n:
-        raise InvalidParamError("problem.scenarios.csv", f"has {scen.n} coefficient "
-                                                         f"columns, problem.n is {n}")
+        raise ConfigError("problem.scenarios.csv", f"has {scen.n} coefficient "
+                                                   f"columns, problem.n is {n}")
     return scen
 
 

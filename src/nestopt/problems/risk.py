@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidParamError
+from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
 from ..oracles import LevelOracle, OracleSample
 from ..sets import FeasibleSet, Simplex
@@ -41,8 +41,7 @@ class FiniteScenarios:
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             total = w.sum()
         if np.any(w < 0) or not 0 < total < np.inf:  # also rejects NaN
-            raise InvalidParamError("scenarios.weights",
-                                    "weights must be >= 0 with a finite sum > 0")
+            raise ConfigError("scenarios.weights", "weights must be >= 0 with a finite sum > 0")
         w = w / total
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "coef", np.atleast_2d(np.asarray(self.coef, dtype=float)))
@@ -51,7 +50,7 @@ class FiniteScenarios:
         cum[-1] = 1.0
         object.__setattr__(self, "_cum", cum)
         if self.coef.shape[0] != w.size or self.offset.size != w.size:
-            raise InvalidParamError("scenarios", "weights, coef, offset row counts differ")
+            raise ConfigError("scenarios", "weights, coef, offset row counts differ")
 
     @property
     def n(self) -> int:
@@ -123,16 +122,16 @@ def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
             warnings.simplefilter("error")  # loadtxt only warns about an empty file
             data = np.atleast_2d(np.loadtxt(path, delimiter=","))
     except (OSError, ValueError, UserWarning) as exc:
-        raise InvalidParamError("problem.scenarios.csv", str(exc)) from exc
+        raise ConfigError("problem.scenarios.csv", str(exc)) from exc
     if data.shape[1] < 3:
-        raise InvalidParamError("problem.scenarios.csv", "need columns weight, coef..., offset")
+        raise ConfigError("problem.scenarios.csv", "need columns weight, coef..., offset")
     if not np.isfinite(data).all():
-        raise InvalidParamError("problem.scenarios.csv", "every entry must be finite")
+        raise ConfigError("problem.scenarios.csv", "every entry must be finite")
     try:
         return FiniteScenarios(weights=data[:, 0], coef=data[:, 1:-1],
                                offset=data[:, -1], relu=relu)
-    except InvalidParamError as exc:
-        raise InvalidParamError("problem.scenarios.csv", exc.message) from exc
+    except ConfigError as exc:
+        raise ConfigError("problem.scenarios.csv", exc.message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ class SqrtRiskLevel(_ScenarioLevel):
 def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> CompositionProblem:
     """Two-level mean-semideviation problem (p = 1) over a feasible set."""
     if not 0.0 <= kappa <= 1.0:
-        raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
+        raise ConfigError("problem.kappa", "kappa must lie in [0, 1]")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
     exact = ExactEvaluators(oracles) if isinstance(scen, FiniteScenarios) else None
@@ -256,9 +255,9 @@ def risk_p2(scen, kappa: float, epsilon: float,
             feasible_set: FeasibleSet | None = None) -> CompositionProblem:
     """Three-level mean-semideviation problem (p = 2)."""
     if not 0.0 <= kappa <= 1.0:
-        raise InvalidParamError("problem.kappa", "kappa must lie in [0, 1]")
+        raise ConfigError("problem.kappa", "kappa must lie in [0, 1]")
     if epsilon <= 0.0:
-        raise InvalidParamError("problem.epsilon", "epsilon must be strictly positive")
+        raise ConfigError("problem.epsilon", "epsilon must be strictly positive")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidParamError
+from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
 from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample
 from ..sets import Box, FeasibleSet
@@ -33,7 +33,7 @@ class RegularizedGapLevel(LevelOracle):
 
     def __init__(self, feasible_set: FeasibleSet, r: float):
         if r <= 0:
-            raise InvalidParamError("problem.r", "regularization r must be positive")
+            raise ConfigError("problem.r", "regularization r must be positive")
         self.feasible_set = feasible_set
         self.r = float(r)
 
@@ -68,7 +68,7 @@ def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,
     sym = 0.5 * (A + A.T)
     mu = float(np.min(np.linalg.eigvalsh(sym)))
     if mu <= 0:
-        raise InvalidParamError("problem.matrix", "map is not strongly monotone")
+        raise ConfigError("problem.matrix", "map is not strongly monotone")
     lip = float(np.linalg.norm(A, 2))
     gamma = mu / lip**2
     x = fs.anchor()
@@ -77,7 +77,7 @@ def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,
         if float(np.max(np.abs(x_new - x))) <= tol:
             return x_new
         x = x_new
-    raise InvalidParamError("problem", "fixed-point iteration did not converge")
+    raise ConfigError("problem", "fixed-point iteration did not converge")
 
 
 def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
@@ -93,7 +93,7 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
     """
     fs = feasible_set if feasible_set is not None else Box(np.zeros(n), np.full(n, 2.0))
     if fs.dim != n:
-        raise InvalidParamError("problem.set", f"set dimension {fs.dim} != n={n}")
+        raise ConfigError("problem.set", f"set dimension {fs.dim} != n={n}")
     gap_level = RegularizedGapLevel(fs, r)  # rejects r <= 0
     rng = np.random.default_rng(instance_seed)
     if isinstance(matrix, str):
@@ -103,14 +103,14 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
             B = rng.standard_normal((n, n))
             A = np.eye(n) + skew_scale * 0.5 * (B - B.T)
         else:
-            raise InvalidParamError("problem.matrix", f"unknown matrix kind {matrix!r}")
+            raise ConfigError("problem.matrix", f"unknown matrix kind {matrix!r}")
     else:
         A = np.asarray(matrix, dtype=float)
         if A.shape != (n, n):
-            raise InvalidParamError("problem.matrix", f"matrix must be {n}x{n}")
+            raise ConfigError("problem.matrix", f"matrix must be {n}x{n}")
     if isinstance(b, str):
         if b != "auto":
-            raise InvalidParamError("problem.b", f"unknown b spec {b!r}")
+            raise ConfigError("problem.b", f"unknown b spec {b!r}")
         # zero the map at a point strictly inside the set
         target = fs.anchor() + 0.1 * rng.standard_normal(n)
         target = fs.anchor() + 0.8 * (fs.project(target) - fs.anchor())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidParamError
+from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
 from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample
 from ..sets import Box
@@ -76,11 +76,11 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     x-center itself, strictly inside the box [-halfwidth, halfwidth]^n.
     """
     if levels < 1:
-        raise InvalidParamError("problem.levels", "need at least one level")
+        raise ConfigError("problem.levels", "need at least one level")
     if n < 1 or inner_dim < 1:
-        raise InvalidParamError("problem.n", "dimensions must be positive")
+        raise ConfigError("problem.n", "dimensions must be positive")
     if halfwidth <= 0:
-        raise InvalidParamError("problem.halfwidth", "halfwidth must be positive")
+        raise ConfigError("problem.halfwidth", "halfwidth must be positive")
     rng = np.random.default_rng(instance_seed)
     M = levels
     x_hat = rng.uniform(-0.5 * halfwidth, 0.5 * halfwidth, size=n)

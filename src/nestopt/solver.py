@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig, RunRecord, lyapunov, tracking_errors
-from .errors import (InvalidHorizonError, MissingExactEvaluatorsError,
-                     NonFiniteIterateError, ProjectionError, SolverSetupError)
+from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
 from .oracles import OracleSample, level_streams
@@ -70,16 +69,14 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     the old trackers, chain-rule assembly, z update, tracker update.  The
     squared norms double as the finiteness guard (NaN propagates, an
     overflowing square counts as divergence): NonFiniteIterateError(k).
-    Returns (y, d, ||d||^2, samples, g1, x', z', u', ||z'||^2, max_m ||u'_m||^2).
+    Returns (d, ||d||^2, samples, x', z', u', ||z'||^2, max_m ||u'_m||^2).
     """
-    y = problem.feasible_set.project(x - z / params.rho)
-    d = y - x
+    d = problem.feasible_set.project(x - z / params.rho) - x
     dsq = float(d @ d)
     dx = tau * d
     x = x + dx
     samples = problem.sample_levels(x, u, streams, k)
-    g1 = assemble_subgradient(samples)[0]
-    z = update_z(z, g1, params.a, tau)
+    z = update_z(z, assemble_subgradient(samples)[0], params.a, tau)
     u = update_trackers(u, samples, dx, params.b, tau)
     zsq = float(z @ z)
     chk = dsq + zsq
@@ -91,7 +88,7 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
             usq = sq
     if not math.isfinite(chk):
         raise NonFiniteIterateError(k)
-    return y, d, dsq, samples, g1, x, z, u, zsq, usq
+    return d, dsq, samples, x, z, u, zsq, usq
 
 
 def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
@@ -107,16 +104,16 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     level) counter-derived streams of params.seed.
     """
     if not isinstance(iterations, int) or iterations < 1:
-        raise InvalidHorizonError(f"iterations must be a positive integer, got {iterations}")
+        raise ValueError(f"iterations must be a positive integer, got {iterations}")
     if problem.level_dims[0] != 1:
-        raise SolverSetupError("the solver needs a scalar top level (d_1 = 1)")
+        raise ValueError("the solver needs a scalar top level (d_1 = 1)")
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
     M = problem.M
     exact = problem.exact
     if exact is None:
         # tracking columns are on by default but need ground truth; drop them
         if diag.lyapunov_every:
-            raise MissingExactEvaluatorsError("lyapunov recording needs exact evaluators")
+            raise ValueError("lyapunov recording needs exact evaluators")
         diag = DiagnosticsConfig(track_every=0, exact_every=0, lyapunov_every=0)
 
     N = iterations
@@ -154,7 +151,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
             if rec_lyap is not None and k % diag.lyapunov_every == 0:
                 rec_lyap[k] = lyapunov(problem, x, z, u, a, rho, diag.gammas)
 
-            _, d, dsq, samples, _, x, z_new, u, zsq, usq = _advance(
+            d, dsq, samples, x, z_new, u, zsq, usq = _advance(
                 problem, params, x, z, u, taus[k], streams, k)
             rec_dsq[k] = dsq
             rec_eta[k] = float(z @ d) + 0.5 * rho * dsq

@@ -9,7 +9,11 @@ bounds of the boundedness guard are computed here from the problems' fields.
 
 from __future__ import annotations
 
+import copy
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -57,10 +61,11 @@ def step(state: IterateState, problem: CompositionProblem, params: AlgorithmPara
          streams: Sequence[np.random.Generator]) -> tuple[IterateState, StepTrace]:
     """One iteration of the method from ``state``, through run's own body."""
     tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    y, d, _, samples, g1, x, z, u, _, _ = _advance(
+    d, _, samples, x, z, u, _, _ = _advance(
         problem, params, state.x, state.z, state.u, tau, streams, state.k)
+    y = problem.feasible_set.project(state.x - state.z / params.rho)
     return (IterateState(state.k + 1, x, z, tuple(u)),
-            StepTrace(y, d, g1, tuple(samples)))
+            StepTrace(y, d, assemble_subgradient(samples)[0], tuple(samples)))
 
 
 def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
@@ -434,3 +439,61 @@ def tracking_error_bound_check(runs_by_horizon: Mapping[int, Sequence[RunRecord]
             satisfied=bool(np.isfinite(c_emp)), non_increasing=non_inc,
         ))
     return reports
+
+
+# what one leaf of a config becomes: null (as if left out), each other JSON kind, and
+# numbers at the signs, edges and overflow points of the ranges
+FUZZ_VALUES = (None, True, "x", [], {}, -1, 0, 0.5, 400, -400, 1e308, -1e308, 5e-324)
+
+
+def _leaves(doc, path: tuple = ()):
+    """The path of every scalar in a JSON document."""
+    if not isinstance(doc, (dict, list)):
+        yield path
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from _leaves(value, path + (key,))
+
+
+def fuzz_configs(config_dir, work) -> list[str]:
+    """Each call of ``nestopt.cli.main`` that did not end in exit 0, 1 or 2.
+
+    Every single-leaf mutation (to each of FUZZ_VALUES) of every config in
+    config_dir goes through validate, run and, for a config with a
+    rate_experiment section, rate-experiment --threads 1, all in process.
+    Runs are cut to 10 iterations, enough for (k+1)^400 to overflow, and rate
+    experiments to horizons 1, 2, 3 of one replication, unless the mutated
+    leaf is one of those.
+    """
+    from nestopt.cli import main
+
+    work = Path(work)
+    config, out = work / "config.json", str(work / "out")
+    failures = []
+    for path in sorted(Path(config_dir).glob("*.json")):
+        base = json.loads(path.read_text(encoding="utf-8"))
+        base.setdefault("run", {})["iterations"] = 10
+        commands = ("validate", "run")
+        if "rate_experiment" in base:  # without it, rate-experiment stops at the config read
+            base["rate_experiment"].update(horizons=[1, 2, 3], replications=1)
+            commands += ("rate-experiment",)
+        for leaf in _leaves(base):
+            for value in FUZZ_VALUES:
+                doc = copy.deepcopy(base)
+                node = doc
+                for key in leaf[:-1]:
+                    node = node[key]
+                node[leaf[-1]] = value
+                config.write_text(json.dumps(doc), encoding="utf-8")
+                for command in commands:
+                    err = io.StringIO()
+                    try:
+                        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                            code = main([command, "--config", str(config), "--out", out,
+                                         "--threads", "1"])
+                    except Exception as exc:  # noqa: BLE001 - the traceback under test
+                        code = f"{type(exc).__name__}: {exc}"
+                    if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+                        failures.append(f"{path.name} {'.'.join(map(str, leaf))} = {value!r}, "
+                                        f"{command}: {code}")
+    return failures

@@ -114,6 +114,18 @@ def _bad(case_id, config, path, value, field, args=()):
          {"kind": "constant", "tau": 0}, "algorithm.schedule.tau"),
     _bad("custom-tau-negative", "risk_p1_run.json", ("algorithm", "schedule"),
          {"kind": "custom", "taus": [0.5, -0.1]}, "algorithm.schedule.taus"),
+    _bad("custom-schedule-short", "risk_p1_run.json", ("algorithm", "schedule"),
+         {"kind": "custom", "taus": [0.5, 0.5]}, "algorithm.schedule.taus"),
+    _bad("gamma-overflow", "risk_p1_run.json", ("algorithm", "schedule", "gamma"), 400,
+         "algorithm.schedule.gamma"),
+    _bad("gamma-negative", "risk_p1_run.json", ("algorithm", "schedule", "gamma"), -400,
+         "algorithm.schedule.gamma"),
+    _bad("tau0-subnormal", "synthetic_run.json", ("algorithm", "schedule", "tau0"), 5e-324,
+         "algorithm.schedule.tau0"),
+    _bad("epsilon-subnormal", "risk_p2_run.json", ("problem", "epsilon"), 5e-324,
+         "problem.epsilon"),
+    _bad("skew-scale-overflow", "svi_run.json", ("problem", "skew_scale"), 1e308,
+         "problem.skew_scale"),
     _bad("lyapunov-without-gammas", "risk_p2_run.json", ("diagnostics", "lyapunov_every"), 5,
          "diagnostics.gammas"),
     _bad("gammas-wrong-count", "risk_p2_run.json", ("diagnostics",),
@@ -138,6 +150,8 @@ def _bad(case_id, config, path, value, field, args=()):
     _bad("theta-zero", "synthetic_rate.json", ("rate_experiment", "theta"), 0,
          "rate_experiment.theta"),
     _bad("theta-negative", "synthetic_rate.json", ("rate_experiment", "theta"), -1,
+         "rate_experiment.theta"),
+    _bad("theta-subnormal", "synthetic_rate.json", ("rate_experiment", "theta"), 5e-324,
          "rate_experiment.theta"),
     _bad("horizon-zero", "synthetic_rate.json", ("rate_experiment", "horizons"), [0, 100],
          "rate_experiment.horizons"),
@@ -234,13 +248,29 @@ def test_lyapunov_without_exact_evaluators_exit_one_naming_field(tmp_path, capsy
     doc = json.loads((CONFIG_DIR / "risk_p1_run.json").read_text(encoding="utf-8"))
     doc["problem"]["scenarios"] = {"kind": "gaussian"}
     doc["diagnostics"].update(lyapunov_every=5, gammas=[1.0])
+    doc["rate_experiment"] = {"horizons": [10, 100, 1000], "replications": 2}
     config_path = _write(tmp_path, doc)
-    for command in ("validate", "run"):
+    for command in ("validate", "run", "rate-experiment"):
         code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1, (command, err)
         assert "config error: diagnostics.lyapunov_every:" in err, (command, err)
         assert not (tmp_path / "out").exists()
+
+
+def test_config_fuzz_exits_zero_one_or_two(tmp_path):
+    # every case runs in process, in one child whose address space is capped at 1 GiB:
+    # an allocation past the caps fails that case with MemoryError, not the host
+    script = ("import json, resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "import helpers; print(json.dumps(helpers.fuzz_configs(*sys.argv[1:])))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    failures = json.loads(proc.stdout)
+    assert failures == [], "\n".join(failures[:20])
 
 
 def _table_keys(spec):
@@ -338,13 +368,14 @@ def test_seed_override_changes_output(tmp_path):
     assert summary["seed"] == 99
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
 def test_runtime_failure_exit_two(tmp_path, capsys):
     doc = _base_config()
-    doc["algorithm"]["schedule"] = {"kind": "custom", "taus": [0.5, 0.5]}
-    doc["run"]["iterations"] = 10  # exhausts the custom schedule at k=2
-    code = main(["run", "--config", str(_write(tmp_path, doc))])
+    doc["problem"]["noise"]["value_sd"] = 1e200  # squared norms overflow in iteration 0
+    code = main(["run", "--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "k=2" in capsys.readouterr().err
+    assert "runtime error: non-finite state at iteration 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _shipped(name, **run):

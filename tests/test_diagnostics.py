@@ -6,7 +6,6 @@ from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      init_state, level_streams, run)
 from nestopt.diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, lyapunov,
                                  objective_tail_oscillation, optimality_measure)
-from nestopt.errors import MissingExactEvaluatorsError
 from nestopt.problems import make_problem, synthetic_smooth
 
 from helpers import (DeterministicOracle, InsufficientReplicationsError, default_gammas,
@@ -330,5 +329,5 @@ def test_objective_tail_oscillation_report():
     assert report.mean == pytest.approx(report.last, abs=0.1)
     bare = run(problem, params, 50,
                diagnostics=DiagnosticsConfig(track_every=0, exact_every=0))
-    with pytest.raises(MissingExactEvaluatorsError):
+    with pytest.raises(ValueError, match="objective series not recorded"):
         objective_tail_oscillation(bare)

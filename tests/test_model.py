@@ -4,7 +4,7 @@ from scipy.special import zeta
 
 from nestopt import (AlgorithmParams, CompositionProblem, Constant, Custom,
                      Diminishing, InitPolicy,
-                     ScheduleExhaustedError, init_state, level_streams, next_stepsize, stepsize_cap,
+                     init_state, level_streams, next_stepsize, stepsize_cap,
                      validate_problem)
 from nestopt.model import IterateState
 from nestopt.oracles import LevelOracle, OracleSample
@@ -38,7 +38,7 @@ def test_cap_rule():
 def test_custom_schedule_and_exhaustion():
     sched = Custom((0.5, 0.25))
     assert next_stepsize(sched, 1, 1.0, 1.0) == 0.25
-    with pytest.raises(ScheduleExhaustedError):
+    with pytest.raises(ValueError, match="custom schedule has 2 entries, needed k=2"):
         next_stepsize(sched, 2, 1.0, 1.0)
 
 

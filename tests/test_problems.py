@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestopt import (InvalidParamError, NoiseModel, UnknownFamilyError, gap,
-                     validate_problem)
+from nestopt import ConfigError, NoiseModel, gap, validate_problem
 from nestopt.diagnostics import tracking_errors
 from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
                               risk_p1, risk_p2, scenarios_from_csv,
@@ -408,9 +407,10 @@ def test_svi_stationarity_certificate_at_solution():
 def test_svi_non_monotone_toggle():
     problem = svi_problem(n=3, matrix=np.diag([1.0, -1.0, 1.0]), monotone=False)
     assert problem.exact.x_star is None
-    with pytest.raises(InvalidParamError):
+    with pytest.raises(ConfigError) as exc:
         solve_vi_fixed_point(np.diag([1.0, -1.0, 1.0]), np.zeros(3),
                              Box(np.zeros(3), np.ones(3)))
+    assert exc.value.field == "problem.matrix"
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +429,19 @@ def test_make_problem_families_validate_clean():
 
 
 def test_make_problem_rejects_bad_params():
-    with pytest.raises(UnknownFamilyError):
-        make_problem({"family": "does_not_exist"})
-    with pytest.raises(InvalidParamError):
-        make_problem({"family": "risk_p1", "n": 3, "kappa": -0.1,
-                      "scenarios": {"count": 4}})
-    with pytest.raises(InvalidParamError):
-        make_problem({"family": "risk_p2", "n": 3, "kappa": 0.5, "epsilon": 0.0,
-                      "scenarios": {"count": 4}})
-    with pytest.raises(InvalidParamError):
-        make_problem({"family": "svi", "n": 3, "r": -1.0})
-    with pytest.raises(InvalidParamError):
-        make_problem({"family": "synthetic_smooth", "levels": 0})
+    cases = [
+        ({"family": "does_not_exist"}, "problem.family"),
+        ({"family": "risk_p1", "n": 3, "kappa": -0.1, "scenarios": {"count": 4}},
+         "problem.kappa"),
+        ({"family": "risk_p2", "n": 3, "kappa": 0.5, "epsilon": 0.0, "scenarios": {"count": 4}},
+         "problem.epsilon"),
+        ({"family": "svi", "n": 3, "r": -1.0}, "problem.r"),
+        ({"family": "synthetic_smooth", "levels": 0}, "problem.levels"),
+    ]
+    for spec, field in cases:
+        with pytest.raises(ConfigError) as exc:
+            make_problem(spec)
+        assert exc.value.field == field, spec
 
 
 def test_risk_p2_solver_reaches_scipy_optimum():

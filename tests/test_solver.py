@@ -5,9 +5,7 @@ import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      Custom, CustomSet, Diminishing,
-                     InitPolicy, InvalidHorizonError, IterateState,
-                     NonFiniteIterateError, ProjectionError,
-                     ScheduleExhaustedError, SolverSetupError,
+                     InitPolicy, IterateState, NonFiniteIterateError, ProjectionError,
                      assemble_subgradient, init_state, level_streams, run,
                      update_trackers, update_z)
 from nestopt.diagnostics import DiagnosticsConfig
@@ -207,7 +205,7 @@ def test_run_rejects_vector_objective():
     problem = CompositionProblem(n, (2,), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (oracle,))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
-    with pytest.raises(SolverSetupError):
+    with pytest.raises(ValueError, match=r"scalar top level \(d_1 = 1\)"):
         run(problem, params, 5)
 
 
@@ -215,9 +213,9 @@ def test_run_rejects_vector_objective():
 # full runs
 
 def test_run_rejects_bad_horizon(smooth_problem, default_params):
-    with pytest.raises(InvalidHorizonError):
+    with pytest.raises(ValueError, match="iterations must be a positive integer, got 0"):
         run(smooth_problem, default_params, 0)
-    with pytest.raises(InvalidHorizonError):
+    with pytest.raises(ValueError, match="iterations must be a positive integer, got -3"):
         run(smooth_problem, default_params, -3)
 
 
@@ -359,7 +357,7 @@ def test_short_custom_schedule_fails_before_iterating():
     seen = []
     problem = _square_problem(record_box=seen)
     params = AlgorithmParams(1.0, 1.0, 1.0, Custom((0.5, 0.5)), seed=0)
-    with pytest.raises(ScheduleExhaustedError, match="k=2"):
+    with pytest.raises(ValueError, match="custom schedule has 2 entries, needed k=2"):
         run(problem, params, 10)
     assert seen == []  # neither the initial sample nor any iteration ran
 
