@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import CompositionProblem, IterateState
+from .oracles import row_norm
 from .sets import gap as set_gap
 
 
@@ -83,15 +83,16 @@ def optimality_measure(record: RunRecord) -> np.ndarray:
     return out
 
 
-def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> list[float]:
-    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact level values."""
+def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
+    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact level values.
+
+    One row (x of shape (n,), u[m-1] of shape (d_m,)) gives shape (M,); a
+    block of rows (x of shape (B, n), u[m-1] of shape (B, d_m)) gives (B, M).
+    """
     values = exact.values
     M = len(u)
-    out = []
-    for m in range(1, M + 1):
-        r = values[m - 1](x, u[m] if m < M else None) - u[m - 1]
-        out.append(math.sqrt(float(r @ r)))
-    return out
+    return np.stack([row_norm(values[m - 1](x, u[m] if m < M else None) - u[m - 1])
+                     for m in range(1, M + 1)], axis=-1)
 
 
 def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,

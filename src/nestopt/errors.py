@@ -24,8 +24,11 @@ class ProjectionError(CompoptError):
 
 
 class NonFiniteIterateError(CompoptError):
-    """The solver state became NaN/Inf; ``iteration`` is where it happened."""
+    """The solver state became NaN/Inf; ``iteration`` is where it happened, ``what`` the array."""
 
-    def __init__(self, iteration: int, what: str = "state"):
-        self.iteration = iteration
+    def __init__(self, iteration: int, what: str):
+        self.iteration, self.what = iteration, what
         super().__init__(f"non-finite {what} at iteration {iteration}")
+
+    def __reduce__(self):
+        return type(self), (self.iteration, self.what)

@@ -96,8 +96,10 @@ class ExactEvaluators:
     levels[m-1] is level m's noise-free oracle: called with rng=None, its
     sample returns the exact (value, jac_x, jac_u), which value_jac(m, x,
     u_next) gives for m = 1..M (jac_u is None at the innermost level).
-    values[m-1](x, u_next) gives level m's exact value alone: the level's
-    exact_value where it has one, else that sample's value.  Both are bound
+    values[m-1](x, u_next) gives level m's exact value alone, for one row
+    (x of shape (n,)) or for a block of rows (x of shape (B, n), u_next of
+    shape (B, d_{m+1}), value of shape (B, d_m)): the level's exact_value
+    where it has one, else that sample's value, row by row.  Both are bound
     when the evaluators are built, so they never call an oracle's sample
     attribute afterwards.  x_star carries a known solution when one exists.
     """
@@ -109,7 +111,12 @@ class ExactEvaluators:
         samplers = tuple(o.sample for o in self.levels)
 
         def value_of(sample):
-            return lambda x, u_next: sample(x, u_next, None, 0)[0]
+            def value(x, u_next):
+                if x.ndim == 1:
+                    return sample(x, u_next, None, 0)[0]
+                inner = [None] * len(x) if u_next is None else u_next
+                return np.array([sample(row, v, None, 0)[0] for row, v in zip(x, inner)])
+            return value
         object.__setattr__(self, "_samplers", samplers)
         object.__setattr__(self, "values", tuple(
             getattr(o, "exact_value", None) or value_of(s)
@@ -120,7 +127,7 @@ class ExactEvaluators:
         return self._samplers[m - 1](x, u_next, None, 0)[:3]
 
     def nested(self, x: np.ndarray) -> list[np.ndarray]:
-        """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up."""
+        """Fully composed values [V_1(x), ..., V_M(x)], folded bottom-up; x may be a block."""
         vals: list = [None] * len(self.levels)
         v = None
         for m in range(len(vals), 0, -1):

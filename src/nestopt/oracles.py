@@ -40,6 +40,30 @@ def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.ran
     ]
 
 
+# the entries one array may hold when a block of rows is evaluated at once: rows
+# times the widest row, so a block costs about as much memory as a few rows did
+ROW_BLOCK_ELEMENTS = 2**12
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b for one row, or a_i . b_i for each row i of a block.
+
+    Every row is one BLAS dot, the same call as ``a @ b`` on that row alone,
+    so a block gives the bits of its rows evaluated one at a time.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norm(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of one row, or of each row of a block: sqrt of row_dot(r, r)."""
+    return np.sqrt(row_dot(r, r))
+
+
+def row_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for one row, or A @ x_i for each row i of a block, bit for bit as for one row."""
+    return (A @ x[..., None])[..., 0]
+
+
 class OracleSample(NamedTuple):
     """One stochastic observation of a level: value and split Jacobian.
 

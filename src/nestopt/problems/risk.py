@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import LevelOracle, OracleSample
+from ..oracles import ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, row_matvec
 from ..sets import FeasibleSet, Simplex
 
 
@@ -71,8 +71,8 @@ class FiniteScenarios:
         return 0.0, np.zeros(self.n)
 
     def loss_values(self, x: np.ndarray) -> np.ndarray:
-        """Loss values of every scenario at x."""
-        t = self.coef @ x + self.offset
+        """Loss values of every scenario at x, or at each row of a block x."""
+        t = row_matvec(self.coef, x) + self.offset
         return np.maximum(t, 0.0) if self.relu else t
 
     def all_losses(self, x: np.ndarray):
@@ -142,41 +142,53 @@ def _identity(v):
 
 
 class _ScenarioLevel(LevelOracle):
-    """A scalar level written once as formula(h, g, u_next, E, J).
+    """A scalar level written once as formula(h, g, u, E, J).
 
-    h and g are scenario losses and subgradients, E a mean over scenarios
-    and J(c) the Jacobian mean E[c * g].  With a generator, one scenario is
-    drawn and E is the identity; with rng=None, every row of the finite
-    table is taken with its weight, which gives the exact level.  Called
-    with J=None, formula returns the value array alone and builds no
-    Jacobian; exact_value uses that on the finite table.
+    h and g are scenario losses and subgradients, u the inner level's
+    value, E a mean over scenarios and J(c) the Jacobian mean E[c * g].
+    With a generator, one scenario is drawn and E is the identity; with
+    rng=None, every row of the finite table is taken with its weight, which
+    gives the exact level.  Called with J=None, formula returns the value
+    alone and builds no Jacobian: exact_value passes the losses of a row or
+    a block of rows, u of shape (..., 1), and an E that keeps that axis.
     """
 
     def __init__(self, scen):
         self.scen = scen
 
     def sample(self, x, u_next, rng, k=0):
+        u = None if u_next is None else float(u_next[0])
         if rng is not None:
             h, g = self.scen.draw_loss(x, rng)
-            return self.formula(h, g, u_next, _identity, g.__rmul__)
+            return self.formula(h, g, u, _identity, g.__rmul__)
         h, grads = self.scen.all_losses(x)
         w = self.scen.weights
-        return self.formula(h, grads, u_next, w.__matmul__, lambda c: (w * c) @ grads)
+        return self.formula(h, grads, u, w.__matmul__, lambda c: (w * c) @ grads)
 
     def exact_value(self, x, u_next):
-        """The value of sample(x, u_next, None), without its Jacobians."""
+        """The value of sample(x, u_next, None) without its Jacobians; x may be a block.
+
+        A block goes in chunks of rows whose (rows, scenarios) loss tables
+        hold at most ROW_BLOCK_ELEMENTS entries.
+        """
+        rows = max(1, ROW_BLOCK_ELEMENTS // self.scen.count)
+        if x.ndim == 2 and len(x) > rows:
+            return np.concatenate([
+                self.exact_value(x[i:i + rows], None if u_next is None else u_next[i:i + rows])
+                for i in range(0, len(x), rows)])
+        w_row = self.scen.weights[None, :]
         return self.formula(self.scen.loss_values(x), None, u_next,
-                            self.scen.weights.__matmul__, None)
+                            lambda v: row_matvec(w_row, v), None)
 
 
 class MeanLossLevel(_ScenarioLevel):
     """Innermost level: E[H(x)]."""
 
-    def formula(self, h, g, u_next, E, J):
-        value = np.array([E(h)])
+    def formula(self, h, g, u, E, J):
+        value = E(h)
         if J is None:
             return value
-        return OracleSample(value, E(g).reshape(1, -1))
+        return OracleSample(np.array([value]), E(g).reshape(1, -1))
 
 
 class UpperSemidevLevel(_ScenarioLevel):
@@ -186,27 +198,27 @@ class UpperSemidevLevel(_ScenarioLevel):
         super().__init__(scen)
         self.kappa = float(kappa)
 
-    def formula(self, h, g, u_next, E, J):
+    def formula(self, h, g, u, E, J):
         kappa = self.kappa
-        d = h - float(u_next[0])
+        d = h - u
         act = (d > 0.0) * 1.0  # subgradient 0 at the kink
-        value = np.array([E(h) + kappa * E(act * d)])
+        value = E(h) + kappa * E(act * d)
         if J is None:
             return value
-        return OracleSample(value, J(1.0 + kappa * act).reshape(1, -1),
+        return OracleSample(np.array([value]), J(1.0 + kappa * act).reshape(1, -1),
                             np.array([[-kappa * E(act)]]))
 
 
 class SquaredShortfallLevel(_ScenarioLevel):
     """p=2 middle level: E[max(0, H(x) - u)^2]."""
 
-    def formula(self, h, g, u_next, E, J):
-        d = h - float(u_next[0])
+    def formula(self, h, g, u, E, J):
+        d = h - u
         m0 = (d > 0.0) * d + 0.0  # max(0, d), +0.0 below the kink
-        value = np.array([E(m0 * m0)])
+        value = E(m0 * m0)
         if J is None:
             return value
-        return OracleSample(value, J(2.0 * m0).reshape(1, -1),
+        return OracleSample(np.array([value]), J(2.0 * m0).reshape(1, -1),
                             np.array([[-2.0 * E(m0)]]))
 
 
@@ -224,18 +236,16 @@ class SqrtRiskLevel(_ScenarioLevel):
         self.kappa = float(kappa)
         self.epsilon = float(epsilon)
 
-    def formula(self, h, g, u_next, E, J):
-        arg = self.epsilon + float(u_next[0])
-        clamped = arg < 0.5 * self.epsilon
-        if clamped:
-            arg = 0.5 * self.epsilon
-        root = math.sqrt(arg)
-        value = np.array([E(h) + self.kappa * root])
-        if J is None:
-            return value
-        return OracleSample(value, E(g).reshape(1, -1),
-                            np.array([[self.kappa / (2.0 * root)]]),
-                            clamped=clamped)
+    def formula(self, h, g, u, E, J):
+        arg = self.epsilon + u
+        floor = 0.5 * self.epsilon
+        if J is None:  # u may be a block here; np.maximum keeps NaN as the branch below does
+            return E(h) + self.kappa * np.sqrt(np.maximum(arg, floor))
+        # a sample's u is a float: math is several times faster than numpy on scalars
+        clamped = arg < floor
+        root = math.sqrt(floor if clamped else arg)
+        return OracleSample(np.array([E(h) + self.kappa * root]), E(g).reshape(1, -1),
+                            np.array([[self.kappa / (2.0 * root)]]), clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample
+from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
 from ..sets import Box, FeasibleSet
 
 
@@ -43,6 +43,15 @@ class RegularizedGapLevel(LevelOracle):
         val = np.array([float(u_next @ dy) - 0.5 * r * float(dy @ dy)])
         return OracleSample(val, (r * dy - u_next)[None, :], dy[None, :])
 
+    def exact_value(self, x, u_next):
+        r, fs = self.r, self.feasible_set
+        v = x + u_next / r
+        if v.ndim == 1 or isinstance(fs, Box):  # clipping projects a whole block at once
+            dy = fs.project(v) - x
+        else:
+            dy = np.array([fs.project(row) for row in v]) - x
+        return (row_dot(u_next, dy) - 0.5 * r * row_dot(dy, dy))[..., None]
+
 
 class NegatedMeanMapLevel(LevelOracle):
     """Inner level f(x) = -(A x + b), the negated mean of the VI map."""
@@ -53,6 +62,9 @@ class NegatedMeanMapLevel(LevelOracle):
 
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.neg_A @ x + self.neg_b, self.neg_A)
+
+    def exact_value(self, x, u_next):
+        return row_matvec(self.neg_A, x) + self.neg_b
 
 
 def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,
@@ -65,12 +77,16 @@ def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    sym = 0.5 * (A + A.T)
-    mu = float(np.min(np.linalg.eigvalsh(sym)))
+    try:
+        with np.errstate(over="raise"):
+            mu = float(np.min(np.linalg.eigvalsh(0.5 * (A + A.T))))
+            lip = float(np.linalg.norm(A, 2))
+            gamma = mu / lip**2
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError("problem.matrix", "entries too large: the fixed-point step "
+                                            "mu / L^2 overflows") from exc
     if mu <= 0:
         raise ConfigError("problem.matrix", "map is not strongly monotone")
-    lip = float(np.linalg.norm(A, 2))
-    gamma = mu / lip**2
     x = fs.anchor()
     for _ in range(max_iter):
         x_new = fs.project(x - gamma * (A @ x + b))

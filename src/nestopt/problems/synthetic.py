@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample
+from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
 from ..sets import Box
 
 
@@ -29,6 +29,11 @@ class QuadraticTopLevel(LevelOracle):
         val = np.array([0.5 * float(dx @ dx) + 0.5 * float(du @ du)])
         return OracleSample(val, dx[None, :], du[None, :])
 
+    def exact_value(self, x, u_next):
+        dx = x - self.x_hat
+        du = u_next - self.u_hat
+        return (0.5 * row_dot(dx, dx) + 0.5 * row_dot(du, du))[..., None]
+
 
 class QuadraticPointLevel(LevelOracle):
     """Single-level variant f(x) = 0.5||x - x_hat||^2."""
@@ -39,6 +44,10 @@ class QuadraticPointLevel(LevelOracle):
     def sample(self, x, u_next, rng, k=0):
         dx = x - self.x_hat
         return OracleSample(np.array([0.5 * float(dx @ dx)]), dx[None, :])
+
+    def exact_value(self, x, u_next):
+        dx = x - self.x_hat
+        return (0.5 * row_dot(dx, dx))[..., None]
 
 
 class LinearLevel(LevelOracle):
@@ -52,6 +61,9 @@ class LinearLevel(LevelOracle):
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q @ x + self.R @ u_next + self.c, self.Q, self.R)
 
+    def exact_value(self, x, u_next):
+        return row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c
+
 
 class LinearBottomLevel(LevelOracle):
     """f(x) = Q x + c."""
@@ -62,6 +74,9 @@ class LinearBottomLevel(LevelOracle):
 
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q @ x + self.c, self.Q)
+
+    def exact_value(self, x, u_next):
+        return row_matvec(self.Q, x) + self.c
 
 
 def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from nestopt.diagnostics import RunRecord, optimality_measure
+from nestopt.diagnostics import DiagnosticsConfig, RunRecord, optimality_measure
 from nestopt.errors import CompoptError, ProjectionError
 from nestopt.model import (AlgorithmParams, CompositionProblem, IterateState, init_state,
                            next_stepsize)
@@ -115,6 +115,63 @@ def merit_reference(problem: CompositionProblem, state: IterateState, a: float, 
         w += g * r
         w_smooth += g * r * r
     return w, w_smooth
+
+
+def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
+                diagnostics: DiagnosticsConfig) -> RunRecord:
+    """What solver.run records, with every diagnostic cell evaluated at its own row.
+
+    Drives the method through solver._advance from run's initial state, and
+    before iteration k evaluates the cells of row k one at a time from
+    value_jac: tracking errors, the fully nested objective and residuals
+    (bottom-up fold), and merit_reference for (W, W_smooth).
+    """
+    N, M, exact, diag = iterations, problem.M, problem.exact, diagnostics
+    taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
+    streams = level_streams(params.seed, M)
+    state = init_state(problem, params, streams=streams)
+
+    def table(every, cols):
+        return np.full((N, cols), np.nan) if every else None
+    track, vres = table(diag.track_every, M), table(diag.exact_every, M)
+    lyap = table(diag.lyapunov_every, 2)
+    obj = np.full(N, np.nan) if diag.exact_every else None
+    exact_start = max(0, N - diag.exact_window) if diag.exact_window else 0
+    d_sq, eta = np.empty(N), np.empty(N)
+    x, z, u = state.x, state.z, state.u
+    max_zsq, max_usq = float(z @ z), max(float(v @ v) for v in u)
+    clamps = 0
+
+    def level(m, u_next):
+        return exact.value_jac(m, x, u_next)[0]
+
+    for k in range(N):
+        if track is not None and k % diag.track_every == 0:
+            for m in range(1, M + 1):
+                r = level(m, u[m] if m < M else None) - u[m - 1]
+                track[k, m - 1] = math.sqrt(float(r @ r))
+        if vres is not None and k >= exact_start and k % diag.exact_every == 0:
+            vals, v = [None] * M, None
+            for m in range(M, 0, -1):
+                v = vals[m - 1] = level(m, v)
+            obj[k] = float(vals[0][0])
+            for m in range(M):
+                r = vals[m] - u[m]
+                vres[k, m] = math.sqrt(float(r @ r))
+        if lyap is not None and k % diag.lyapunov_every == 0:
+            lyap[k] = merit_reference(problem, IterateState(k, x, z, tuple(u)), params.a,
+                                      params.rho, diag.gammas)
+        d, d_sq[k], samples, x, z_new, u, zsq, usq = _advance(
+            problem, params, x, z, u, taus[k], streams, k)
+        eta[k] = float(z @ d) + 0.5 * params.rho * d_sq[k]
+        z = z_new
+        max_zsq, max_usq = max(max_zsq, zsq), max(max_usq, usq)
+        clamps += sum(s.clamped for s in samples)
+    return RunRecord(iterations=N, tau=np.array(taus), d_sq=d_sq, eta=eta, tracking=track,
+                     exact_residual=vres, lyapunov=lyap,
+                     final_state=IterateState(N, x, z, tuple(u)), seed=params.seed,
+                     objective=obj, max_z_norm=math.sqrt(max_zsq),
+                     max_u_norm=math.sqrt(max_usq), clamp_events=clamps)
 
 
 def random_point(fs: FeasibleSet, rng: np.random.Generator) -> np.ndarray:

@@ -138,6 +138,8 @@ def _bad(case_id, config, path, value, field, args=()):
     _bad("threads-zero", "synthetic_rate.json", None, None, "--threads", ("--threads", "0")),
     _bad("svi-matrix-text", "svi_run.json", ("problem", "matrix"), [["a"] * 5] * 5,
          "problem.matrix"),
+    _bad("svi-matrix-overflow", "svi_run.json", ("problem", "matrix"),
+         (1e200 * np.eye(5)).tolist(), "problem.matrix"),
     _bad("gaussian-coef-mean-text", "risk_p1_run.json", ("problem", "scenarios"),
          {"kind": "gaussian", "coef_mean": ["a"] * 5}, "problem.scenarios.coef_mean"),
     _bad("kappa-misspelt", "risk_p1_run.json", ("problem", "kapa"), 0.9, "problem.kapa"),
@@ -374,7 +376,7 @@ def test_runtime_failure_exit_two(tmp_path, capsys):
     doc["problem"]["noise"]["value_sd"] = 1e200  # squared norms overflow in iteration 0
     code = main(["run", "--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "runtime error: non-finite state at iteration 0" in capsys.readouterr().err
+    assert "runtime error: non-finite z at iteration 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -481,6 +483,22 @@ def test_rate_experiment_thread_count_invariant(tmp_path):
           "--out", str(tmp_path / "r2"), "--threads", "2"])
     assert (tmp_path / "r1" / "rate.json").read_bytes() == \
         (tmp_path / "r2" / "rate.json").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+def test_runtime_error_line_same_for_any_thread_count(tmp_path, capsys):
+    # a pool worker's NonFiniteIterateError is pickled back to the parent
+    doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
+    doc["problem"]["noise"]["jac_sd"] = 1e200
+    doc["rate_experiment"].update(horizons=[10, 100, 1000], replications=2)
+    config = str(_write(tmp_path, doc))
+    lines = []
+    for threads in ("1", "2"):
+        code = main(["rate-experiment", "--config", config, "--out", str(tmp_path / threads),
+                     "--threads", threads])
+        assert code == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == "runtime error: non-finite x at iteration 0\n"
 
 
 def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):

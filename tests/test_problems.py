@@ -93,7 +93,8 @@ def test_value_path_matches_value_jac_bits(case):
     assert all(same_bits(a, b) for a, b in zip(exact.nested(x), folded))
     residuals = [exact.value_jac(m, x, u[m] if m < M else None)[0] - u[m - 1]
                  for m in range(1, M + 1)]
-    assert tracking_errors(exact, x, u) == [math.sqrt(float(r @ r)) for r in residuals]
+    assert same_bits(tracking_errors(exact, x, u),
+                     np.array([math.sqrt(float(r @ r)) for r in residuals]))
 
 
 def test_value_path_covers_the_sqrt_clamp():
@@ -125,10 +126,62 @@ def test_exact_values_call_no_oracle_sample_attribute():
             u = problem.exact.nested(x)
             tracking_errors(problem.exact, x, [v + 0.1 for v in u])
             problem.exact.values[0](x, u[1] if problem.M > 1 else None)
+            X = np.stack([x, x - 0.75, x + 1.5])
+            U = problem.exact.nested(X)
+            tracking_errors(problem.exact, X, [v + 0.1 for v in U])
         finally:
             for oracle in problem.oracles:
                 del oracle.sample
     assert calls == []
+
+
+BLOCK_PROBLEMS = dict(VALUE_PATH_PROBLEMS,
+                      **{"svi-simplex": svi_problem(n=4, feasible_set=Simplex(4, 2.0))})
+
+
+def _edge_rows(problem, X, U, rng):
+    """Plant rows on the edges of each level's formula, in place.
+
+    A third of the rows move onto the feasible set (box faces for svi); for
+    the scenario levels with an inner argument, some trackers equal one
+    scenario's loss at their row (a kink, d == 0 exactly); for the sqrt
+    level, some sit at or below the clamp point -epsilon/2.
+    """
+    rows = X.shape[0]
+    for i in rng.choice(rows, size=rows // 3, replace=False):
+        X[i] = problem.feasible_set.project(X[i])
+    for m, level in enumerate(problem.exact.levels[:-1], start=1):
+        scen = getattr(level, "scen", None)
+        for i in rng.choice(rows, size=rows // 4, replace=False):
+            if hasattr(level, "epsilon"):
+                U[m][i, 0] = -level.epsilon * rng.choice([0.5, 0.75, 3.0])
+            elif scen is not None:
+                U[m][i, 0] = rng.choice(scen.loss_values(X[i]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BLOCK_PROBLEMS)), rows=st.integers(1, 1100),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_values_match_rows_bits(name, rows, seed):
+    problem = BLOCK_PROBLEMS[name]
+    exact, M = problem.exact, problem.M
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-6.0, 6.0, (rows, problem.n))
+    U = [rng.uniform(-3.0, 3.0, (rows, d)) for d in problem.level_dims]
+    _edge_rows(problem, X, U, rng)
+    for m in range(1, M + 1):
+        u_next = U[m] if m < M else None
+        block = exact.values[m - 1](X, u_next)
+        assert block.shape == (rows, problem.level_dims[m - 1])
+        for i in range(rows):
+            u_i = None if u_next is None else u_next[i]
+            assert same_bits(block[i], exact.values[m - 1](X[i], u_i))
+            assert same_bits(block[i], exact.value_jac(m, X[i], u_i)[0])
+    nested = exact.nested(X)
+    tracking = tracking_errors(exact, X, U)
+    for i in range(rows):
+        assert all(same_bits(v[i], w) for v, w in zip(nested, exact.nested(X[i])))
+        assert same_bits(tracking[i], tracking_errors(exact, X[i], [v[i] for v in U]))
 
 
 def test_risk_p1_hand_scenario_values():

@@ -1,4 +1,7 @@
+import pickle
+
 import nestopt
+import nestopt.errors
 import nestopt.problems
 
 
@@ -29,3 +32,22 @@ def test_problems_names_pinned():
     ])
     for name in nestopt.problems.__all__:
         assert hasattr(nestopt.problems, name), name
+
+
+def test_every_error_survives_pickling():
+    # a process pool sends a worker's error to the parent as a pickle
+    examples = {
+        nestopt.errors.CompoptError: nestopt.errors.CompoptError("failed"),
+        nestopt.errors.ConfigError: nestopt.errors.ConfigError("problem.n", "must be >= 1"),
+        nestopt.errors.ProjectionError: nestopt.errors.ProjectionError("stalled at iteration 4"),
+        nestopt.errors.NonFiniteIterateError: nestopt.errors.NonFiniteIterateError(3, "u_2"),
+    }
+    defined = {obj for obj in vars(nestopt.errors).values()
+               if isinstance(obj, type) and issubclass(obj, nestopt.errors.CompoptError)}
+    assert defined == set(examples)
+    for cls, err in examples.items():
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err)

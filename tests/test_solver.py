@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     Custom, CustomSet, Diminishing,
+                     Custom, CustomSet, Diminishing, NoiseModel,
                      InitPolicy, IterateState, NonFiniteIterateError, ProjectionError,
                      assemble_subgradient, init_state, level_streams, run,
                      update_trackers, update_z)
 from nestopt.diagnostics import DiagnosticsConfig
+from nestopt.model import ExactEvaluators
 from nestopt.oracles import LevelOracle, OracleSample
-from nestopt.problems import make_problem
+from nestopt.oracles import ROW_BLOCK_ELEMENTS
+from nestopt.problems import (make_problem, random_scenarios, risk_p2, svi_problem,
+                              synthetic_smooth)
+from nestopt.sets import Ball
+from nestopt.solver import _DIAGNOSTICS_BLOCK
 
 from conftest import noisy_norm_bounds
 from helpers import (DeterministicOracle, StepTrace, contains, exact_composed_gradient,
-                     finite_difference_reference, step)
+                     finite_difference_reference, run_rowwise, same_bits, step)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def test_non_finite_state_aborts_with_iteration_index():
     with pytest.raises(NonFiniteIterateError) as err:
         run(problem, params, 10, init_policy=InitPolicy.ZEROS)
     assert err.value.iteration == 3
-    assert "3" in str(err.value)
+    assert str(err.value) == "non-finite u_1 at iteration 3"
 
 
 def test_projection_error_names_iteration(smooth_problem, default_params):
@@ -371,3 +376,134 @@ def test_filtered_average_tracks_gradient_noise_free(smooth_problem, default_par
     grad = exact_composed_gradient(smooth_problem, final.x)[0]
     assert np.linalg.norm(final.z - grad) <= 1e-3
     assert np.linalg.norm(final.x - smooth_problem.exact.x_star) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# diagnostics evaluated in blocks of recorded rows
+
+def _same_record(a, b):
+    for name in ("tau", "d_sq", "eta", "tracking", "exact_residual", "lyapunov", "objective"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or same_bits(x, y), name
+    fa, fb = a.final_state, b.final_state
+    assert same_bits(fa.x, fb.x) and same_bits(fa.z, fb.z)
+    assert all(same_bits(p, q) for p, q in zip(fa.u, fb.u))
+    assert (a.iterations, a.max_z_norm, a.max_u_norm, a.clamp_events) == \
+        (b.iterations, b.max_z_norm, b.max_u_norm, b.clamp_events)
+
+
+def _rowwise_level(n):
+    """f(x, u) = 0.5||x||^2 + sum(u) with no exact_value: its rows go one at a time."""
+    def value_jac(x, u):
+        return np.array([0.5 * float(x @ x) + float(np.sum(u))]), x[None, :], np.ones((1, 2))
+    return DeterministicOracle(value_jac)
+
+
+def _custom_problem():
+    # a user's top level without exact_value over the synthetic inner levels
+    base = make_problem({"family": "synthetic_smooth", "levels": 2, "n": 4, "inner_dim": 2})
+    levels = (_rowwise_level(4),) + base.exact.levels[1:]
+    return CompositionProblem(4, base.level_dims, base.feasible_set, levels,
+                              ExactEvaluators(levels))
+
+
+BLOCK_DIAGNOSTICS = {
+    "shipped": DiagnosticsConfig(track_every=1, exact_every=10),
+    "sparse-window": DiagnosticsConfig(track_every=3, exact_every=7, exact_window=1500),
+    "exact-merit": DiagnosticsConfig(track_every=0, exact_every=1, lyapunov_every=5,
+                                     gammas=(2.0, 3.0)),
+    "tracking-only": DiagnosticsConfig(track_every=2, exact_every=0),
+}
+
+
+# n = 4 is the widest row that still fills a whole block of _DIAGNOSTICS_BLOCK rows
+BLOCK_PROBLEM = synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2,
+                                 noise=NoiseModel(value_sd=0.1, jac_sd=0.1))
+
+
+@pytest.mark.parametrize("N", [1, _DIAGNOSTICS_BLOCK - 1, _DIAGNOSTICS_BLOCK,
+                               _DIAGNOSTICS_BLOCK + 1, 2 * _DIAGNOSTICS_BLOCK + 1])
+@pytest.mark.parametrize("diag", sorted(BLOCK_DIAGNOSTICS))
+def test_block_diagnostics_match_rowwise_reference(N, diag):
+    assert ROW_BLOCK_ELEMENTS // BLOCK_PROBLEM.n == _DIAGNOSTICS_BLOCK
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=8)
+    diagnostics = BLOCK_DIAGNOSTICS[diag]
+    _same_record(run(BLOCK_PROBLEM, params, N, diagnostics),
+                 run_rowwise(BLOCK_PROBLEM, params, N, diagnostics))
+
+
+@pytest.mark.parametrize("name", ["risk_p2-clamp", "svi-ball", "custom-level",
+                                  "synthetic-wide"])
+def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
+    N = _DIAGNOSTICS_BLOCK + 37
+    if name == "synthetic-wide":  # n = 100: blocks of 40 rows
+        problem = synthetic_smooth(levels=3, n=100, inner_dim=3)
+        diagnostics = DiagnosticsConfig(track_every=1, exact_every=3)
+        N = 200
+    elif name == "risk_p2-clamp":  # epsilon 1e-2: early trackers take the sqrt clamp
+        problem = risk_p2(random_scenarios(n=4, count=30, seed=5, relu=True), 0.5, 1e-2)
+        diagnostics = DiagnosticsConfig(track_every=1, exact_every=3, lyapunov_every=7,
+                                        gammas=(1.5, 2.5))
+    elif name == "svi-ball":  # a Ball projects the rows of a block one at a time
+        problem = svi_problem(n=4, noise_sd=0.1,
+                              feasible_set=Ball(np.ones(4), 0.8))
+        diagnostics = DiagnosticsConfig(track_every=1, exact_every=2)
+    else:
+        problem = _custom_problem()
+        diagnostics = DiagnosticsConfig(track_every=1, exact_every=4)
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=3)
+    record = run(problem, params, N, diagnostics)
+    _same_record(record, run_rowwise(problem, params, N, diagnostics))
+    if name == "risk_p2-clamp":
+        assert record.clamp_events > 0
+
+
+class _PickyTopLevel(LevelOracle):
+    """0.5 (x - 5)^2 on one coordinate; exact calls refuse x > 2, samples go NaN at k >= nan_from."""
+
+    def __init__(self, nan_from=None, refuse_exact=False):
+        self.nan_from, self.refuse_exact = nan_from, refuse_exact
+
+    def sample(self, x, u_next, rng, k=0):
+        if rng is None and self.refuse_exact and x[0] > 2.0:
+            raise ProjectionError("exact level refused")
+        value = np.nan if self.nan_from is not None and k >= self.nan_from else 0.5 * (x[0] - 5) ** 2
+        return OracleSample(np.array([value]), np.array([[x[0] - 5.0]]))
+
+
+def _picky_problem(nan_from=None):
+    box = Box(np.array([-10.0]), np.array([10.0]))
+    return CompositionProblem(1, (1,), box, (_PickyTopLevel(nan_from),),
+                              ExactEvaluators((_PickyTopLevel(refuse_exact=True),)))
+
+
+def _first_row_above_two(params):
+    """k of the first recorded row whose x exceeds 2: where the exact level refuses."""
+    problem = _picky_problem()
+    streams = level_streams(params.seed, 1)
+    state = init_state(problem, params, streams=streams)
+    while state.x[0] <= 2.0:
+        state, _ = step(state, problem, params, streams)
+    return state.k
+
+
+def test_block_projection_error_names_the_failing_row():
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
+    k_star = _first_row_above_two(params)
+    assert 0 < k_star < _DIAGNOSTICS_BLOCK
+    for diag in (DiagnosticsConfig(track_every=1, exact_every=0),
+                 DiagnosticsConfig(track_every=0, exact_every=1)):
+        with pytest.raises(ProjectionError, match=f"^exact level refused at iteration {k_star}$"):
+            run(_picky_problem(), params, 3 * _DIAGNOSTICS_BLOCK, diag)
+
+
+def test_loop_failure_evaluates_pending_rows_first():
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
+    k_star = _first_row_above_two(params)
+    # the loop fails after row k_star is recorded: the earlier block row wins
+    with pytest.raises(ProjectionError, match=f"^exact level refused at iteration {k_star}$"):
+        run(_picky_problem(nan_from=k_star + 5), params, 3 * _DIAGNOSTICS_BLOCK)
+    # the loop fails before it: its own error stands
+    with pytest.raises(NonFiniteIterateError, match=f"^non-finite u_1 at iteration {k_star - 1}$"):
+        run(_picky_problem(nan_from=k_star - 1), params, 3 * _DIAGNOSTICS_BLOCK)
