@@ -7,9 +7,8 @@ drives the iterate, a filtered subgradient average, and filtered trackers
 of all nested values simultaneously.
 """
 
-from .diagnostics import (DiagnosticsConfig, ObjectiveTailReport, RunRecord,
-                          fit_rate, lyapunov, objective_tail_oscillation,
-                          optimality_measure)
+from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, lyapunov,
+                          objective_tail_oscillation, optimality_measure)
 from .errors import CompoptError, ConfigError, NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     Diminishing, ExactEvaluators, InitPolicy, IterateState,
@@ -26,7 +25,7 @@ __all__ = [
     "ConfigError", "Constant", "Custom", "CustomSet", "DiagnosticsConfig",
     "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "IterateState",
     "LevelOracle", "NoiseModel", "NoisyOracle", "NonFiniteIterateError",
-    "ObjectiveTailReport", "OracleSample", "Polytope", "ProjectionError", "RunRecord",
+    "OracleSample", "Polytope", "ProjectionError", "RunRecord",
     "Simplex", "StepSchedule", "Violation",
     "assemble_subgradient", "fit_rate", "gap", "init_state", "level_streams",
     "lyapunov", "next_stepsize", "objective_tail_oscillation",

@@ -95,6 +95,26 @@ def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray
                      for m in range(1, M + 1)], axis=-1)
 
 
+def check_gammas(M: int, gammas: Sequence[float]) -> None:
+    """ValueError unless gammas holds one positive merit weight per level 2..M."""
+    if len(gammas) != max(M - 1, 0):
+        raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
+    if any(g <= 0 for g in gammas):
+        raise ValueError("gamma weights must be positive")
+
+
+def _merit(exact, x: np.ndarray, u: Sequence[np.ndarray], eta, a: float,
+           gammas: Sequence[float]):
+    """(W, W_smooth) of one row, or of each row of a block, given its gap eta."""
+    r = tracking_errors(exact, x, u)
+    w = a * exact.values[0](x, u[1] if len(u) > 1 else None)[..., 0] - eta
+    w_smooth = a * exact.nested(x)[0][..., 0] - eta
+    for m, g in enumerate(gammas, 1):
+        w += g * r[..., m]
+        w_smooth += g * r[..., m] * r[..., m]
+    return w, w_smooth
+
+
 def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
              u: Sequence[np.ndarray], a: float, rho: float,
              gammas: Sequence[float]) -> tuple[float, float]:
@@ -103,46 +123,27 @@ def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
     W = a*f_1(x, u_2) - eta(x, z) + sum_m gamma_m ||f_m(x, u_{m+1}) - u_m||,
     with the top level evaluated at the tracker u_2.  W_smooth =
     a*V_1(x) - eta(x, z) + sum_m gamma_m ||f_m(x, u_{m+1}) - u_m||^2, with
-    the fully nested objective.  Both sums run over m = 2..M.
+    the fully nested objective.  Both sums run over m = 2..M.  This is the
+    one-row form of what run records from each iteration's own gap.
     """
-    exact = problem.exact
-    if exact is None:
+    if problem.exact is None:
         raise ValueError("Lyapunov diagnostics need exact evaluators")
-    M = problem.M
-    if len(gammas) != max(M - 1, 0):
-        raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("gamma weights must be positive")
-    eta = set_gap(problem.feasible_set, x, z, rho)
-    w = a * float(np.squeeze(exact.values[0](x, u[1] if M >= 2 else None))) - eta
-    w_smooth = a * float(np.squeeze(exact.nested(x)[0])) - eta
-    for g, r in zip(gammas, tracking_errors(exact, x, u)[1:]):
-        w += g * r
-        w_smooth += g * r * r
-    return w, w_smooth
-
-
-@dataclass(frozen=True)
-class ObjectiveTailReport:
-    """Cauchy-style oscillation of the exact objective over the run's tail.
-
-    Convergence of the objective sequence is monitored, not asserted: no
-    universal tolerance exists for diminishing-step runs, so the report
-    only quantifies how much the tail still moves.
-    """
-
-    tail_points: int
-    oscillation: float  # max - min over the tail
-    mean: float
-    last: float
+    check_gammas(problem.M, gammas)
+    w, w_smooth = _merit(problem.exact, x, u, set_gap(problem.feasible_set, x, z, rho),
+                         a, gammas)
+    return float(w), float(w_smooth)
 
 
 def objective_tail_oscillation(record: RunRecord,
-                               tail_fraction: float = 0.1) -> ObjectiveTailReport | None:
-    """Oscillation report of the recorded objective series over the tail.
+                               tail_fraction: float = 0.1) -> dict | None:
+    """Cauchy-style oscillation of the recorded objective over the run's tail.
 
-    None when no objective sample falls inside the tail (a run shorter than
-    the sampling interval over the tail fraction).
+    Convergence of the objective sequence is monitored, not asserted: no
+    universal tolerance exists for diminishing-step runs, so the report
+    only quantifies how much the tail still moves.  Returns {"points",
+    "oscillation" (max - min), "mean", "last"} over the tail, or None when
+    no objective sample falls inside it (a run shorter than the sampling
+    interval over the tail fraction).
     """
     if record.objective is None:
         raise ValueError("objective series not recorded; run with exact_every >= 1")
@@ -153,12 +154,8 @@ def objective_tail_oscillation(record: RunRecord,
     tail = tail[np.isfinite(tail)]
     if tail.size == 0:
         return None
-    return ObjectiveTailReport(
-        tail_points=int(tail.size),
-        oscillation=float(np.max(tail) - np.min(tail)),
-        mean=float(np.mean(tail)),
-        last=float(tail[-1]),
-    )
+    return {"points": int(tail.size), "oscillation": float(np.max(tail) - np.min(tail)),
+            "mean": float(np.mean(tail)), "last": float(tail[-1])}
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> float:

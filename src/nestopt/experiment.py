@@ -142,13 +142,7 @@ def summarize_run(record: RunRecord, problem, params: AlgorithmParams) -> dict:
         summary["mean_squared_measure"] = float(
             np.nanmean(optimality_measure(record)))
     if record.objective is not None:
-        osc = objective_tail_oscillation(record)
-        summary["objective_tail"] = None if osc is None else {
-            "points": osc.tail_points,
-            "oscillation": osc.oscillation,
-            "mean": osc.mean,
-            "last": osc.last,
-        }
+        summary["objective_tail"] = objective_tail_oscillation(record)
     return summary
 
 

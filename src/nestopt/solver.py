@@ -15,15 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsConfig, RunRecord, lyapunov, tracking_errors
+from .diagnostics import DiagnosticsConfig, RunRecord, _merit, check_gammas, tracking_errors
 from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
 from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams, row_norm
-
-# recorded rows whose tracking and exact-residual cells one call per level evaluates,
-# at most; wide problems take fewer, ROW_BLOCK_ELEMENTS // (widest of n and d_m)
-_DIAGNOSTICS_BLOCK = 1024
 
 
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
@@ -74,10 +70,12 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     squared norms double as the finiteness guard (NaN propagates, an
     overflowing square counts as divergence): NonFiniteIterateError(k, what)
     names the array whose square first makes their running sum non-finite.
-    Returns (d, ||d||^2, samples, x', z', u', ||z'||^2, max_m ||u'_m||^2).
+    Returns (eta, ||d||^2, samples, x', z', u', ||z'||^2, max_m ||u'_m||^2),
+    where eta is the gap at (x, z), the same expression as sets.gap.
     """
     d = problem.feasible_set.project(x - z / params.rho) - x
     dsq = float(d @ d)
+    eta = float(z @ d) + 0.5 * params.rho * dsq
     dx = tau * d
     x = x + dx
     samples = problem.sample_levels(x, u, streams, k)
@@ -93,7 +91,7 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
             usq = sq
     if not math.isfinite(chk):
         raise NonFiniteIterateError(k, _non_finite_array(dsq, zsq, u))
-    return d, dsq, samples, x, z, u, zsq, usq
+    return eta, dsq, samples, x, z, u, zsq, usq
 
 
 def _non_finite_array(dsq: float, zsq: float, u: Sequence[np.ndarray]) -> str:
@@ -123,12 +121,13 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     bit-identical across calls: all randomness flows from per-(replication,
     level) counter-derived streams of params.seed.
 
-    The tracking and exact-residual cells never feed back into the method,
-    so the loop copies (x, u) of each recorded row into a block of at most
-    _DIAGNOSTICS_BLOCK rows (fewer for wide problems) and evaluates the
-    block when it fills, when the loop ends, and when the loop fails, so
-    that a failure in the block's rows, which come first, is the one
-    raised.  Each row gets the bits a call on that row alone would give.
+    The diagnostic cells never feed back into the method, so the loop runs
+    in chunks of iterations, stores (x, u) of every iteration of a chunk,
+    and fills the chunk's tracking, exact-residual and merit cells when it
+    ends, the merit pair from each row's recorded gap.  When the loop
+    fails, the chunk's rows up to the failing one are evaluated first, so
+    that a failure in those rows, which come first, is the one raised.
+    Each cell gets the bits a call on its row alone would give.
     """
     if not isinstance(iterations, int) or iterations < 1:
         raise ValueError(f"iterations must be a positive integer, got {iterations}")
@@ -142,107 +141,97 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         if diag.lyapunov_every:
             raise ValueError("lyapunov recording needs exact evaluators")
         diag = DiagnosticsConfig(track_every=0, exact_every=0, lyapunov_every=0)
+    if diag.lyapunov_every:
+        check_gammas(M, diag.gammas)
 
     N = iterations
-    a, b, rho = params.a, params.b, params.rho
+    a = params.a
     # the whole schedule up front: a short Custom schedule fails before k = 0
-    taus = [next_stepsize(params.schedule, k, a, b) for k in range(N)]
+    taus = [next_stepsize(params.schedule, k, a, params.b) for k in range(N)]
 
-    streams = level_streams(params.seed, M, replication)
-    state = init_state(problem, params, init_x, init_policy, streams=streams)
-
-    track_every, exact_every = diag.track_every, diag.exact_every
     rec_tau = np.array(taus)
     rec_dsq = np.empty(N)
-    rec_eta = np.empty(N)
-    rec_track = np.full((N, M), np.nan) if track_every else None
-    rec_exact = np.full((N, M), np.nan) if exact_every else None
-    rec_obj = np.full(N, np.nan) if exact_every else None
+    rec_eta = np.full(N, np.nan)  # NaN in the merit of a failing iteration's row
+    rec_track = np.full((N, M), np.nan) if diag.track_every else None
+    rec_exact = np.full((N, M), np.nan) if diag.exact_every else None
+    rec_obj = np.full(N, np.nan) if diag.exact_every else None
     rec_lyap = np.full((N, 2), np.nan) if diag.lyapunov_every else None
     exact_start = max(0, N - diag.exact_window) if diag.exact_window else 0
 
-    size = min(N, _DIAGNOSTICS_BLOCK,
-               max(1, ROW_BLOCK_ELEMENTS // max(problem.n, *problem.level_dims)))
-    block_k = [0] * size  # iterations of the buffered rows, increasing
+    size = min(N, max(1, ROW_BLOCK_ELEMENTS // max(problem.n, *problem.level_dims)))
     block_x = np.empty((size, problem.n))
     block_u = [np.empty((size, d)) for d in problem.level_dims]
 
-    # The recorded rows of one kind are all multiples of its interval in the
-    # block's range, so their cells are a strided slice of the record.  Rows
-    # are picked with Python ints, not numpy masks or index arrays: each numpy
-    # routine a process first runs pages in more of numpy's library, which
-    # counts in its peak resident set.
-    def picked(pick, X, U):  # the rows at positions pick; the block itself for all rows
-        if len(pick) == len(X):
-            return X, U
-        return X[pick], [v[pick] for v in U]
+    def track(cells, X, U):
+        rec_track[cells] = tracking_errors(exact, X, U)
 
-    def record(ks, X, U):
-        if track_every:
-            pick = [i for i, k in enumerate(ks) if k % track_every == 0]
-            if pick:
-                cells = slice(ks[pick[0]], ks[pick[-1]] + 1, track_every)
-                rec_track[cells] = tracking_errors(exact, *picked(pick, X, U))
-        if exact_every:
-            pick = [i for i, k in enumerate(ks) if k >= exact_start and k % exact_every == 0]
-            if pick:
-                cells = slice(ks[pick[0]], ks[pick[-1]] + 1, exact_every)
-                Xs, Us = picked(pick, X, U)
-                vals = exact.nested(Xs)
-                rec_obj[cells] = vals[0][:, 0]
-                for m in range(M):
-                    rec_exact[cells, m] = row_norm(vals[m] - Us[m])
+    def nested(cells, X, U):
+        vals = exact.nested(X)
+        rec_obj[cells] = vals[0][:, 0]
+        for m in range(M):
+            rec_exact[cells, m] = row_norm(vals[m] - U[m])
 
-    def evaluate(count):
-        ks, X, U = block_k[:count], block_x[:count], [v[:count] for v in block_u]
+    def merit(cells, X, U):
+        rec_lyap[cells, 0], rec_lyap[cells, 1] = _merit(exact, X, U, rec_eta[cells], a,
+                                                        diag.gammas)
+
+    kinds = [(every, start, fill) for every, start, fill in (
+        (diag.track_every, 0, track), (diag.exact_every, exact_start, nested),
+        (diag.lyapunov_every, 0, merit)) if every]
+
+    # The rows of one kind are the multiples of its interval from its start
+    # on, so block rows first - lo :: every fill record cells first : hi : every.
+    def record(lo, hi, X, U):
+        for every, start, fill in kinds:
+            first = max(lo, start)
+            first += -first % every
+            if first < hi:
+                rows = slice(first - lo, None, every)
+                fill(slice(first, hi, every), X[rows], [v[rows] for v in U])
+
+    def evaluate(lo, hi):
+        X, U = block_x[:hi - lo], [v[:hi - lo] for v in block_u]
         try:
-            record(ks, X, U)
+            record(lo, hi, X, U)
         except ProjectionError:
-            for i in range(count):  # the first failing row names the iteration
+            for k in range(lo, hi):  # the first failing row names the iteration
+                i = k - lo
                 try:
-                    record(ks[i:i + 1], X[i:i + 1], [v[i:i + 1] for v in U])
+                    record(k, k + 1, X[i:i + 1], [v[i:i + 1] for v in U])
                 except ProjectionError as exc:
-                    raise ProjectionError(f"{exc} at iteration {ks[i]}") from exc
+                    raise ProjectionError(f"{exc} at iteration {k}") from exc
             raise
 
-    x, z, u = state.x, state.z, state.u
-    max_zsq = float(z @ z)
-    max_usq = max(float(arr @ arr) for arr in u)
+    streams = level_streams(params.seed, M, replication)
     clamps = 0
-    pending = 0
-
-    for k in range(N):
-        if ((track_every and k % track_every == 0)
-                or (exact_every and k >= exact_start and k % exact_every == 0)):
-            block_k[pending] = k
-            block_x[pending] = x
-            for buf, arr in zip(block_u, u):
-                buf[pending] = arr
-            pending += 1
-            if pending == size:
-                evaluate(pending)
-                pending = 0
-        try:
-            if rec_lyap is not None and k % diag.lyapunov_every == 0:
-                rec_lyap[k] = lyapunov(problem, x, z, u, a, rho, diag.gammas)
-            d, dsq, samples, x, z_new, u, zsq, usq = _advance(
-                problem, params, x, z, u, taus[k], streams, k)
-        except Exception as exc:
-            evaluate(pending)
-            if isinstance(exc, ProjectionError):
-                raise ProjectionError(f"{exc} at iteration {k}") from exc
-            raise
-        rec_dsq[k] = dsq
-        rec_eta[k] = float(z @ d) + 0.5 * rho * dsq
-        z = z_new
-        if zsq > max_zsq:
-            max_zsq = zsq
-        if usq > max_usq:
-            max_usq = usq
-        for s in samples:
-            if s.clamped:
-                clamps += 1
-    evaluate(pending)
+    # an overflowing state is reported by the finiteness guard, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(problem, params, init_x, init_policy, streams=streams)
+        x, z, u = state.x, state.z, state.u
+        max_zsq = float(z @ z)
+        max_usq = max(float(arr @ arr) for arr in u)
+        for lo in range(0, N, size):
+            hi = min(lo + size, N)
+            for k in range(lo, hi):
+                block_x[k - lo] = x
+                for buf, arr in zip(block_u, u):
+                    buf[k - lo] = arr
+                try:
+                    rec_eta[k], rec_dsq[k], samples, x, z, u, zsq, usq = _advance(
+                        problem, params, x, z, u, taus[k], streams, k)
+                except Exception as exc:
+                    evaluate(lo, k + 1)
+                    if isinstance(exc, ProjectionError):
+                        raise ProjectionError(f"{exc} at iteration {k}") from exc
+                    raise
+                if zsq > max_zsq:
+                    max_zsq = zsq
+                if usq > max_usq:
+                    max_usq = usq
+                for s in samples:
+                    if s.clamped:
+                        clamps += 1
+            evaluate(lo, hi)
 
     final = IterateState(N, x, z, tuple(u))
     return RunRecord(

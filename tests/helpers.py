@@ -61,11 +61,11 @@ def step(state: IterateState, problem: CompositionProblem, params: AlgorithmPara
          streams: Sequence[np.random.Generator]) -> tuple[IterateState, StepTrace]:
     """One iteration of the method from ``state``, through run's own body."""
     tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    d, _, samples, x, z, u, _, _ = _advance(
+    _, _, samples, x, z, u, _, _ = _advance(
         problem, params, state.x, state.z, state.u, tau, streams, state.k)
     y = problem.feasible_set.project(state.x - state.z / params.rho)
     return (IterateState(state.k + 1, x, z, tuple(u)),
-            StepTrace(y, d, assemble_subgradient(samples)[0], tuple(samples)))
+            StepTrace(y, y - state.x, assemble_subgradient(samples)[0], tuple(samples)))
 
 
 def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
@@ -124,7 +124,8 @@ def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations
     Drives the method through solver._advance from run's initial state, and
     before iteration k evaluates the cells of row k one at a time from
     value_jac: tracking errors, the fully nested objective and residuals
-    (bottom-up fold), and merit_reference for (W, W_smooth).
+    (bottom-up fold), the gap from sets.gap, and merit_reference for
+    (W, W_smooth), which computes its own gap.
     """
     N, M, exact, diag = iterations, problem.M, problem.exact, diagnostics
     taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
@@ -161,10 +162,9 @@ def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations
         if lyap is not None and k % diag.lyapunov_every == 0:
             lyap[k] = merit_reference(problem, IterateState(k, x, z, tuple(u)), params.a,
                                       params.rho, diag.gammas)
-        d, d_sq[k], samples, x, z_new, u, zsq, usq = _advance(
+        eta[k] = gap(problem.feasible_set, x, z, params.rho)
+        _, d_sq[k], samples, x, z, u, zsq, usq = _advance(
             problem, params, x, z, u, taus[k], streams, k)
-        eta[k] = float(z @ d) + 0.5 * params.rho * d_sq[k]
-        z = z_new
         max_zsq, max_usq = max(max_zsq, zsq), max(max_usq, usq)
         clamps += sum(s.clamped for s in samples)
     return RunRecord(iterations=N, tau=np.array(taus), d_sq=d_sq, eta=eta, tracking=track,

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestopt.experiment
+import nestopt.solver
 from nestopt.cli import main
 from nestopt.config import CONFIG, SCHEDULES, Variants, read
 from nestopt.diagnostics import RunRecord
 from nestopt.errors import ConfigError
 from nestopt.experiment import load_config, parse_config, rate_experiment, write_trace_csv
 from nestopt.model import IterateState
+from nestopt.problems import make_problem
 
 from helpers import write_trace_csv_rowwise
 
@@ -370,7 +372,6 @@ def test_seed_override_changes_output(tmp_path):
     assert summary["seed"] == 99
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
 def test_runtime_failure_exit_two(tmp_path, capsys):
     doc = _base_config()
     doc["problem"]["noise"]["value_sd"] = 1e200  # squared norms overflow in iteration 0
@@ -485,7 +486,6 @@ def test_rate_experiment_thread_count_invariant(tmp_path):
         (tmp_path / "r2" / "rate.json").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
 def test_runtime_error_line_same_for_any_thread_count(tmp_path, capsys):
     # a pool worker's NonFiniteIterateError is pickled back to the parent
     doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
@@ -499,6 +499,55 @@ def test_runtime_error_line_same_for_any_thread_count(tmp_path, capsys):
         assert code == 2
         lines.append(capsys.readouterr().err)
     assert lines[0] == lines[1] == "runtime error: non-finite x at iteration 0\n"
+
+
+@pytest.mark.parametrize("command, noise, threads, line", [
+    pytest.param("run", "value_sd", "1", "non-finite z", id="run"),
+    pytest.param("rate-experiment", "jac_sd", "1", "non-finite x", id="rate-threads-1"),
+    pytest.param("rate-experiment", "jac_sd", "2", "non-finite x", id="rate-threads-2"),
+])
+def test_overflowing_run_prints_only_the_error_line(tmp_path, command, noise, threads, line):
+    # numpy's overflow warnings are silenced: the finiteness guard reports the failure
+    config = "synthetic_run.json" if command == "run" else "synthetic_rate.json"
+    doc = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    doc["problem"]["noise"][noise] = 1e200
+    if command == "rate-experiment":
+        doc["rate_experiment"].update(horizons=[10, 100, 1000], replications=2)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "nestopt.cli", command,
+                           "--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out"),
+                           "--threads", threads], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"runtime error: {line} at iteration 0\n"
+
+
+def test_traced_benchmark_hooks_see_every_iteration(tmp_path, monkeypatch):
+    # a tracing benchmark counts iterations as calls of nestopt.solver.update_z and
+    # times exact diagnostics through problem.exact.nested: both are looked up per call
+    calls = {"update_z": 0, "nested": 0}
+    update_z = nestopt.solver.update_z
+
+    def counted_update_z(*args):
+        calls["update_z"] += 1
+        return update_z(*args)
+
+    monkeypatch.setattr(nestopt.solver, "update_z", counted_update_z)
+    cfg = parse_config(_base_config())
+    problem = make_problem(cfg.problem_spec)
+    nested = problem.exact.nested
+
+    def counted_nested(x):
+        calls["nested"] += 1
+        return nested(x)
+
+    object.__setattr__(problem.exact, "nested", counted_nested)
+    nestopt.solver.run(problem, cfg.algorithm, 100, diagnostics=cfg.diagnostics)
+    assert calls == {"update_z": 100, "nested": 1}  # 100 rows make one chunk
+    calls["update_z"] = 0
+    assert main(["rate-experiment", "--config", str(_write(tmp_path, _rate_config())),
+                 "--out", str(tmp_path / "rate"), "--threads", "1"]) == 0
+    assert calls["update_z"] == (16 + 160 + 1600) * 3  # horizons times replications
 
 
 def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):

@@ -324,9 +324,10 @@ def test_objective_tail_oscillation_report():
     rec = run(problem, params, 4000,
               diagnostics=DiagnosticsConfig(track_every=0, exact_every=1))
     report = objective_tail_oscillation(rec, tail_fraction=0.1)
-    assert report.tail_points == 400
-    assert report.oscillation < 0.1  # small tail movement once settled
-    assert report.mean == pytest.approx(report.last, abs=0.1)
+    assert sorted(report) == ["last", "mean", "oscillation", "points"]
+    assert report["points"] == 400
+    assert report["oscillation"] < 0.1  # small tail movement once settled
+    assert report["mean"] == pytest.approx(report["last"], abs=0.1)
     bare = run(problem, params, 50,
                diagnostics=DiagnosticsConfig(track_every=0, exact_every=0))
     with pytest.raises(ValueError, match="objective series not recorded"):

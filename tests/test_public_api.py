@@ -11,7 +11,7 @@ def test_public_names_pinned():
         "ConfigError", "Constant", "Custom", "CustomSet",
         "DiagnosticsConfig", "Diminishing", "ExactEvaluators", "FeasibleSet",
         "InitPolicy", "IterateState", "LevelOracle", "NoiseModel", "NoisyOracle",
-        "NonFiniteIterateError", "ObjectiveTailReport", "OracleSample",
+        "NonFiniteIterateError", "OracleSample",
         "Polytope", "ProjectionError", "RunRecord", "Simplex", "StepSchedule",
         "Violation", "assemble_subgradient", "fit_rate",
         "gap", "init_state", "level_streams", "lyapunov",
@@ -19,7 +19,7 @@ def test_public_names_pinned():
         "optimality_measure", "run",
         "stepsize_cap", "update_trackers", "update_z", "validate_problem",
     ])
-    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 41
+    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 40
     for name in nestopt.__all__:
         assert hasattr(nestopt, name), name
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.oracles import ROW_BLOCK_ELEMENTS
 from nestopt.problems import (make_problem, random_scenarios, risk_p2, svi_problem,
                               synthetic_smooth)
-from nestopt.sets import Ball
-from nestopt.solver import _DIAGNOSTICS_BLOCK
+from nestopt.sets import Ball, Polytope, Simplex
 
 from conftest import noisy_norm_bounds
 from helpers import (DeterministicOracle, StepTrace, contains, exact_composed_gradient,
@@ -367,6 +367,38 @@ def test_short_custom_schedule_fails_before_iterating():
     assert seen == []  # neither the initial sample nor any iteration ran
 
 
+class _CountingLevel(LevelOracle):
+    """A level that notes each of its samples in ``calls`` before drawing from ``base``."""
+
+    def __init__(self, base, calls):
+        self.base, self.calls = base, calls
+
+    def sample(self, x, u_next, rng, k=0):
+        self.calls.append(k)
+        return self.base.sample(x, u_next, rng, k)
+
+
+@pytest.mark.parametrize("gammas, message", [
+    pytest.param((1.0,), "need 2 gamma weights for levels 2..3, got 1", id="too-few"),
+    pytest.param((1.0, 1.0, 1.0), "need 2 gamma weights for levels 2..3, got 3", id="too-many"),
+    pytest.param((1.0, 0.0), "gamma weights must be positive", id="zero"),
+    pytest.param((-1.0, 1.0), "gamma weights must be positive", id="negative"),
+])
+def test_bad_gammas_fail_before_any_sample(gammas, message):
+    calls = []
+    p = BLOCK_PROBLEM
+    problem = dataclasses.replace(
+        p, oracles=tuple(_CountingLevel(o, calls) for o in p.oracles),
+        exact=ExactEvaluators(tuple(_CountingLevel(o, calls) for o in p.exact.levels)))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=0)
+    diagnostics = DiagnosticsConfig(lyapunov_every=3, gammas=gammas)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(problem, params, 10, diagnostics)
+    assert calls == []
+    run(problem, params, 10, DiagnosticsConfig(lyapunov_every=3, gammas=(1.0, 1.0)))
+    assert calls  # the counting levels do see the samples of a run
+
+
 def test_filtered_average_tracks_gradient_noise_free(smooth_problem, default_params):
     # guards the z filter on its own: with update_z frozen, z stays at its
     # initial sample and the iterate stalls far from x* (||z - grad|| ~ 6)
@@ -379,7 +411,7 @@ def test_filtered_average_tracks_gradient_noise_free(smooth_problem, default_par
 
 
 # ---------------------------------------------------------------------------
-# diagnostics evaluated in blocks of recorded rows
+# diagnostics evaluated on chunks of stored states
 
 def _same_record(a, b):
     for name in ("tau", "d_sq", "eta", "tracking", "exact_residual", "lyapunov", "objective"):
@@ -417,26 +449,26 @@ BLOCK_DIAGNOSTICS = {
 }
 
 
-# n = 4 is the widest row that still fills a whole block of _DIAGNOSTICS_BLOCK rows
+# the widest row of BLOCK_PROBLEM has n = 4 entries: run takes it in chunks of CHUNK iterations
 BLOCK_PROBLEM = synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2,
                                  noise=NoiseModel(value_sd=0.1, jac_sd=0.1))
+CHUNK = ROW_BLOCK_ELEMENTS // 4
 
 
-@pytest.mark.parametrize("N", [1, _DIAGNOSTICS_BLOCK - 1, _DIAGNOSTICS_BLOCK,
-                               _DIAGNOSTICS_BLOCK + 1, 2 * _DIAGNOSTICS_BLOCK + 1])
+@pytest.mark.parametrize("N", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("diag", sorted(BLOCK_DIAGNOSTICS))
 def test_block_diagnostics_match_rowwise_reference(N, diag):
-    assert ROW_BLOCK_ELEMENTS // BLOCK_PROBLEM.n == _DIAGNOSTICS_BLOCK
+    assert CHUNK == 1024 and max(BLOCK_PROBLEM.n, *BLOCK_PROBLEM.level_dims) == 4
     params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=8)
     diagnostics = BLOCK_DIAGNOSTICS[diag]
     _same_record(run(BLOCK_PROBLEM, params, N, diagnostics),
                  run_rowwise(BLOCK_PROBLEM, params, N, diagnostics))
 
 
-@pytest.mark.parametrize("name", ["risk_p2-clamp", "svi-ball", "custom-level",
-                                  "synthetic-wide"])
+@pytest.mark.parametrize("name", ["risk_p2-clamp", "svi-ball", "svi-polytope", "svi-simplex",
+                                  "custom-level", "synthetic-wide"])
 def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
-    N = _DIAGNOSTICS_BLOCK + 37
+    N = CHUNK + 37
     if name == "synthetic-wide":  # n = 100: blocks of 40 rows
         problem = synthetic_smooth(levels=3, n=100, inner_dim=3)
         diagnostics = DiagnosticsConfig(track_every=1, exact_every=3)
@@ -445,10 +477,15 @@ def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
         problem = risk_p2(random_scenarios(n=4, count=30, seed=5, relu=True), 0.5, 1e-2)
         diagnostics = DiagnosticsConfig(track_every=1, exact_every=3, lyapunov_every=7,
                                         gammas=(1.5, 2.5))
-    elif name == "svi-ball":  # a Ball projects the rows of a block one at a time
-        problem = svi_problem(n=4, noise_sd=0.1,
-                              feasible_set=Ball(np.ones(4), 0.8))
-        diagnostics = DiagnosticsConfig(track_every=1, exact_every=2)
+    elif name.startswith("svi-"):  # sets whose projection, in the gap too, is not a clip
+        feasible_set = {"svi-ball": Ball(np.ones(4), 0.8),
+                        "svi-polytope": Polytope(np.vstack([np.eye(4), -np.ones((1, 4))]),
+                                                 np.array([1.5, 1.5, 1.5, 1.5, -1.0]),
+                                                 np.full(4, 0.5)),
+                        "svi-simplex": Simplex(4, 2.0)}[name]
+        problem = svi_problem(n=4, noise_sd=0.1, feasible_set=feasible_set)
+        diagnostics = DiagnosticsConfig(track_every=1, exact_every=2, lyapunov_every=3,
+                                        gammas=(1.5,))
     else:
         problem = _custom_problem()
         diagnostics = DiagnosticsConfig(track_every=1, exact_every=4)
@@ -460,26 +497,29 @@ def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
 
 
 class _PickyTopLevel(LevelOracle):
-    """0.5 (x - 5)^2 on one coordinate; exact calls refuse x > 2, samples go NaN at k >= nan_from."""
+    """0.5 (x_1 - 5)^2 on R^n; exact calls refuse x_1 > 2, samples go NaN at k >= nan_from."""
 
-    def __init__(self, nan_from=None, refuse_exact=False):
-        self.nan_from, self.refuse_exact = nan_from, refuse_exact
+    def __init__(self, n, nan_from=None, refuse_exact=False):
+        self.n, self.nan_from, self.refuse_exact = n, nan_from, refuse_exact
 
     def sample(self, x, u_next, rng, k=0):
         if rng is None and self.refuse_exact and x[0] > 2.0:
             raise ProjectionError("exact level refused")
         value = np.nan if self.nan_from is not None and k >= self.nan_from else 0.5 * (x[0] - 5) ** 2
-        return OracleSample(np.array([value]), np.array([[x[0] - 5.0]]))
+        jac = np.zeros((1, self.n))
+        jac[0, 0] = x[0] - 5.0
+        return OracleSample(np.array([value]), jac)
 
 
-def _picky_problem(nan_from=None):
-    box = Box(np.array([-10.0]), np.array([10.0]))
-    return CompositionProblem(1, (1,), box, (_PickyTopLevel(nan_from),),
-                              ExactEvaluators((_PickyTopLevel(refuse_exact=True),)))
+def _picky_problem(nan_from=None, n=4):
+    """The picky level over [-10, 10]^n: run takes it in chunks of ROW_BLOCK_ELEMENTS // n rows."""
+    box = Box(np.full(n, -10.0), np.full(n, 10.0))
+    return CompositionProblem(n, (1,), box, (_PickyTopLevel(n, nan_from),),
+                              ExactEvaluators((_PickyTopLevel(n, refuse_exact=True),)))
 
 
 def _first_row_above_two(params):
-    """k of the first recorded row whose x exceeds 2: where the exact level refuses."""
+    """k of the first recorded row whose x_1 exceeds 2: where the exact level refuses."""
     problem = _picky_problem()
     streams = level_streams(params.seed, 1)
     state = init_state(problem, params, streams=streams)
@@ -491,19 +531,33 @@ def _first_row_above_two(params):
 def test_block_projection_error_names_the_failing_row():
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
     k_star = _first_row_above_two(params)
-    assert 0 < k_star < _DIAGNOSTICS_BLOCK
+    assert 0 < k_star < CHUNK
     for diag in (DiagnosticsConfig(track_every=1, exact_every=0),
-                 DiagnosticsConfig(track_every=0, exact_every=1)):
+                 DiagnosticsConfig(track_every=0, exact_every=1),
+                 DiagnosticsConfig(track_every=0, exact_every=0, lyapunov_every=1, gammas=())):
         with pytest.raises(ProjectionError, match=f"^exact level refused at iteration {k_star}$"):
-            run(_picky_problem(), params, 3 * _DIAGNOSTICS_BLOCK, diag)
+            run(_picky_problem(), params, 3 * CHUNK, diag)
+
+
+def _loop_failure_reports_the_earliest_row(n):
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
+    k_star = _first_row_above_two(params)
+    # the loop fails at or after row k_star, whose state is stored first: that row wins
+    for nan_from in (k_star, k_star + 1):
+        with pytest.raises(ProjectionError, match=f"^exact level refused at iteration {k_star}$"):
+            run(_picky_problem(nan_from=nan_from, n=n), params, 3 * CHUNK)
+    # the loop fails before it: its own error stands
+    with pytest.raises(NonFiniteIterateError, match=f"^non-finite u_1 at iteration {k_star - 1}$"):
+        run(_picky_problem(nan_from=k_star - 1, n=n), params, 3 * CHUNK)
+    return k_star
 
 
 def test_loop_failure_evaluates_pending_rows_first():
-    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=0)
-    k_star = _first_row_above_two(params)
-    # the loop fails after row k_star is recorded: the earlier block row wins
-    with pytest.raises(ProjectionError, match=f"^exact level refused at iteration {k_star}$"):
-        run(_picky_problem(nan_from=k_star + 5), params, 3 * _DIAGNOSTICS_BLOCK)
-    # the loop fails before it: its own error stands
-    with pytest.raises(NonFiniteIterateError, match=f"^non-finite u_1 at iteration {k_star - 1}$"):
-        run(_picky_problem(nan_from=k_star - 1), params, 3 * _DIAGNOSTICS_BLOCK)
+    assert _loop_failure_reports_the_earliest_row(4) < CHUNK  # all in the first chunk
+
+
+def test_loop_failure_in_a_later_chunk_reports_the_earliest_row():
+    # n = 1024: chunks of 4 rows, so k_star = 9 and the failure at 10 share the third
+    k_star = _loop_failure_reports_the_earliest_row(1024)
+    size = ROW_BLOCK_ELEMENTS // 1024
+    assert size < k_star and (k_star + 1) // size == k_star // size
