@@ -103,7 +103,7 @@ class NoiseModel:
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
 
 
-def _centered_draw(rng: np.random.Generator, size: int, distribution: str) -> np.ndarray:
+def _centered_draw(rng: np.random.Generator, size, distribution: str) -> np.ndarray:
     """Zero-mean, unit-variance draws of the requested shape."""
     if distribution == "gaussian":
         return rng.standard_normal(size)
@@ -116,45 +116,74 @@ def _centered_draw(rng: np.random.Generator, size: int, distribution: str) -> np
 class LevelOracle(ABC):
     """Produces stochastic samples of one level of the composition.
 
-    Oracles are stateless: all randomness comes through the explicit
-    generator argument.  Their shapes are declared once, by the problem's
-    level_dims.
+    Oracles are stateless: sample's rng is a generator to draw from, a row
+    of the block the level's draw returned, or None for the exact level.
+    Their shapes are declared once, by the problem's level_dims.
     """
 
     @abstractmethod
     def sample(self, x: np.ndarray, u_next: np.ndarray | None,
-               rng: np.random.Generator, k: int = 0) -> OracleSample:
+               rng, k: int = 0) -> OracleSample:
         """Draw one estimate at (x, u_next); k indexes bias schedules."""
+
+    def draw(self, rng: np.random.Generator, count: int, dims: tuple) -> np.ndarray | None:
+        """From one call, what count samples would draw from rng one by one: a row each.
+
+        dims is (d_m, n, d_{m+1}), 0 innermost; a draw of count 0 advances no
+        generator.  None, the default, has each sample draw from rng itself.
+        """
+        return None
+
+
+class NoiseFreeLevel(LevelOracle):
+    """A level whose samples draw nothing: its rows are empty."""
+
+    def draw(self, rng, count, dims):
+        return np.empty((count, 0))
 
 
 class NoisyOracle(LevelOracle):
     """Adds NoiseModel perturbations on top of a base oracle.
 
-    The value and both Jacobian blocks are perturbed from a single
-    per-call draw of the level's stream, keeping one oracle call per
-    level per iteration.
+    The value and both Jacobian blocks are perturbed from one row of noise
+    per sample, scaled by value_sd on the value columns and by jac_sd on the
+    rest, keeping one oracle call per level per iteration.  Over a base that
+    draws nothing, draw fills and scales the rows of a whole block at once;
+    over any other base the row is drawn per call, after the base's draw.
     """
 
     def __init__(self, base: LevelOracle, noise: NoiseModel):
         self.base = base
         self.noise = noise
 
+    def _noise(self, rng, count, d, width):
+        block = _centered_draw(rng, (count, width), self.noise.distribution)
+        block[:, :d] *= self.noise.value_sd
+        block[:, d:] *= self.noise.jac_sd
+        return block
+
+    def draw(self, rng, count, dims):
+        probe = self.base.draw(rng, 0, dims)  # a block of no samples: its rows' width
+        if probe is None or probe.shape != (0, 0):
+            return None  # the base draws, so each noise row follows its draw, per call
+        d, n, d_next = dims
+        return self._noise(rng, count, d, d * (1 + n + d_next))
+
     def sample(self, x, u_next, rng, k=0):
-        s = self.base.sample(x, u_next, rng, k)
-        noise = self.noise
+        s = self.base.sample(x, u_next, rng, k)  # a base that draws nothing reads no row
         d = s.value.size
         nx = s.jac_x.size
-        nu = 0 if s.jac_u is None else s.jac_u.size
-        buf = _centered_draw(rng, d + nx + nu, noise.distribution)
-        value = s.value + noise.value_sd * buf[:d]
-        jac_x = s.jac_x + noise.jac_sd * buf[d:d + nx].reshape(s.jac_x.shape)
         jac_u = s.jac_u
+        if isinstance(rng, np.random.Generator):
+            rng = self._noise(rng, 1, d, d + nx + (0 if jac_u is None else jac_u.size))[0]
+        value = s.value + rng[:d]
+        jac_x = s.jac_x + rng[d:d + nx].reshape(s.jac_x.shape)
         if jac_u is not None:
-            jac_u = jac_u + noise.jac_sd * buf[d + nx:].reshape(jac_u.shape)
-        if noise.bias is not None:
-            off = float(noise.bias(k))
+            jac_u = jac_u + rng[d + nx:].reshape(jac_u.shape)
+        if self.noise.bias is not None:
+            off = float(self.noise.bias(k))
             value = value + off
             jac_x = jac_x + off
             if jac_u is not None:
                 jac_u = jac_u + off
-        return OracleSample(value, jac_x, jac_u)
+        return OracleSample(value, jac_x, jac_u, s.clamped)

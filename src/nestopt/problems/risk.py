@@ -60,9 +60,13 @@ class FiniteScenarios:
     def count(self) -> int:
         return self.weights.size
 
-    def draw_loss(self, x: np.ndarray, rng: np.random.Generator):
-        """One sampled (loss value, loss subgradient) pair."""
-        i = int(self._cum.searchsorted(rng.random(), side="right"))
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The scenario indices of count samples, from one rng.random(count) call."""
+        return self._cum.searchsorted(rng.random(count), side="right")
+
+    def draw_loss(self, x: np.ndarray, rng):
+        """One sampled (loss value, loss subgradient) pair; rng may be a drawn index."""
+        i = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
         t = float(self.coef[i] @ x) + float(self.offset[i])
         if not self.relu:
             return t, self.coef[i]
@@ -96,10 +100,15 @@ class GaussianScenarios:
     def n(self) -> int:
         return np.asarray(self.coef_mean).size
 
-    def draw_loss(self, x: np.ndarray, rng: np.random.Generator):
-        a = np.asarray(self.coef_mean, dtype=float) + self.coef_sd * rng.standard_normal(self.n)
-        b = self.offset_mean + self.offset_sd * rng.standard_normal()
-        return float(a @ x) + b, a
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The standard normals of count samples: n for the coefficients, then the offset's."""
+        return rng.standard_normal((count, self.n + 1))
+
+    def draw_loss(self, x: np.ndarray, rng):
+        """One sampled (loss value, loss subgradient) pair; rng may be a drawn row."""
+        e = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
+        a = np.asarray(self.coef_mean, dtype=float) + self.coef_sd * e[:-1]
+        return float(a @ x) + (self.offset_mean + self.offset_sd * e[-1]), a
 
 
 def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,
@@ -146,15 +155,19 @@ class _ScenarioLevel(LevelOracle):
 
     h and g are scenario losses and subgradients, u the inner level's
     value, E a mean over scenarios and J(c) the Jacobian mean E[c * g].
-    With a generator, one scenario is drawn and E is the identity; with
-    rng=None, every row of the finite table is taken with its weight, which
-    gives the exact level.  Called with J=None, formula returns the value
-    alone and builds no Jacobian: exact_value passes the losses of a row or
-    a block of rows, u of shape (..., 1), and an E that keeps that axis.
+    With a generator, or a row of the block the scenarios' draw returned,
+    one scenario is drawn and E is the identity; with rng=None, every row of
+    the finite table is taken with its weight, which gives the exact level.
+    Called with J=None, formula returns the value alone and builds no
+    Jacobian: exact_value passes the losses of a row or a block of rows, u
+    of shape (..., 1), and an E that keeps that axis.
     """
 
     def __init__(self, scen):
         self.scen = scen
+
+    def draw(self, rng, count, dims):
+        return self.scen.draw(rng, count)
 
     def sample(self, x, u_next, rng, k=0):
         u = None if u_next is None else float(u_next[0])

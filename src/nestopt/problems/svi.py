@@ -19,11 +19,11 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
+from ..oracles import NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
 from ..sets import Box, FeasibleSet
 
 
-class RegularizedGapLevel(LevelOracle):
+class RegularizedGapLevel(NoiseFreeLevel):
     """Exact top level f(x, u) = max_{y in X} { <u, y-x> - (r/2)||y-x||^2 }.
 
     The maximizer is the projection of x + u/r; since it is unique, the
@@ -53,7 +53,7 @@ class RegularizedGapLevel(LevelOracle):
         return (row_dot(u_next, dy) - 0.5 * r * row_dot(dy, dy))[..., None]
 
 
-class NegatedMeanMapLevel(LevelOracle):
+class NegatedMeanMapLevel(NoiseFreeLevel):
     """Inner level f(x) = -(A x + b), the negated mean of the VI map."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray):

@@ -12,11 +12,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
+from ..oracles import (LevelOracle, NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample,
+                       row_dot, row_matvec)
 from ..sets import Box
 
 
-class QuadraticTopLevel(LevelOracle):
+class QuadraticTopLevel(NoiseFreeLevel):
     """f(x, u) = 0.5||x - x_hat||^2 + 0.5||u - u_hat||^2 (scalar)."""
 
     def __init__(self, x_hat: np.ndarray, u_hat: np.ndarray):
@@ -35,7 +36,7 @@ class QuadraticTopLevel(LevelOracle):
         return (0.5 * row_dot(dx, dx) + 0.5 * row_dot(du, du))[..., None]
 
 
-class QuadraticPointLevel(LevelOracle):
+class QuadraticPointLevel(NoiseFreeLevel):
     """Single-level variant f(x) = 0.5||x - x_hat||^2."""
 
     def __init__(self, x_hat: np.ndarray):
@@ -50,7 +51,7 @@ class QuadraticPointLevel(LevelOracle):
         return (0.5 * row_dot(dx, dx))[..., None]
 
 
-class LinearLevel(LevelOracle):
+class LinearLevel(NoiseFreeLevel):
     """f(x, u) = Q x + R u + c."""
 
     def __init__(self, Q: np.ndarray, R: np.ndarray, c: np.ndarray):
@@ -65,7 +66,7 @@ class LinearLevel(LevelOracle):
         return row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c
 
 
-class LinearBottomLevel(LevelOracle):
+class LinearBottomLevel(NoiseFreeLevel):
     """f(x) = Q x + c."""
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):

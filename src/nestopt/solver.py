@@ -11,6 +11,7 @@ the movement of x and of the inner trackers.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +108,20 @@ def _non_finite_array(dsq: float, zsq: float, u: Sequence[np.ndarray]) -> str:
         if not math.isfinite(total):
             break
     return name
+
+
+def _draws(problem: CompositionProblem, streams: Sequence[np.random.Generator], N: int):
+    """Per iteration, what each level's sample reads: its row of a block, or its generator.
+
+    A block holds at most max(ROW_BLOCK_ELEMENTS, one sample) entries, where
+    a sample has d_m (1 + n + d_{m+1}); a level whose draw is None gets rng.
+    """
+    dims = [(d, problem.n, dn) for d, dn in zip(problem.level_dims, problem.level_dims[1:] + (0,))]
+    size = max(1, ROW_BLOCK_ELEMENTS // max(d * (1 + n + dn) for d, n, dn in dims))
+    for lo in range(0, N, size):
+        count = min(size, N - lo)
+        blocks = [o.draw(g, count, s) for o, g, s in zip(problem.oracles, streams, dims)]
+        yield from zip(*[repeat(g, count) if b is None else b for g, b in zip(streams, blocks)])
 
 
 def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
@@ -210,6 +225,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         x, z, u = state.x, state.z, state.u
         max_zsq = float(z @ z)
         max_usq = max(float(arr @ arr) for arr in u)
+        draws = _draws(problem, streams, N)
         for lo in range(0, N, size):
             hi = min(lo + size, N)
             for k in range(lo, hi):
@@ -218,7 +234,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
                     buf[k - lo] = arr
                 try:
                     rec_eta[k], rec_dsq[k], samples, x, z, u, zsq, usq = _advance(
-                        problem, params, x, z, u, taus[k], streams, k)
+                        problem, params, x, z, u, taus[k], next(draws), k)
                 except Exception as exc:
                     evaluate(lo, k + 1)
                     if isinstance(exc, ProjectionError):

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,42 @@ from nestopt import AlgorithmParams, Diminishing, NoiseModel
 from nestopt.problems import synthetic_smooth
 
 from helpers import norm_bounds
+
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def numeric_environment() -> dict:
+    """The numpy version and the BLAS numpy was built against, as golden.json records them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """check(key, path): the artifact at path has the sha256 pinned under key in golden.json.
+
+    The pins are bytes of floating-point output, so they hold only for the
+    numpy and BLAS they were recorded with.  Under any other numpy or BLAS
+    the comparison is skipped, and the skip names both environments.  With
+    the recorded ones, a differing hash fails and names the artifact;
+    OpenBLAS built with DYNAMIC_ARCH picks its kernels by CPU, so the
+    message says that a CPU of another kind is the one other cause.
+    """
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    here = numeric_environment()
+
+    def check(key, path):
+        pinned = doc["sha256"][key]
+        if here != doc["environment"]:
+            pytest.skip(f"{key} not compared: pinned under {doc['environment']}, "
+                        f"this is {here}")
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest == pinned, (
+            f"{key} changed bytes: sha256 {digest[:8]}, pinned {pinned[:8]} (same numpy "
+            f"and BLAS as the pin; OpenBLAS picks kernels by CPU, so check the CPU too)")
+
+    return check
 
 
 @pytest.fixture

@@ -82,7 +82,7 @@ def rate_payload(tmp_path_factory):
     elapsed = time.perf_counter() - t0
     assert code == 0
     payload = json.loads((out / "rate.json").read_text())
-    return payload, elapsed
+    return payload, elapsed, out / "rate.json"
 
 
 @pytest.fixture(scope="module")
@@ -214,15 +214,26 @@ def test_criterion_04_tracking_convergence(convergence_results):
 
 
 def test_criterion_05_rate_reproduction(rate_payload):
-    payload, elapsed = rate_payload
+    payload, elapsed, _ = rate_payload
     slope = payload["slope"]
     _report(5, {"slope": -0.75 <= slope <= -0.25},
             f"log-log slope {slope:.3f} over horizons "
             f"{[e['iterations'] for e in payload['entries']]} in {elapsed:.0f}s")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rate_json_matches_its_pin(threads, rate_payload, tmp_path, golden):
+    # criterion 5's run is the one at --threads 2; --threads 1 is run here
+    path = rate_payload[2]
+    if threads == "1":
+        assert main(["rate-experiment", "--config", str(CONFIG_DIR / "synthetic_rate.json"),
+                     "--out", str(tmp_path), "--threads", "1"]) == 0
+        path = tmp_path / "rate.json"
+    golden(f"synthetic_rate/threads-{threads}/rate.json", path)
+
+
 def test_criterion_06_per_level_tracking_rate(rate_payload):
-    payload, _ = rate_payload
+    payload, _, _ = rate_payload
     per_level = np.array([e["tracking_mean_sq"] for e in payload["entries"]])
     # columns are levels; tracking error means must not increase with N
     non_increasing = bool(np.all(np.diff(per_level[:, 1:], axis=0) <= 1e-12))
@@ -249,7 +260,7 @@ def test_criterion_08_svi_reaches_known_solution(svi_result):
 def test_criterion_09_boundedness_guard(convergence_results, rate_payload,
                                         risk_result, svi_result):
     results, _ = convergence_results
-    payload, _ = rate_payload
+    payload, _, _ = rate_payload
     synthetic = synthetic_smooth(noise=NOISE)
     z_bound, u_bound = noisy_norm_bounds(synthetic, sigma=0.1)
     checks = []

@@ -590,13 +590,32 @@ def test_shipped_configs_validate(name):
 
 @pytest.mark.parametrize("name", ["synthetic_run.json", "risk_p1_run.json",
                                   "risk_p2_run.json", "svi_run.json"])
-def test_shipped_run_configs_execute(name, tmp_path):
+def test_shipped_run_configs_execute(name, tmp_path, golden):
     assert main(["run", "--config", str(CONFIG_DIR / name),
                  "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["final"]["eta"] <= 1e-12
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(lines) == summary["iterations"] + 1
+    for artifact in ("trace.csv", "summary.json"):
+        golden(f"{Path(name).stem}/{artifact}", tmp_path / artifact)
+
+
+# every merit cell kind on, with intervals that meet only now and then
+MERIT_DIAGNOSTICS = {"track_every": 3, "exact_every": 7, "exact_window": 900,
+                     "lyapunov_every": 5}
+
+
+@pytest.mark.parametrize("name, levels", [("synthetic_run", 3), ("risk_p2_run", 3),
+                                         ("svi_run", 2)])
+def test_merit_on_run_matches_its_pin(name, levels, tmp_path, golden):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc["run"]["iterations"] = 3000
+    doc["diagnostics"] = dict(MERIT_DIAGNOSTICS, gammas=[1.0] * (levels - 1))
+    assert main(["run", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")]) == 0
+    for artifact in ("trace.csv", "summary.json"):
+        golden(f"{name}-merit/{artifact}", tmp_path / "out" / artifact)
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5]

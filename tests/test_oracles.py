@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestopt import NoiseModel, NoisyOracle, level_streams
 from nestopt.oracles import OracleSample, _centered_draw
+from nestopt.problems import GaussianScenarios, FiniteScenarios, random_scenarios
+from nestopt.problems.risk import MeanLossLevel, SqrtRiskLevel, UpperSemidevLevel
+from nestopt.problems.synthetic import LinearBottomLevel, LinearLevel
 
-from helpers import DeterministicOracle, finite_difference_reference
+from helpers import DeterministicOracle, finite_difference_reference, same_bits
 
 
 def _affine_oracle(A, B=None, c=None):
@@ -147,3 +152,97 @@ def test_sample_block_split_roundtrip():
     assert jac_x is s.jac_x and jac_u is s.jac_u and clamped is False
     bottom = OracleSample(np.zeros(2), jac[:, :3])
     assert bottom.jac_u is None and not bottom.clamped
+
+
+# ---------------------------------------------------------------------------
+# block draws: a level's randomness for count samples from one generator call
+
+def test_noisy_oracle_keeps_the_base_clamped_flag():
+    base = SqrtRiskLevel(random_scenarios(n=3, count=5, seed=1), kappa=0.5, epsilon=1e-2)
+    x, u = np.full(3, 1.0 / 3.0), np.array([-9e-3])  # epsilon + u below epsilon / 2
+    rng = level_streams(0, 1)[0]
+    assert base.sample(x, u, rng).clamped
+    assert NoisyOracle(base, NoiseModel(0.0, 0.0)).sample(x, u, rng).clamped
+
+
+def test_noise_moves_the_value_by_value_sd_and_the_jacobians_by_jac_sd():
+    base = LinearLevel(np.eye(2, 3), np.ones((2, 2)), np.zeros(2))
+    x, u = np.array([0.5, -1.0, 2.0]), np.array([0.3, 0.1])
+    exact = base.sample(x, u, None)
+    for value_sd, jac_sd in ((0.0, 1.0), (1.0, 0.0)):
+        noisy = NoisyOracle(base, NoiseModel(value_sd, jac_sd))
+        rng = level_streams(1, 1)[0]
+        for s in (noisy.sample(x, u, rng), noisy.sample(x, u, noisy.draw(rng, 1, (2, 3, 2))[0])):
+            assert np.array_equal(s.value, exact.value) == (value_sd == 0.0)
+            assert np.array_equal(s.jac_x, exact.jac_x) == (jac_sd == 0.0)
+            assert np.array_equal(s.jac_u, exact.jac_u) == (jac_sd == 0.0)
+
+
+_DRAW_KINDS = {  # every generator call a shipped draw makes
+    "standard_normal": lambda g, shape: g.standard_normal(shape),
+    "random": lambda g, shape: g.random(shape),
+    "integers": lambda g, shape: g.integers(0, 2, shape),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(_DRAW_KINDS)), seed=st.integers(0, 2**64 - 1),
+       count=st.integers(0, 30), size=st.integers(0, 40))
+def test_one_draw_of_count_by_size_equals_count_draws_of_size(kind, seed, count, size):
+    block_rng, call_rng = level_streams(seed, 1)[0], level_streams(seed, 1)[0]
+    draw = _DRAW_KINDS[kind]
+    block = draw(block_rng, (count, size))
+    for row in block:
+        assert same_bits(row, draw(call_rng, size))
+    assert block_rng.random() == call_rng.random()  # both streams stop at the same place
+
+
+def _block_levels():
+    """Every shipped kind of level whose draw returns a block, with its dims (d, n, d_next)."""
+    rng = np.random.default_rng(11)
+    Q, R, c = rng.standard_normal((2, 3)), rng.standard_normal((2, 2)), rng.standard_normal(2)
+    table = FiniteScenarios(weights=rng.random(7) + 0.05, coef=rng.standard_normal((7, 3)),
+                            offset=rng.standard_normal(7), relu=True)
+    gauss = GaussianScenarios(np.full(3, 0.3), 0.4, 1.0, 0.5)
+    levels = {f"noise-{dist}": (NoisyOracle(LinearLevel(Q, R, c), NoiseModel(0.1, 0.2, dist)),
+                                (2, 3, 2))
+              for dist in ("gaussian", "uniform", "rademacher")}
+    levels["noise-bias-innermost"] = (
+        NoisyOracle(LinearBottomLevel(Q, c), NoiseModel(0.1, 0.2, bias=lambda k: 1.0 / (k + 1))),
+        (2, 3, 0))
+    levels["finite-scenarios"] = (UpperSemidevLevel(table, 0.5), (1, 3, 1))
+    levels["gaussian-scenarios"] = (MeanLossLevel(gauss), (1, 3, 0))
+    return levels
+
+
+BLOCK_LEVELS = _block_levels()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BLOCK_LEVELS)), seed=st.integers(0, 2**64 - 1),
+       count=st.integers(1, 20), k=st.integers(0, 10**6))
+def test_block_rows_give_the_samples_drawn_one_call_at_a_time(name, seed, count, k):
+    level, (d, n, d_next) = BLOCK_LEVELS[name]
+    x, u = np.linspace(-0.5, 0.7, n), np.linspace(0.2, -0.3, d_next) if d_next else None
+    block_rng, call_rng = level_streams(seed, 1)[0], level_streams(seed, 1)[0]
+    block = level.draw(block_rng, count, (d, n, d_next))
+    assert len(block) == count
+    for row in block:
+        a, b = level.sample(x, u, row, k), level.sample(x, u, call_rng, k)
+        assert all(same_bits(p, q) for p, q in zip(a[:3], b[:3]) if p is not None)
+        assert (a.jac_u is None) == (b.jac_u is None) and a.clamped == b.clamped
+    assert block_rng.random() == call_rng.random()
+
+
+def test_levels_that_declare_no_draw_sample_per_call():
+    # DeterministicOracle keeps LevelOracle's draw; a NoisyOracle over a level
+    # that draws per call must draw its noise per call too, after the base's
+    scen = random_scenarios(n=2, count=4, seed=3)
+    for level in (_affine_oracle(np.eye(2)),
+                  NoisyOracle(_affine_oracle(np.eye(2)), NoiseModel(0.1, 0.1)),
+                  NoisyOracle(MeanLossLevel(scen), NoiseModel(0.1, 0.1)),
+                  NoisyOracle(NoisyOracle(LinearBottomLevel(np.eye(2), np.zeros(2)),
+                                          NoiseModel(0.1, 0.1)), NoiseModel(0.1, 0.1))):
+        rng, ref = level_streams(4, 1)[0], level_streams(4, 1)[0]
+        assert level.draw(rng, 5, (2, 2, 0)) is None
+        assert rng.random() == ref.random()  # declining the block drew nothing

@@ -222,19 +222,20 @@ def test_mean_semideviation_identity_both_orders():
 # oracle / exact consistency
 
 class _PickRandom:
-    """Stub generator whose random() always returns r."""
+    """Stub generator whose random(size) returns r in every entry."""
 
     def __init__(self, r):
         self.r = r
 
-    def random(self):
-        return self.r
+    def random(self, size):
+        return np.full(size, self.r)
 
 
 @pytest.mark.parametrize("relu", [False, True])
 def test_exact_risk_levels_are_weighted_means_of_scenario_samples(relu):
     # rng=None takes every scenario with its weight; a stub generator whose
-    # random() falls inside row i's cumulative-weight interval draws row i
+    # random() falls inside row i's cumulative-weight interval makes the
+    # level's draw pick row i, and the sample reads that drawn row
     weights = np.array([0.1, 0.4, 0.2, 0.3])
     scen = FiniteScenarios(weights=weights,
                            coef=np.array([[0.4, -0.2, 0.1], [-1.0, 0.5, 0.3],
@@ -251,7 +252,8 @@ def test_exact_risk_levels_are_weighted_means_of_scenario_samples(relu):
             for m, oracle in enumerate(problem.oracles, start=1):
                 u_next = np.array([u_val]) if m < problem.M else None
                 exact = oracle.sample(x, u_next, None)
-                per_row = [oracle.sample(x, u_next, pick) for pick in picks]
+                per_row = [oracle.sample(x, u_next, oracle.draw(pick, 1, None)[0])
+                           for pick in picks]
                 for field in ("value", "jac_x", "jac_u"):
                     rows = [getattr(s, field) for s in per_row]
                     if getattr(exact, field) is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
-                     Custom, CustomSet, Diminishing, NoiseModel,
+                     Custom, CustomSet, Diminishing, NoiseModel, NoisyOracle,
                      InitPolicy, IterateState, NonFiniteIterateError, ProjectionError,
                      assemble_subgradient, init_state, level_streams, run,
                      update_trackers, update_z)
@@ -13,8 +13,8 @@ from nestopt.diagnostics import DiagnosticsConfig
 from nestopt.model import ExactEvaluators
 from nestopt.oracles import LevelOracle, OracleSample
 from nestopt.oracles import ROW_BLOCK_ELEMENTS
-from nestopt.problems import (make_problem, random_scenarios, risk_p2, svi_problem,
-                              synthetic_smooth)
+from nestopt.problems import (FiniteScenarios, GaussianScenarios, make_problem,
+                              random_scenarios, risk_p1, risk_p2, svi_problem, synthetic_smooth)
 from nestopt.sets import Ball, Polytope, Simplex
 
 from conftest import noisy_norm_bounds
@@ -494,6 +494,151 @@ def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
     _same_record(record, run_rowwise(problem, params, N, diagnostics))
     if name == "risk_p2-clamp":
         assert record.clamp_events > 0
+
+
+# ---------------------------------------------------------------------------
+# oracle randomness drawn a block of iterations at a time
+
+class _DrawSpy(LevelOracle):
+    """Delegates to ``level``; notes (count, entries, d_m (1 + n + d_{m+1})) of each block."""
+
+    def __init__(self, level, blocks):
+        self.level, self.blocks = level, blocks
+
+    def draw(self, rng, count, dims):
+        block = self.level.draw(rng, count, dims)
+        if block is not None:
+            d, n, d_next = dims
+            self.blocks.append((count, block.size, d * (1 + n + d_next)))
+        return block
+
+    def sample(self, x, u_next, rng, k=0):
+        return self.level.sample(x, u_next, rng, k)
+
+
+def _spied(problem):
+    blocks = [[] for _ in problem.oracles]
+    oracles = tuple(_DrawSpy(o, b) for o, b in zip(problem.oracles, blocks))
+    return dataclasses.replace(problem, oracles=oracles), blocks
+
+
+def _unequal_scenarios(relu):
+    rng = np.random.default_rng(4)
+    return FiniteScenarios(weights=rng.random(30) + 0.05,
+                           coef=0.3 + 0.4 * rng.standard_normal((30, 20)),
+                           offset=1.0 + 0.5 * rng.standard_normal(30), relu=relu)
+
+
+def _noisy_synthetic(distribution="gaussian", bias=None):
+    return synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2,
+                            noise=NoiseModel(0.1, 0.1, distribution, bias))
+
+
+BLOCK_DRAW_PROBLEMS = {
+    "noise-gaussian": lambda: _noisy_synthetic(),
+    "noise-uniform": lambda: _noisy_synthetic("uniform"),
+    "noise-rademacher": lambda: _noisy_synthetic("rademacher"),
+    "noise-bias": lambda: _noisy_synthetic(bias=lambda k: 0.5 / (k + 1)),
+    "risk_p1-relu-off": lambda: risk_p1(_unequal_scenarios(False), 0.5),
+    "risk_p1-relu-on": lambda: risk_p1(_unequal_scenarios(True), 0.5),
+    "risk_p2-relu-off": lambda: risk_p2(_unequal_scenarios(False), 0.5, 1e-2),
+    "risk_p2-relu-on": lambda: risk_p2(_unequal_scenarios(True), 0.5, 1e-2),
+    "gaussian-scenarios": lambda: risk_p2(GaussianScenarios(np.full(20, 0.05), 0.4, 1.0, 0.5),
+                                          0.5, 1e-2),
+    "svi-noisy": lambda: svi_problem(n=4, noise_sd=0.1),
+}
+
+
+def _iterations_per_block(problem):
+    """ROW_BLOCK_ELEMENTS over the largest sample's d_m (1 + n + d_{m+1}) entries, at least 1."""
+    dims = problem.level_dims
+    return max(1, ROW_BLOCK_ELEMENTS // max(d * (1 + problem.n + d_next)
+                                            for d, d_next in zip(dims, dims[1:] + (0,))))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_DRAW_PROBLEMS))
+def test_block_draws_match_rowwise_reference(name):
+    # run reads each level's randomness from blocks; run_rowwise draws per call
+    problem, blocks = _spied(BLOCK_DRAW_PROBLEMS[name]())
+    count = _iterations_per_block(problem)
+    N = 3 * count + count // 3  # three refills and a partial last block
+    diagnostics = DiagnosticsConfig(track_every=1, exact_every=5) if problem.exact else \
+        DiagnosticsConfig(track_every=0, exact_every=0)
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=6)
+    _same_record(run(problem, params, N, diagnostics),
+                 run_rowwise(problem, params, N, diagnostics))
+    assert any(blocks)
+    for level in filter(None, blocks):
+        assert [c for c, _, _ in level] == [count] * 3 + [count // 3]
+
+
+@pytest.mark.parametrize("name", ["synthetic-shipped", "synthetic-wide", "svi-one-sample",
+                                  "risk_p2-shipped"])
+def test_draw_blocks_hold_at_most_row_block_elements_or_one_sample(name):
+    problem = {
+        "synthetic-shipped": lambda: synthetic_smooth(noise=NoiseModel(0.1, 0.1)),
+        "synthetic-wide": lambda: synthetic_smooth(n=100, noise=NoiseModel(0.1, 0.1)),
+        # the inner level's one sample, 70 x 71 entries, exceeds ROW_BLOCK_ELEMENTS
+        "svi-one-sample": lambda: svi_problem(n=70, noise_sd=0.1),
+        "risk_p2-shipped": lambda: risk_p2(random_scenarios(n=5, count=50, seed=7), 0.5, 1e-4),
+    }[name]()
+    problem, blocks = _spied(problem)
+    N = 700
+    run(problem, AlgorithmParams(1.0, 1.0, 1.0, Constant(0.05), seed=1), N,
+        DiagnosticsConfig(track_every=0, exact_every=0))
+    assert any(blocks)
+    for level in filter(None, blocks):
+        assert sum(c for c, _, _ in level) == N
+        assert all(entries <= max(ROW_BLOCK_ELEMENTS, sample) for _, entries, sample in level)
+    if name == "svi-one-sample":
+        assert [len(level) for level in blocks] == [N, N]  # gap level: empty rows
+        assert blocks[1][0][1:] == (70 * 71, 70 * 71)
+
+
+def test_clamp_events_count_through_a_noisy_wrapper():
+    # the only clamping level sits under a NoisyOracle; its clamped samples all count
+    clamped = []
+
+    class NoteClamps(LevelOracle):
+        def __init__(self, level):
+            self.level = level
+
+        def sample(self, x, u_next, rng, k=0):
+            s = self.level.sample(x, u_next, rng, k)
+            clamped.append(s.clamped)
+            return s
+
+    problem = risk_p2(random_scenarios(n=4, count=30, seed=5, relu=True), 0.5, 1e-2)
+    problem = dataclasses.replace(problem, oracles=(
+        NoisyOracle(NoteClamps(problem.oracles[0]), NoiseModel(0.0, 0.0)),) + problem.oracles[1:])
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=3)
+    record = run(problem, params, 500, DiagnosticsConfig(track_every=0, exact_every=0))
+    assert len(clamped) == 501  # init_state's sample first
+    assert record.clamp_events == sum(clamped[1:]) > 0
+
+
+def test_levels_without_a_draw_get_their_generator_every_call():
+    # a DeterministicOracle declares no draw: it and a NoisyOracle over it sample per call
+    seen = []
+
+    class SeenRng(DeterministicOracle):
+        def __init__(self, level):
+            super().__init__(lambda x, u: level.sample(x, u, None)[:3])
+
+        def sample(self, x, u_next, rng, k=0):
+            seen.append(type(rng))
+            return super().sample(x, u_next, rng, k)
+
+    base = synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2)
+    top, middle, bottom = (SeenRng(level) for level in base.oracles)
+    noise = NoiseModel(0.1, 0.1)
+    problem = dataclasses.replace(base, oracles=(NoisyOracle(top, noise), middle,
+                                                 NoisyOracle(bottom, noise)))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=6)
+    diagnostics = DiagnosticsConfig(track_every=1, exact_every=5)
+    record = run(problem, params, 400, diagnostics)
+    assert len(seen) == 3 * 401 and set(seen) == {np.random.Generator}
+    _same_record(record, run_rowwise(problem, params, 400, diagnostics))
 
 
 class _PickyTopLevel(LevelOracle):
