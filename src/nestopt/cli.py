@@ -53,11 +53,12 @@ def main(argv=None) -> int:
                 cfg.algorithm = replace(cfg.algorithm, seed=args.seed)
             except ValueError as exc:
                 raise ConfigError("--seed", str(exc)) from exc
-        out_dir = args.out if args.out is not None else cfg.output_dir
+        out_dir, out_field = ((args.out, "--out") if args.out is not None
+                              else (cfg.output_dir, "output_dir"))
         # each replication builds its own problem; a build here as well would stay
         # resident in every forked pool worker
         if args.command == "rate-experiment":
-            payload = rate_experiment(cfg, out_dir, threads=args.threads)
+            payload = rate_experiment(cfg, out_dir, threads=args.threads, out_field=out_field)
             print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
             return 0
         problem = make_problem(cfg.problem_spec)
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print("config and problem structure ok")
             return 0
-        summary = run_single(cfg, problem, out_dir)
+        summary = run_single(cfg, problem, out_dir, out_field)
         print(f"wrote {out_dir}/trace.csv and summary.json "
               f"({summary['iterations']} iterations)")
         return 0

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .config import CONFIG, SCHEMA_VERSION, read
 from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate,
                           objective_tail_oscillation, optimality_measure)
 from .errors import ConfigError
-from .model import AlgorithmParams, Constant, Custom, InitPolicy
+from .model import AlgorithmParams, Constant, Custom, InitPolicy, next_stepsize
 from .problems import make_problem
 from .sets import gap as set_gap
 from .solver import run
@@ -156,15 +157,42 @@ def _effective_config(raw: dict, seed: int) -> dict:
     return echo
 
 
-def run_single(cfg: ExperimentConfig, problem, out_dir) -> dict:
-    """Run the problem built from cfg.problem_spec; write trace.csv + summary.json."""
+@contextmanager
+def _output_directory(path, field: str):
+    """Make the directory ``path`` before any work and yield it as a Path.
+
+    A path that cannot be a directory is a ConfigError naming ``field``.  If
+    the work fails, the directories made here are removed again, unless
+    something was written into them.
+    """
+    out = Path(path)
+    made = list(takewhile(lambda p: not p.exists(), (out, *out.parents)))  # innermost first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(field, str(exc)) from exc
+    try:
+        yield out
+    except BaseException:
+        for p in made:
+            try:
+                p.rmdir()
+            except OSError:
+                break
+        raise
+
+
+def run_single(cfg: ExperimentConfig, problem, out_dir, out_field: str = "output_dir") -> dict:
+    """Run the problem built from cfg.problem_spec; write trace.csv + summary.json.
+
+    ``out_field`` is the field a ConfigError names when ``out_dir`` cannot be made.
+    """
     if cfg.iterations is None:
         raise ConfigError("run.iterations", "missing required field")
     params = cfg.algorithm
-    record = run(problem, params, cfg.iterations, diagnostics=cfg.diagnostics,
-                 init_x=cfg.init_x, init_policy=cfg.init_policy)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output_directory(out_dir, out_field) as out:
+        record = run(problem, params, cfg.iterations, diagnostics=cfg.diagnostics,
+                     init_x=cfg.init_x, init_policy=cfg.init_policy)
     write_trace_csv(record, out / "trace.csv")
     summary = summarize_run(record, problem, params)
     summary["schema_version"] = SCHEMA_VERSION
@@ -203,14 +231,17 @@ def _replication_task(payload: dict) -> dict:
     return result
 
 
-def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
+                    out_field: str = "output_dir") -> dict:
     """Constant-stepsize sweep tau = theta / sqrt(N) over the config horizons.
 
     Runs the configured number of replications per horizon (optionally on a
     process pool of at most one worker per replication; results are merged
     in replication order so the artifact does not depend on the pool size)
-    and writes rate.json with the mean squared measure per horizon and the
-    fitted log-log slope.
+    and writes rate.json with the stepsize each horizon ran at (theta /
+    sqrt(N) clipped as every run clips it), the mean squared measure per
+    horizon and the fitted log-log slope.  ``out_field`` is the field a
+    ConfigError names when ``out_dir`` cannot be made.
     """
     if cfg.rate is None:
         raise ConfigError("rate_experiment", "missing required section")
@@ -218,30 +249,35 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     theta = cfg.rate["theta"]
     horizons = cfg.rate["horizons"]
     reps = cfg.rate["replications"]
+    taus = [next_stepsize(Constant(theta / math.sqrt(n_iter)), 0, cfg.algorithm.a,
+                          cfg.algorithm.b) for n_iter in horizons]
     payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
-                 "params": replace(cfg.algorithm, schedule=Constant(theta / math.sqrt(n_iter))),
+                 "params": replace(cfg.algorithm, schedule=Constant(tau)),
                  "init_x": cfg.init_x, "init_policy": cfg.init_policy,
                  "diagnostics": cfg.diagnostics}
-                for n_iter in horizons for r in range(reps)]
+                for n_iter, tau in zip(horizons, taus) for r in range(reps)]
     # the pool forks all its workers at once, so never more than there are tasks
     workers = min(threads, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, payloads))
-    else:
-        results = [_replication_task(p) for p in payloads]
+    with _output_directory(out_dir, out_field) as out:
+        if workers > 1:
+            # imported here: it loads multiprocessing, which no other command needs
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_replication_task, payloads))
+        else:
+            results = [_replication_task(p) for p in payloads]
 
     entries = []
     points = []
     idx = 0
-    for n_iter in horizons:
+    for n_iter, tau in zip(horizons, taus):
         batch = results[idx:idx + reps]
         idx += reps
         measures = [b["measure"] for b in batch]
         mean_measure = float(np.mean(measures))
         entry = {
             "iterations": n_iter,
-            "tau": theta / math.sqrt(n_iter),
+            "tau": tau,
             "mean_squared_measure": mean_measure,
             "replication_measures": measures,
             "max_z_norm": max(b["max_z_norm"] for b in batch),
@@ -268,7 +304,5 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     except ValueError as exc:
         payload["slope"] = None
         payload["slope_note"] = str(exc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _json_dump(payload, out / "rate.json")
     return payload

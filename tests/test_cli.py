@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -381,6 +382,70 @@ def test_runtime_failure_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, source, target", [
+    pytest.param("run", "synthetic_run", "--out", "file", id="run-flag-file"),
+    pytest.param("run", "synthetic_run", "output_dir", "file/sub", id="run-config-under-file"),
+    pytest.param("rate-experiment", "synthetic_rate", "--out", "file/sub",
+                 id="rate-flag-under-file"),
+    pytest.param("rate-experiment", "synthetic_rate", "output_dir", "file", id="rate-config-file"),
+])
+def test_unusable_output_directory_exits_one_before_iteration_0(tmp_path, capsys, monkeypatch,
+                                                                command, config, source, target):
+    calls = []
+    monkeypatch.setattr(nestopt.experiment, "run", lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = str(tmp_path / target)
+    doc = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+    args = ["--out", out]
+    if source == "output_dir":
+        doc["output_dir"], args = out, []
+    code = main([command, "--config", str(_write(tmp_path, doc)), *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"config error: {source}:"), err
+    assert calls == []
+
+
+def test_failed_run_removes_only_the_directories_it_made(tmp_path):
+    doc = _base_config()
+    doc["problem"]["noise"]["value_sd"] = 1e200  # squared norms overflow in iteration 0
+    config = str(_write(tmp_path, doc))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "a" / "b")]) == 2
+    assert not (tmp_path / "a").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(["run", "--config", config, "--out", str(tmp_path / "kept" / "b")]) == 2
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_validate_and_serial_commands_load_no_process_pool(tmp_path):
+    # pytest's own process has imported both packages already, so a fresh interpreter runs
+    # validate on every shipped config, a short run of each run config and a serial sweep
+    configs = sorted(CONFIG_DIR.glob("*.json"))
+    argv = [["validate", "--config", str(c)] for c in configs]
+    for c in configs:
+        doc = json.loads(c.read_text(encoding="utf-8"))
+        if "run" in doc:
+            doc["run"]["iterations"] = 20
+            argv.append(["run", "--config", str(_write(tmp_path, doc, c.name)),
+                         "--out", str(tmp_path / c.stem)])
+    rate = _rate_config()
+    rate["rate_experiment"]["horizons"] = [4, 8]
+    argv.append(["rate-experiment", "--config", str(_write(tmp_path, rate)),
+                 "--out", str(tmp_path / "rate"), "--threads", "1"])
+    script = ("import json, sys; from nestopt.cli import main; "
+              "codes = [main(a) for a in json.loads(sys.argv[1])]; "
+              "print(json.dumps([codes, sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('concurrent', 'multiprocessing'))]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argv)
+    assert loaded == []
+
+
 def _shipped(name, **run):
     doc = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     doc["run"].update(run)
@@ -486,6 +551,27 @@ def test_rate_experiment_thread_count_invariant(tmp_path):
         (tmp_path / "r2" / "rate.json").read_bytes()
 
 
+def test_rate_json_reports_the_clipped_stepsize_each_horizon_ran(tmp_path, monkeypatch):
+    # a = 4 caps every stepsize at min(1, 1/a, 1/b) = 0.25, above theta / sqrt(N) only at N = 10^4
+    ran = {}
+    solver_run = nestopt.experiment.run
+
+    def recording_run(problem, params, N, **kwargs):
+        record = solver_run(problem, params, N, **kwargs)
+        ran[N] = set(record.tau.tolist())
+        return record
+
+    monkeypatch.setattr(nestopt.experiment, "run", recording_run)
+    doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
+    doc["algorithm"]["a"] = 4.0
+    doc["rate_experiment"].update(theta=10.0, horizons=[100, 1000, 10000], replications=1)
+    assert main(["rate-experiment", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    entries = json.loads((tmp_path / "out" / "rate.json").read_text())["entries"]
+    assert [e["tau"] for e in entries] == [0.25, 0.25, 0.1]
+    assert ran == {e["iterations"]: {e["tau"]} for e in entries}
+
+
 def test_runtime_error_line_same_for_any_thread_count(tmp_path, capsys):
     # a pool worker's NonFiniteIterateError is pickled back to the parent
     doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
@@ -568,7 +654,8 @@ def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(nestopt.experiment, "ProcessPoolExecutor", InProcessPool)
+    # rate_experiment imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg_path = _write(tmp_path, _rate_config())
     for threads in ("1", "5000", "4"):
         assert main(["rate-experiment", "--config", str(cfg_path),
