@@ -17,12 +17,12 @@ from .sets import gap as set_gap
 class DiagnosticsConfig:
     """What the solver records per iteration.
 
-    track_every: interval for tracking errors ||f_m(x, u_next) - u_m||
-    (0 disables; needs exact evaluators).  exact_every: interval for the
-    fully nested residuals ||V_m(x) - u_m||; these require a full nested
-    evaluation, so exact_window > 0 restricts them to the final that-many
-    iterations of the run.  lyapunov_every: interval for the merit pair
-    (W, W_smooth); requires gammas (one weight per level 2..M).
+    Intervals and the window are non-negative ints (ValueError otherwise);
+    an interval of 0 disables its kind.  track_every: tracking errors
+    ||f_m(x, u_next) - u_m|| (needs exact evaluators).  exact_every: the
+    fully nested residuals ||V_m(x) - u_m||; exact_window > 0 restricts
+    them to the final that-many iterations of the run.  lyapunov_every:
+    the merit pair (W, W_smooth); requires gammas (one weight per level 2..M).
     """
 
     track_every: int = 1
@@ -32,6 +32,10 @@ class DiagnosticsConfig:
     gammas: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("track_every", "exact_every", "exact_window", "lyapunov_every"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         if self.lyapunov_every and self.gammas is None:
             raise ConfigError("diagnostics.gammas", "lyapunov_every > 0 needs the merit weights")
 
@@ -83,35 +87,39 @@ def optimality_measure(record: RunRecord) -> np.ndarray:
     return out
 
 
-def tracking_errors(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
-    """||f_m(x, u_{m+1}) - u_m|| for m = 1..M, from exact level values.
+def tracking_table(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
+    """Columns f_1(x, u_2), t_1, ..., t_M with t_m = ||f_m(x, u_{m+1}) - u_m||.
 
-    One row (x of shape (n,), u[m-1] of shape (d_m,)) gives shape (M,); a
-    block of rows (x of shape (B, n), u[m-1] of shape (B, d_m)) gives (B, M).
+    One exact values call per level.  One row (x of shape (n,), u[m-1] of
+    shape (d_m,)) gives shape (M + 1,); a block of rows (x of shape (B, n),
+    u[m-1] of shape (B, d_m)) gives (B, M + 1).
     """
-    values = exact.values
     M = len(u)
-    return np.stack([row_norm(values[m - 1](x, u[m] if m < M else None) - u[m - 1])
-                     for m in range(1, M + 1)], axis=-1)
+    f = [value(x, u[m] if m < M else None) for m, value in enumerate(exact.values, 1)]
+    return np.stack([f[0][..., 0]] + [row_norm(v - w) for v, w in zip(f, u)], axis=-1)
+
+
+def nested_table(exact, x: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
+    """Columns V_1(x), ||V_1(x) - u_1||, ..., ||V_M(x) - u_M||: one nested fold, rows as above."""
+    V = exact.nested(x)
+    return np.stack([V[0][..., 0]] + [row_norm(v - w) for v, w in zip(V, u)], axis=-1)
 
 
 def check_gammas(M: int, gammas: Sequence[float]) -> None:
     """ValueError unless gammas holds one positive merit weight per level 2..M."""
     if len(gammas) != max(M - 1, 0):
         raise ValueError(f"need {M - 1} gamma weights for levels 2..{M}, got {len(gammas)}")
-    if any(g <= 0 for g in gammas):
+    if any(not g > 0 for g in gammas):  # also rejects NaN
         raise ValueError("gamma weights must be positive")
 
 
-def _merit(exact, x: np.ndarray, u: Sequence[np.ndarray], eta, a: float,
-           gammas: Sequence[float]):
-    """(W, W_smooth) of one row, or of each row of a block, given its gap eta."""
-    r = tracking_errors(exact, x, u)
-    w = a * exact.values[0](x, u[1] if len(u) > 1 else None)[..., 0] - eta
-    w_smooth = a * exact.nested(x)[0][..., 0] - eta
-    for m, g in enumerate(gammas, 1):
-        w += g * r[..., m]
-        w_smooth += g * r[..., m] * r[..., m]
+def _merit(track: np.ndarray, nest: np.ndarray, eta, a: float, gammas: Sequence[float]):
+    """(W, W_smooth) of one row or of each row of a block, from its table rows and gap eta."""
+    w = a * track[..., 0] - eta
+    w_smooth = a * nest[..., 0] - eta
+    for m, g in enumerate(gammas, 2):
+        w += g * track[..., m]
+        w_smooth += g * track[..., m] * track[..., m]
     return w, w_smooth
 
 
@@ -124,13 +132,14 @@ def lyapunov(problem: CompositionProblem, x: np.ndarray, z: np.ndarray,
     with the top level evaluated at the tracker u_2.  W_smooth =
     a*V_1(x) - eta(x, z) + sum_m gamma_m ||f_m(x, u_{m+1}) - u_m||^2, with
     the fully nested objective.  Both sums run over m = 2..M.  This is the
-    one-row form of what run records from each iteration's own gap.
+    one-row case of what run records from each row's tracking and nested
+    tables and its own gap.
     """
     if problem.exact is None:
         raise ValueError("Lyapunov diagnostics need exact evaluators")
     check_gammas(problem.M, gammas)
-    w, w_smooth = _merit(problem.exact, x, u, set_gap(problem.feasible_set, x, z, rho),
-                         a, gammas)
+    w, w_smooth = _merit(tracking_table(problem.exact, x, u), nested_table(problem.exact, x, u),
+                         set_gap(problem.feasible_set, x, z, rho), a, gammas)
     return float(w), float(w_smooth)
 
 
@@ -161,16 +170,16 @@ def objective_tail_oscillation(record: RunRecord,
 def fit_rate(points: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(measure) against log(N).
 
-    Needs at least three horizons spanning two decades; measures must be
-    strictly positive for the logs to exist.  Invariant to uniform scaling
-    of the measure.
+    Needs at least three horizons spanning two decades; horizons and
+    measures must be finite and strictly positive for the logs to exist.
+    Invariant to uniform scaling of the measure.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 (N, measure) points to fit a rate")
     ns = np.array([float(p[0]) for p in points])
     ms = np.array([float(p[1]) for p in points])
-    if np.any(ms <= 0):
-        raise ValueError("measures must be positive to fit a log-log slope")
+    if not np.all((0 < ns) & (ns < np.inf) & (0 < ms) & (ms < np.inf)):  # NaN fails too
+        raise ValueError("horizons and measures must be finite and positive for a log-log slope")
     if np.max(ns) / np.min(ns) < 100.0:
         raise ValueError("horizons must span at least two decades")
     slope, _ = np.polyfit(np.log(ns), np.log(ms), 1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CONFIG, SCHEMA_VERSION, read
-from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate,
+from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, nested_table,
                           objective_tail_oscillation, optimality_measure)
 from .errors import ConfigError
 from .model import AlgorithmParams, Constant, Custom, InitPolicy, next_stepsize
@@ -131,11 +131,8 @@ def summarize_run(record: RunRecord, problem, params: AlgorithmParams) -> dict:
         "clamp_events": record.clamp_events,
     }
     if problem.exact is not None:
-        vals = problem.exact.nested(state.x)
-        summary["final"]["objective"] = float(np.squeeze(vals[0]))
-        summary["final"]["exact_residuals"] = [
-            float(np.linalg.norm(vals[m] - state.u[m])) for m in range(problem.M)
-        ]
+        objective, *residuals = nested_table(problem.exact, state.x, state.u).tolist()
+        summary["final"].update(objective=objective, exact_residuals=residuals)
         if problem.exact.x_star is not None:
             summary["final"]["distance_to_solution"] = float(
                 np.linalg.norm(state.x - problem.exact.x_star))
@@ -213,13 +210,10 @@ def _replication_task(payload: dict) -> dict:
                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
                  init_x=payload["init_x"], init_policy=payload["init_policy"],
                  replication=payload["replication"])
-    if record.tracking is None:
-        measure = float(np.nanmean(record.d_sq))
-    else:
-        measure = float(np.nanmean(optimality_measure(record)))
     result = {
         "replication": payload["replication"],
-        "measure": measure,
+        "measure": float(np.nanmean(optimality_measure(record) if record.tracking is not None
+                                    else record.d_sq)),
         "max_z_norm": record.max_z_norm,
         "max_u_norm": record.max_u_norm,
         "clamp_events": record.clamp_events,
@@ -267,12 +261,9 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         else:
             results = [_replication_task(p) for p in payloads]
 
-    entries = []
-    points = []
-    idx = 0
-    for n_iter, tau in zip(horizons, taus):
-        batch = results[idx:idx + reps]
-        idx += reps
+    entries, points = [], []
+    for i, (n_iter, tau) in enumerate(zip(horizons, taus)):
+        batch = results[i * reps:(i + 1) * reps]
         measures = [b["measure"] for b in batch]
         mean_measure = float(np.mean(measures))
         entry = {

@@ -16,11 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsConfig, RunRecord, _merit, check_gammas, tracking_errors
+from .diagnostics import (DiagnosticsConfig, RunRecord, _merit, check_gammas, nested_table,
+                          tracking_table)
 from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
-from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams, row_norm
+from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams
 
 
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
@@ -138,10 +139,12 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
 
     The diagnostic cells never feed back into the method, so the loop runs
     in chunks of iterations, stores (x, u) of every iteration of a chunk,
-    and fills the chunk's tracking, exact-residual and merit cells when it
-    ends, the merit pair from each row's recorded gap.  When the loop
-    fails, the chunk's rows up to the failing one are evaluated first, so
-    that a failure in those rows, which come first, is the one raised.
+    and fills the chunk's cells when it ends from two tables, each evaluated
+    once: tracking_table on the tracking and merit rows, nested_table on the
+    exact and merit rows; the merit pair adds each row's recorded gap, as
+    lyapunov does for one row.  When the loop fails, the chunk's rows up
+    to the failing one are evaluated first, so that a failure in those
+    rows, which come first, is the one raised.
     Each cell gets the bits a call on its row alone would give.
     """
     if not isinstance(iterations, int) or iterations < 1:
@@ -160,9 +163,8 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         check_gammas(M, diag.gammas)
 
     N = iterations
-    a = params.a
     # the whole schedule up front: a short Custom schedule fails before k = 0
-    taus = [next_stepsize(params.schedule, k, a, params.b) for k in range(N)]
+    taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
 
     rec_tau = np.array(taus)
     rec_dsq = np.empty(N)
@@ -177,32 +179,30 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     block_x = np.empty((size, problem.n))
     block_u = [np.empty((size, d)) for d in problem.level_dims]
 
-    def track(cells, X, U):
-        rec_track[cells] = tracking_errors(exact, X, U)
+    # the rows of one kind: the multiples of its interval from its start on
+    def rows_of(every, start=0):
+        rows = np.zeros(N, bool)
+        if every:
+            rows[start + -start % every::every] = True
+        return rows
+    kinds = (rows_of(diag.track_every), rows_of(diag.exact_every, exact_start),
+             rows_of(diag.lyapunov_every))
 
-    def nested(cells, X, U):
-        vals = exact.nested(X)
-        rec_obj[cells] = vals[0][:, 0]
-        for m in range(M):
-            rec_exact[cells, m] = row_norm(vals[m] - U[m])
-
-    def merit(cells, X, U):
-        rec_lyap[cells, 0], rec_lyap[cells, 1] = _merit(exact, X, U, rec_eta[cells], a,
-                                                        diag.gammas)
-
-    kinds = [(every, start, fill) for every, start, fill in (
-        (diag.track_every, 0, track), (diag.exact_every, exact_start, nested),
-        (diag.lyapunov_every, 0, merit)) if every]
-
-    # The rows of one kind are the multiples of its interval from its start
-    # on, so block rows first - lo :: every fill record cells first : hi : every.
+    # each table once, on the union of the rows of the kinds that read it
     def record(lo, hi, X, U):
-        for every, start, fill in kinds:
-            first = max(lo, start)
-            first += -first % every
-            if first < hi:
-                rows = slice(first - lo, None, every)
-                fill(slice(first, hi, every), X[rows], [v[rows] for v in U])
+        track, nest, merit = (rows[lo:hi] for rows in kinds)
+        T, V = np.empty((2, hi - lo, M + 1))
+        for out, table, rows in ((T, tracking_table, track | merit),
+                                 (V, nested_table, nest | merit)):
+            if rows.any():
+                out[rows] = table(exact, X[rows], [v[rows] for v in U])
+        if diag.track_every:
+            rec_track[lo:hi][track] = T[track, 1:]
+        if diag.exact_every:
+            rec_obj[lo:hi][nest], rec_exact[lo:hi][nest] = V[nest, 0], V[nest, 1:]
+        if diag.lyapunov_every:
+            rec_lyap[lo:hi][merit, 0], rec_lyap[lo:hi][merit, 1] = _merit(
+                T[merit], V[merit], rec_eta[lo:hi][merit], params.a, diag.gammas)
 
     def evaluate(lo, hi):
         X, U = block_x[:hi - lo], [v[:hi - lo] for v in block_u]

@@ -512,11 +512,29 @@ def _leaves(doc, path: tuple = ()):
         yield from _leaves(value, path + (key,))
 
 
+# every merit cell kind on, with intervals that meet only now and then, and an exact window
+MERIT_DIAGNOSTICS = {"track_every": 3, "exact_every": 7, "exact_window": 900,
+                     "lyapunov_every": 5}
+
+
+def _fuzz_bases(config_dir) -> list[tuple[str, dict]]:
+    """(name, document) of every config in config_dir, and risk_p2_run.json with the merit on.
+
+    No shipped config sets lyapunov_every, gammas or exact_window, so the
+    last base is the one whose merit rows and weights the mutations reach.
+    """
+    bases = [(path.name, json.loads(path.read_text(encoding="utf-8")))
+             for path in sorted(Path(config_dir).glob("*.json"))]
+    merit = copy.deepcopy(dict(bases)["risk_p2_run.json"])
+    merit["diagnostics"] = dict(MERIT_DIAGNOSTICS, gammas=[1.0, 1.0])
+    return bases + [("risk_p2_run.json+merit", merit)]
+
+
 def fuzz_configs(config_dir, work) -> list[str]:
     """Each call of ``nestopt.cli.main`` that did not end in exit 0, 1 or 2.
 
-    Every single-leaf mutation (to each of FUZZ_VALUES) of every config in
-    config_dir goes through validate, run and, for a config with a
+    Every single-leaf mutation (to each of FUZZ_VALUES) of every base of
+    _fuzz_bases goes through validate, run and, for a config with a
     rate_experiment section, rate-experiment --threads 1, all in process.
     Runs are cut to 10 iterations, enough for (k+1)^400 to overflow, and rate
     experiments to horizons 1, 2, 3 of one replication, unless the mutated
@@ -527,8 +545,7 @@ def fuzz_configs(config_dir, work) -> list[str]:
     work = Path(work)
     config, out = work / "config.json", str(work / "out")
     failures = []
-    for path in sorted(Path(config_dir).glob("*.json")):
-        base = json.loads(path.read_text(encoding="utf-8"))
+    for name, base in _fuzz_bases(config_dir):
         base.setdefault("run", {})["iterations"] = 10
         commands = ("validate", "run")
         if "rate_experiment" in base:  # without it, rate-experiment stops at the config read
@@ -551,6 +568,6 @@ def fuzz_configs(config_dir, work) -> list[str]:
                     except Exception as exc:  # noqa: BLE001 - the traceback under test
                         code = f"{type(exc).__name__}: {exc}"
                     if code not in (0, 1, 2) or "Traceback" in err.getvalue():
-                        failures.append(f"{path.name} {'.'.join(map(str, leaf))} = {value!r}, "
+                        failures.append(f"{name} {'.'.join(map(str, leaf))} = {value!r}, "
                                         f"{command}: {code}")
     return failures

@@ -21,7 +21,7 @@ from nestopt.experiment import load_config, parse_config, rate_experiment, write
 from nestopt.model import IterateState
 from nestopt.problems import make_problem
 
-from helpers import write_trace_csv_rowwise
+from helpers import MERIT_DIAGNOSTICS, write_trace_csv_rowwise
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -686,11 +686,6 @@ def test_shipped_run_configs_execute(name, tmp_path, golden):
     assert len(lines) == summary["iterations"] + 1
     for artifact in ("trace.csv", "summary.json"):
         golden(f"{Path(name).stem}/{artifact}", tmp_path / artifact)
-
-
-# every merit cell kind on, with intervals that meet only now and then
-MERIT_DIAGNOSTICS = {"track_every": 3, "exact_every": 7, "exact_window": 900,
-                     "lyapunov_every": 5}
 
 
 @pytest.mark.parametrize("name, levels", [("synthetic_run", 3), ("risk_p2_run", 3),

@@ -231,6 +231,14 @@ def test_fit_rate_input_validation():
         fit_rate([(100, 0.1), (1000, -0.01), (10_000, 0.001)])
     with pytest.raises(ValueError):
         fit_rate([(100, 0.1), (200, 0.09), (400, 0.08)])  # < 2 decades
+    # a slope from non-finite input would be NaN, which rate.json cannot hold as JSON
+    for bad in (float("nan"), float("inf")):
+        for points in ([(100, 0.1), (1000, bad), (10_000, 0.001)],
+                       [(100, 0.1), (bad, 0.01), (10_000, 0.001)]):
+            with pytest.raises(ValueError, match="^horizons and measures must be finite"):
+                fit_rate(points)
+    with pytest.raises(ValueError, match="^horizons and measures must be finite"):
+        fit_rate([(0, 0.1), (1000, 0.01), (10_000, 0.001)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestopt import ConfigError, NoiseModel, gap, validate_problem
-from nestopt.diagnostics import tracking_errors
+from nestopt.diagnostics import nested_table, tracking_table
 from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
                               risk_p1, risk_p2, scenarios_from_csv,
                               solve_vi_fixed_point, svi_problem, synthetic_smooth)
@@ -91,10 +91,13 @@ def test_value_path_matches_value_jac_bits(case):
     for m in range(M, 0, -1):
         v = folded[m - 1] = exact.value_jac(m, x, v)[0]
     assert all(same_bits(a, b) for a, b in zip(exact.nested(x), folded))
-    residuals = [exact.value_jac(m, x, u[m] if m < M else None)[0] - u[m - 1]
-                 for m in range(1, M + 1)]
-    assert same_bits(tracking_errors(exact, x, u),
-                     np.array([math.sqrt(float(r @ r)) for r in residuals]))
+    values = [exact.value_jac(m, x, u[m] if m < M else None)[0] for m in range(1, M + 1)]
+    assert same_bits(tracking_table(exact, x, u),
+                     np.array([values[0][0]] + [math.sqrt(float((v - w) @ (v - w)))
+                                                for v, w in zip(values, u)]))
+    assert same_bits(nested_table(exact, x, u),
+                     np.array([folded[0][0]] + [math.sqrt(float((v - w) @ (v - w)))
+                                                for v, w in zip(folded, u)]))
 
 
 def test_value_path_covers_the_sqrt_clamp():
@@ -124,11 +127,11 @@ def test_exact_values_call_no_oracle_sample_attribute():
         try:
             x = problem.feasible_set.anchor() + 0.5
             u = problem.exact.nested(x)
-            tracking_errors(problem.exact, x, [v + 0.1 for v in u])
+            tracking_table(problem.exact, x, [v + 0.1 for v in u])
             problem.exact.values[0](x, u[1] if problem.M > 1 else None)
             X = np.stack([x, x - 0.75, x + 1.5])
             U = problem.exact.nested(X)
-            tracking_errors(problem.exact, X, [v + 0.1 for v in U])
+            tracking_table(problem.exact, X, [v + 0.1 for v in U])
         finally:
             for oracle in problem.oracles:
                 del oracle.sample
@@ -178,10 +181,11 @@ def test_block_values_match_rows_bits(name, rows, seed):
             assert same_bits(block[i], exact.values[m - 1](X[i], u_i))
             assert same_bits(block[i], exact.value_jac(m, X[i], u_i)[0])
     nested = exact.nested(X)
-    tracking = tracking_errors(exact, X, U)
+    tables = [table(exact, X, U) for table in (tracking_table, nested_table)]
     for i in range(rows):
         assert all(same_bits(v[i], w) for v, w in zip(nested, exact.nested(X[i])))
-        assert same_bits(tracking[i], tracking_errors(exact, X[i], [v[i] for v in U]))
+        for block, table in zip(tables, (tracking_table, nested_table)):
+            assert same_bits(block[i], table(exact, X[i], [v[i] for v in U]))
 
 
 def test_risk_p1_hand_scenario_values():

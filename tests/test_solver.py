@@ -378,22 +378,37 @@ class _CountingLevel(LevelOracle):
         return self.base.sample(x, u_next, rng, k)
 
 
-@pytest.mark.parametrize("gammas, message", [
-    pytest.param((1.0,), "need 2 gamma weights for levels 2..3, got 1", id="too-few"),
-    pytest.param((1.0, 1.0, 1.0), "need 2 gamma weights for levels 2..3, got 3", id="too-many"),
-    pytest.param((1.0, 0.0), "gamma weights must be positive", id="zero"),
-    pytest.param((-1.0, 1.0), "gamma weights must be positive", id="negative"),
+def _bad_interval(name, value, **others):
+    return pytest.param(dict(others, **{name: value}),
+                        f"{name} must be a non-negative integer, got {value!r}",
+                        id=f"{name}-{value!r}")
+
+
+# a library caller's DiagnosticsConfig: the config reader bounds the same fields first
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"gammas": (1.0,)}, "need 2 gamma weights for levels 2..3, got 1", id="too-few"),
+    pytest.param({"gammas": (1.0, 1.0, 1.0)}, "need 2 gamma weights for levels 2..3, got 3",
+                 id="too-many"),
+    pytest.param({"gammas": (1.0, 0.0)}, "gamma weights must be positive", id="zero"),
+    pytest.param({"gammas": (-1.0, 1.0)}, "gamma weights must be positive", id="negative"),
+    pytest.param({"gammas": (float("nan"), 1.0)}, "gamma weights must be positive", id="nan"),
+    _bad_interval("track_every", -1, exact_every=0),
+    _bad_interval("track_every", 2.0),
+    _bad_interval("exact_every", "10"),
+    _bad_interval("exact_window", True),
+    _bad_interval("lyapunov_every", -3),
+    _bad_interval("lyapunov_every", False),
 ])
-def test_bad_gammas_fail_before_any_sample(gammas, message):
+def test_bad_gammas_fail_before_any_sample(fields, message):
     calls = []
     p = BLOCK_PROBLEM
     problem = dataclasses.replace(
         p, oracles=tuple(_CountingLevel(o, calls) for o in p.oracles),
         exact=ExactEvaluators(tuple(_CountingLevel(o, calls) for o in p.exact.levels)))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=0)
-    diagnostics = DiagnosticsConfig(lyapunov_every=3, gammas=gammas)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run(problem, params, 10, diagnostics)
+        run(problem, params, 10, DiagnosticsConfig(**{"lyapunov_every": 3,
+                                                       "gammas": (1.0, 1.0), **fields}))
     assert calls == []
     run(problem, params, 10, DiagnosticsConfig(lyapunov_every=3, gammas=(1.0, 1.0)))
     assert calls  # the counting levels do see the samples of a run
@@ -494,6 +509,30 @@ def test_block_diagnostics_match_rowwise_reference_per_level_kind(name):
     _same_record(record, run_rowwise(problem, params, N, diagnostics))
     if name == "risk_p2-clamp":
         assert record.clamp_events > 0
+
+
+def test_merit_pair_adds_no_exact_values_call():
+    # three chunks with every kind on: the merit pair is read off the tracking and nested
+    # tables the chunk evaluates anyway, so turning it on adds no call of a level's values
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=8)
+    counts = []
+    for lyapunov_every in (0, 5):
+        calls = []
+        exact = ExactEvaluators(BLOCK_PROBLEM.exact.levels)
+
+        def counted(value):
+            def wrapper(x, u_next):
+                calls.append(1)
+                return value(x, u_next)
+            return wrapper
+        object.__setattr__(exact, "values", tuple(map(counted, exact.values)))
+        run(dataclasses.replace(BLOCK_PROBLEM, exact=exact), params, 2 * CHUNK + 2,
+            DiagnosticsConfig(track_every=3, exact_every=7, lyapunov_every=lyapunov_every,
+                              gammas=(2.0, 3.0)))
+        counts.append(len(calls))
+    # per chunk one tracking table and one nested fold over the 3 levels; the last chunk,
+    # row 2 * CHUNK + 1 alone, is a tracking row only
+    assert counts == [3 * 2 + 3 * 2 + 3] * 2
 
 
 # ---------------------------------------------------------------------------
