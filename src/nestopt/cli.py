@@ -6,9 +6,10 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import CompoptError, ConfigError
-from .experiment import check_diagnostics, load_config, rate_experiment, run_single
-from .model import validate_problem
+from .experiment import check_problem, load_config, rate_experiment, run_single
 from .problems import make_problem
 
 
@@ -19,14 +20,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(self.prog, message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="experiment JSON file")
-    sub.add_argument("--out", default=None, help="output directory (overrides config)")
-    sub.add_argument("--seed", type=int, default=None, help="master seed override")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker processes for replications")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nestopt",
@@ -34,20 +27,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "nested composition problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("run", help="single run; writes trace.csv + summary.json"))
-    _add_common(sub.add_parser("rate-experiment",
-                               help="constant-stepsize horizon sweep; writes rate.json"))
-    _add_common(sub.add_parser("validate",
-                               help="schema + problem dimension checks only"))
+    run = sub.add_parser("run", help="single run; writes trace.csv + summary.json")
+    rate = sub.add_parser("rate-experiment",
+                          help="constant-stepsize horizon sweep; writes rate.json")
+    validate = sub.add_parser("validate", help="schema + problem checks only")
+    for command in (run, rate, validate):
+        command.add_argument("--config", required=True, help="experiment JSON file")
+    for command in (run, rate):
+        command.add_argument("--out", default=None, help="output directory (overrides config)")
+        command.add_argument("--seed", type=int, default=None, help="master seed override")
+    rate.add_argument("--threads", type=int, default=1, help="worker processes for replications")
     return parser
 
 
+# an overflowing build, probe or run reports itself: numpy's warnings would only add lines
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
+        if args.command == "rate-experiment" and args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
+        # each replication builds and checks its own problem; a build here as well would
+        # stay resident in every forked pool worker
+        if args.command != "rate-experiment":
+            problem = make_problem(cfg.problem_spec)
+            check_problem(cfg.diagnostics, problem)
+            if args.command == "validate":
+                print("config and problem structure ok")
+                return 0
         if args.seed is not None:
             try:
                 cfg.algorithm = replace(cfg.algorithm, seed=args.seed)
@@ -55,22 +63,9 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed", str(exc)) from exc
         out_dir, out_field = ((args.out, "--out") if args.out is not None
                               else (cfg.output_dir, "output_dir"))
-        # each replication builds its own problem; a build here as well would stay
-        # resident in every forked pool worker
         if args.command == "rate-experiment":
             payload = rate_experiment(cfg, out_dir, threads=args.threads, out_field=out_field)
             print(f"wrote {out_dir}/rate.json (slope={payload['slope']})")
-            return 0
-        problem = make_problem(cfg.problem_spec)
-        check_diagnostics(cfg.diagnostics, problem)
-        violations = validate_problem(problem)
-        for v in violations:
-            print(f"violation (level={v.level}, kind={v.kind}): {v.message}",
-                  file=sys.stdout if args.command == "validate" else sys.stderr)
-        if violations:
-            return 1
-        if args.command == "validate":
-            print("config and problem structure ok")
             return 0
         summary = run_single(cfg, problem, out_dir, out_field)
         print(f"wrote {out_dir}/trace.csv and summary.json "

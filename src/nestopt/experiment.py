@@ -21,7 +21,7 @@ from .config import CONFIG, SCHEMA_VERSION, read
 from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, nested_table,
                           objective_tail_oscillation, optimality_measure)
 from .errors import ConfigError
-from .model import AlgorithmParams, Constant, Custom, InitPolicy, next_stepsize
+from .model import AlgorithmParams, Constant, Custom, InitPolicy, next_stepsize, validate_problem
 from .problems import make_problem
 from .sets import gap as set_gap
 from .solver import run
@@ -56,12 +56,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
                             init_x, cfg["diagnostics"], cfg["rate_experiment"], cfg["output_dir"])
 
 
-def check_diagnostics(diagnostics: DiagnosticsConfig, problem) -> None:
-    """ConfigError unless ``problem`` can record what ``diagnostics`` asks for."""
+def check_problem(diagnostics: DiagnosticsConfig, problem) -> None:
+    """ConfigError unless ``problem`` passes validate_problem and has what ``diagnostics`` uses."""
     if diagnostics.lyapunov_every and problem.exact is None:
         raise ConfigError("diagnostics.lyapunov_every",
                           "the merit pair needs exact evaluators, which this problem "
                           "does not carry")
+    violations = validate_problem(problem)
+    if violations:
+        raise ConfigError("problem", "; ".join(v.message for v in violations))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -198,6 +201,7 @@ def run_single(cfg: ExperimentConfig, problem, out_dir, out_field: str = "output
     return summary
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in cli.main, which a pool worker skips
 def _replication_task(payload: dict) -> dict:
     """Run one replication of a constant-stepsize horizon (pool worker).
 
@@ -205,7 +209,7 @@ def _replication_task(payload: dict) -> dict:
     ||d||^2 alone (tracking errors need ground truth).
     """
     problem = make_problem(payload["problem"])
-    check_diagnostics(payload["diagnostics"], problem)
+    check_problem(payload["diagnostics"], problem)
     record = run(problem, payload["params"], payload["iterations"],
                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
                  init_x=payload["init_x"], init_policy=payload["init_policy"],

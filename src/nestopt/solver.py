@@ -147,8 +147,9 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     rows, which come first, is the one raised.
     Each cell gets the bits a call on its row alone would give.
     """
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ValueError(f"iterations must be a positive integer, got {iterations}")
+    if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
+            or iterations < 1):
+        raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
     if problem.level_dims[0] != 1:
         raise ValueError("the solver needs a scalar top level (d_1 = 1)")
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
@@ -162,7 +163,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     if diag.lyapunov_every:
         check_gammas(M, diag.gammas)
 
-    N = iterations
+    N = int(iterations)
     # the whole schedule up front: a short Custom schedule fails before k = 0
     taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
 

@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -531,11 +532,15 @@ def _fuzz_bases(config_dir) -> list[tuple[str, dict]]:
 
 
 def fuzz_configs(config_dir, work) -> list[str]:
-    """Each call of ``nestopt.cli.main`` that did not end in exit 0, 1 or 2.
+    """Each ``nestopt.cli.main`` call and mutation that breaks the CLI's error contract.
 
     Every single-leaf mutation (to each of FUZZ_VALUES) of every base of
-    _fuzz_bases goes through validate, run and, for a config with a
-    rate_experiment section, rate-experiment --threads 1, all in process.
+    _fuzz_bases goes through ``validate --config``, ``run --config --out``
+    and, for a config with a rate_experiment section, ``rate-experiment
+    --config --out --threads 1``, all in process, with every warning shown
+    each time it is issued.  A call fails that does not end in exit 0, 1 or
+    2, prints a traceback or writes more than one line to stderr; a mutation
+    fails that validate rejects with exit 1 and another command does not.
     Runs are cut to 10 iterations, enough for (k+1)^400 to overflow, and rate
     experiments to horizons 1, 2, 3 of one replication, unless the mutated
     leaf is one of those.
@@ -544,30 +549,39 @@ def fuzz_configs(config_dir, work) -> list[str]:
 
     work = Path(work)
     config, out = work / "config.json", str(work / "out")
+    flags = {"validate": [], "run": ["--out", out],
+             "rate-experiment": ["--out", out, "--threads", "1"]}
     failures = []
-    for name, base in _fuzz_bases(config_dir):
-        base.setdefault("run", {})["iterations"] = 10
-        commands = ("validate", "run")
-        if "rate_experiment" in base:  # without it, rate-experiment stops at the config read
-            base["rate_experiment"].update(horizons=[1, 2, 3], replications=1)
-            commands += ("rate-experiment",)
-        for leaf in _leaves(base):
-            for value in FUZZ_VALUES:
-                doc = copy.deepcopy(base)
-                node = doc
-                for key in leaf[:-1]:
-                    node = node[key]
-                node[leaf[-1]] = value
-                config.write_text(json.dumps(doc), encoding="utf-8")
-                for command in commands:
-                    err = io.StringIO()
-                    try:
-                        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                            code = main([command, "--config", str(config), "--out", out,
-                                         "--threads", "1"])
-                    except Exception as exc:  # noqa: BLE001 - the traceback under test
-                        code = f"{type(exc).__name__}: {exc}"
-                    if code not in (0, 1, 2) or "Traceback" in err.getvalue():
-                        failures.append(f"{name} {'.'.join(map(str, leaf))} = {value!r}, "
-                                        f"{command}: {code}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # by default a warning shows once per place
+        for name, base in _fuzz_bases(config_dir):
+            base.setdefault("run", {})["iterations"] = 10
+            commands = ("validate", "run")
+            if "rate_experiment" in base:  # without it, rate-experiment stops at the config read
+                base["rate_experiment"].update(horizons=[1, 2, 3], replications=1)
+                commands += ("rate-experiment",)
+            for leaf in _leaves(base):
+                for value in FUZZ_VALUES:
+                    doc = copy.deepcopy(base)
+                    node = doc
+                    for key in leaf[:-1]:
+                        node = node[key]
+                    node[leaf[-1]] = value
+                    config.write_text(json.dumps(doc), encoding="utf-8")
+                    mutation = f"{name} {'.'.join(map(str, leaf))} = {value!r}"
+                    codes = {}
+                    for command in commands:
+                        err = io.StringIO()
+                        try:
+                            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                                code = main([command, "--config", str(config), *flags[command]])
+                        except Exception as exc:  # noqa: BLE001 - the traceback under test
+                            code = f"{type(exc).__name__}: {exc}"
+                        codes[command] = code
+                        lines = err.getvalue().count("\n")
+                        if code not in (0, 1, 2) or "Traceback" in err.getvalue() or lines > 1:
+                            failures.append(f"{mutation}, {command}: {code}, "
+                                            f"{lines} stderr lines")
+                    if codes["validate"] == 1 and set(codes.values()) != {1}:
+                        failures.append(f"{mutation}: exit codes disagree, {codes}")
     return failures

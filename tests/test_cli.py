@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestopt.cli
 import nestopt.experiment
+import nestopt.model
+import nestopt.problems
 import nestopt.solver
 from nestopt.cli import main
 from nestopt.config import CONFIG, SCHEDULES, Variants, read
@@ -88,6 +91,16 @@ def _mutate(doc, path, value):
     for key in keys:
         doc = doc[key]
     doc[last] = value
+
+
+# the flags each command takes besides --config
+_FLAGS = {"validate": (), "run": ("--out", "--seed"),
+          "rate-experiment": ("--out", "--seed", "--threads")}
+
+
+def _argv(command, config, out):
+    """``command --config config``, plus ``--out out`` for a command that writes."""
+    return [command, "--config", str(config), *(("--out", str(out)) if _FLAGS[command] else ())]
 
 
 def _bad(case_id, config, path, value, field, args=()):
@@ -199,9 +212,11 @@ def test_bad_config_fields_exit_one_naming_field(tmp_path, config, path, value, 
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
     rate = ("rate-experiment",) if config == "synthetic_rate.json" else ()
     for command in ("validate", "run") + rate:
-        proc = subprocess.run([sys.executable, "-m", "nestopt.cli", command,
-                               "--config", str(config_path), "--out", str(tmp_path / "out"),
-                               *args], capture_output=True, text=True, env=env)
+        if args and args[0] not in _FLAGS[command]:
+            continue  # a flag case runs on the commands that take the flag
+        proc = subprocess.run([sys.executable, "-m", "nestopt.cli",
+                               *_argv(command, config_path, tmp_path / "out"), *args],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 1, (command, proc.stderr)
         assert f"config error: {field}:" in proc.stderr, (command, proc.stderr)
         assert "Traceback" not in proc.stderr, (command, proc.stderr)
@@ -227,7 +242,7 @@ def test_bad_scenario_csv_exit_one_naming_field(tmp_path, capsys, rows, column, 
     doc["run"]["iterations"] = 100
     config_path = _write(tmp_path, doc)
     for command in ("validate", "run"):
-        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        code = main(_argv(command, config_path, tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 1, (command, err)
         assert "config error: problem.scenarios.csv:" in err, (command, err)
@@ -241,7 +256,7 @@ def test_empty_scenario_csv_prints_only_the_config_error(tmp_path, capsys):
     doc["problem"]["scenarios"] = {"csv": str(csv)}
     config_path = _write(tmp_path, doc)
     for command in ("validate", "run"):
-        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        code = main(_argv(command, config_path, tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 1, (command, err)
         assert err.startswith("config error: problem.scenarios.csv:"), (command, err)
@@ -256,7 +271,7 @@ def test_lyapunov_without_exact_evaluators_exit_one_naming_field(tmp_path, capsy
     doc["rate_experiment"] = {"horizons": [10, 100, 1000], "replications": 2}
     config_path = _write(tmp_path, doc)
     for command in ("validate", "run", "rate-experiment"):
-        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        code = main(_argv(command, config_path, tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 1, (command, err)
         assert "config error: diagnostics.lyapunov_every:" in err, (command, err)
@@ -308,7 +323,7 @@ def test_missing_config_file(capsys):
     pytest.param(["frobnicate"], "frobnicate", id="unknown-command"),
     pytest.param(["run"], "--config", id="no-config"),
     pytest.param(["run", "--config", "c.json", "--seed", "2.5"], "--seed", id="seed-fraction"),
-    pytest.param(["run", "--config", "c.json", "--threads", "x"], "--threads",
+    pytest.param(["rate-experiment", "--config", "c.json", "--threads", "x"], "--threads",
                  id="threads-text"),
     pytest.param(["validate", "--config", "c.json", "--verbose"], "--verbose",
                  id="unknown-flag"),
@@ -318,6 +333,23 @@ def test_usage_errors_exit_one_naming_argument(capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("config error: nestopt"), err
     assert named in err, err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("run", "--threads", "2", id="run-threads"),
+    pytest.param("validate", "--out", None, id="validate-out"),
+    pytest.param("validate", "--seed", "1", id="validate-seed"),
+    pytest.param("validate", "--threads", "1", id="validate-threads"),
+])
+def test_unread_flags_exit_one_naming_the_flag(tmp_path, capsys, command, flag, value):
+    # each command takes only the flags it reads; any other is a usage error
+    value = str(tmp_path / "d") if value is None else value
+    code = main([*_argv(command, CONFIG_DIR / "synthetic_run.json", tmp_path / "out"),
+                 flag, value])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("config error: nestopt") and flag in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):
@@ -588,7 +620,7 @@ def test_runtime_error_line_same_for_any_thread_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, noise, threads, line", [
-    pytest.param("run", "value_sd", "1", "non-finite z", id="run"),
+    pytest.param("run", "value_sd", None, "non-finite z", id="run"),
     pytest.param("rate-experiment", "jac_sd", "1", "non-finite x", id="rate-threads-1"),
     pytest.param("rate-experiment", "jac_sd", "2", "non-finite x", id="rate-threads-2"),
 ])
@@ -601,11 +633,63 @@ def test_overflowing_run_prints_only_the_error_line(tmp_path, command, noise, th
         doc["rate_experiment"].update(horizons=[10, 100, 1000], replications=2)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    threads = ("--threads", threads) if threads else ()
     proc = subprocess.run([sys.executable, "-m", "nestopt.cli", command,
                            "--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out"),
-                           "--threads", threads], capture_output=True, text=True, env=env)
+                           *threads], capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr == f"runtime error: {line} at iteration 0\n"
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("problem", "coupling"), 1e200, id="coupling-overflows"),
+    pytest.param(("problem", "noise", "jac_sd"), 1e308, id="jac-noise-overflows"),
+])
+def test_failed_probe_is_one_config_error_line_from_every_command(tmp_path, path, value):
+    # the probe sample validate_problem draws is not finite: a config error before
+    # iteration 0, from validate, run and every rate-experiment replication alike
+    doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
+    _mutate(doc, path, value)
+    doc["run"] = {"iterations": 10}
+    doc["rate_experiment"].update(horizons=[10, 100, 1000], replications=2)
+    config = str(_write(tmp_path, doc))
+    out = ("--out", str(tmp_path / "out"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    errs = []
+    for argv in (["validate"], ["run", *out], ["rate-experiment", *out, "--threads", "1"],
+                 ["rate-experiment", *out, "--threads", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "nestopt.cli", argv[0], "--config", config,
+                               *argv[1:]], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert not (tmp_path / "out").exists()
+        errs.append(proc.stderr)
+    assert errs[0].startswith("config error: problem: ") and errs[0].count("\n") == 1, errs[0]
+    assert errs == [errs[0]] * 4, errs
+
+
+def test_traced_benchmark_patch_points_exist():
+    # a tracing benchmark replaces these names with timed wrappers, looked up without
+    # importing it: a name renamed or removed here breaks every traced run
+    patched = {
+        nestopt.cli: ("main", "load_config", "make_problem"),
+        nestopt.experiment: ("load_config", "make_problem", "run", "write_trace_csv",
+                             "summarize_run", "_replication_task"),
+        nestopt.problems: ("make_problem",),
+        nestopt.model: ("init_state",),
+        nestopt.solver: ("run", "init_state", "assemble_subgradient", "update_z",
+                         "update_trackers"),
+    }
+    for module, names in patched.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    # and per built problem: its oracles' sample, its set's project, its exact evaluators
+    for name in ("synthetic_run", "risk_p1_run", "svi_run"):
+        problem = make_problem(load_config(CONFIG_DIR / f"{name}.json").problem_spec)
+        for owner, attr in [*((o, "sample") for o in problem.oracles),
+                            (problem.feasible_set, "project"),
+                            (problem.exact, "value_jac"), (problem.exact, "nested")]:
+            assert callable(getattr(owner, attr, None)), (name, attr)
 
 
 def test_traced_benchmark_hooks_see_every_iteration(tmp_path, monkeypatch):

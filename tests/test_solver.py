@@ -224,6 +224,18 @@ def test_run_rejects_bad_horizon(smooth_problem, default_params):
         run(smooth_problem, default_params, -3)
 
 
+def test_run_counts_iterations_as_diagnostics_counts_intervals(smooth_problem, default_params):
+    # a bool is not a count; a numpy integer is, and runs as the int it holds
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"iterations must be a positive integer, got {flag}"):
+            run(smooth_problem, default_params, flag)
+    record = run(smooth_problem, default_params, np.int64(3))
+    plain = run(smooth_problem, default_params, 3)
+    assert type(record.iterations) is int and record.iterations == 3
+    assert record.d_sq.tobytes() == plain.d_sq.tobytes()
+    assert record.final_state.x.tobytes() == plain.final_state.x.tobytes()
+
+
 def test_run_single_iteration_equals_step(noisy_problem, default_params):
     problem = noisy_problem
     record = run(problem, default_params, 1,
