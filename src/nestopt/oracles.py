@@ -97,7 +97,7 @@ class NoiseModel:
     bias: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if self.value_sd < 0 or self.jac_sd < 0:
+        if not self.value_sd >= 0 or not self.jac_sd >= 0:  # also rejects NaN
             raise ValueError("noise standard deviations must be >= 0")
         if self.distribution not in ("gaussian", "uniform", "rademacher"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")

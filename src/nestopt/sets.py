@@ -49,8 +49,8 @@ class Box(FeasibleSet):
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must have the same shape")
-        if np.any(self.lo > self.hi):
-            raise ValueError("empty box: lo > hi componentwise")
+        if not np.all(self.lo <= self.hi):  # also rejects NaN
+            raise ValueError("empty box: lo > hi componentwise, or a NaN bound")
         self.dim = self.lo.size
 
     def project(self, v):
@@ -66,8 +66,8 @@ class Ball(FeasibleSet):
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not self.radius > 0 or not np.isfinite(self.center).all():  # also rejects NaN
+            raise ValueError("radius must be positive and the center finite")
         self.dim = self.center.size
 
     def project(self, v):
@@ -89,7 +89,7 @@ class Simplex(FeasibleSet):
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self.scale = float(scale)
-        if self.scale <= 0:
+        if not self.scale > 0:  # also rejects NaN
             raise ValueError("scale must be positive")
 
     def project(self, v):

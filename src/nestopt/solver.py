@@ -21,7 +21,7 @@ from .diagnostics import (DiagnosticsConfig, RunRecord, _merit, check_gammas, ne
 from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
-from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams
+from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams, row_dot
 
 
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
@@ -65,50 +65,21 @@ def update_trackers(u: Sequence[np.ndarray], samples: Sequence[OracleSample],
 def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray,
              z: np.ndarray, u: Sequence[np.ndarray], tau: float,
              streams: Sequence[np.random.Generator], k: int):
-    """Iteration k from (x, z, u) with stepsize tau: the method's one body.
+    """Iteration k from (x, z, u) with stepsize tau: the method's one body and nothing else.
 
     Order: subproblem solve, decision update, sampling at the new point with
-    the old trackers, chain-rule assembly, z update, tracker update.  The
-    squared norms double as the finiteness guard (NaN propagates, an
-    overflowing square counts as divergence): NonFiniteIterateError(k, what)
-    names the array whose square first makes their running sum non-finite.
-    Returns (eta, ||d||^2, samples, x', z', u', ||z'||^2, max_m ||u'_m||^2),
-    where eta is the gap at (x, z), the same expression as sets.gap.
+    the old trackers, chain-rule assembly, z update, tracker update.
+    Returns (d, samples, x', z', u'), where d is the step direction at
+    (x, z); run reads ||d||^2, the gap and the finiteness guard off its
+    stored rows.
     """
     d = problem.feasible_set.project(x - z / params.rho) - x
-    dsq = float(d @ d)
-    eta = float(z @ d) + 0.5 * params.rho * dsq
     dx = tau * d
     x = x + dx
     samples = problem.sample_levels(x, u, streams, k)
     z = update_z(z, assemble_subgradient(samples)[0], params.a, tau)
     u = update_trackers(u, samples, dx, params.b, tau)
-    zsq = float(z @ z)
-    chk = dsq + zsq
-    usq = 0.0
-    for arr in u:
-        sq = float(arr @ arr)
-        chk += sq
-        if sq > usq:
-            usq = sq
-    if not math.isfinite(chk):
-        raise NonFiniteIterateError(k, _non_finite_array(dsq, zsq, u))
-    return eta, dsq, samples, x, z, u, zsq, usq
-
-
-def _non_finite_array(dsq: float, zsq: float, u: Sequence[np.ndarray]) -> str:
-    """x, z or u_m: whose squared norm first makes the guard's running sum non-finite.
-
-    The sum adds ||d||^2, ||z||^2, ||u_1||^2, ..., ||u_M||^2 in that order; a
-    non-finite step d makes x non-finite, so it counts as x.
-    """
-    names = ["x", "z"] + [f"u_{m}" for m in range(1, len(u) + 1)]
-    total = 0.0
-    for name, sq in zip(names, [dsq, zsq] + [float(arr @ arr) for arr in u]):
-        total += sq
-        if not math.isfinite(total):
-            break
-    return name
+    return d, samples, x, z, u
 
 
 def _draws(problem: CompositionProblem, streams: Sequence[np.random.Generator], N: int):
@@ -137,14 +108,20 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     bit-identical across calls: all randomness flows from per-(replication,
     level) counter-derived streams of params.seed.
 
-    The diagnostic cells never feed back into the method, so the loop runs
-    in chunks of iterations, stores (x, u) of every iteration of a chunk,
-    and fills the chunk's cells when it ends from two tables, each evaluated
-    once: tracking_table on the tracking and merit rows, nested_table on the
-    exact and merit rows; the merit pair adds each row's recorded gap, as
-    lyapunov does for one row.  When the loop fails, the chunk's rows up
-    to the failing one are evaluated first, so that a failure in those
-    rows, which come first, is the one raised.
+    Nothing recorded feeds back into the method, so the loop runs the
+    method alone, in chunks of iterations, and stores x, z, u and the step d
+    of each.  When a chunk ends, its stored rows give ||d||^2, the gap eta
+    (sets.gap's expression), the ||z||/||u|| maxima and the finiteness
+    guard: NonFiniteIterateError(k, what) names the first iteration whose
+    ||d||^2 + ||z'||^2 + ||u'_1||^2 + ... + ||u'_M||^2, added in that order,
+    is not finite, and the array whose square first makes it so (a
+    non-finite step counts as x).  Then two tables fill the chunk's cells,
+    each evaluated once: tracking_table on the tracking and merit rows,
+    nested_table on the exact and merit rows; the merit pair adds each
+    row's recorded gap, as lyapunov does for one row.  A failure is raised
+    once the chunk's rows up to it are evaluated, and a loop failure at k
+    once the guard has checked the iterations before k, so the earliest
+    failing row wins; a diverging run may compute up to one chunk past it.
     Each cell gets the bits a call on its row alone would give.
     """
     if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
@@ -177,8 +154,11 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     exact_start = max(0, N - diag.exact_window) if diag.exact_window else 0
 
     size = min(N, max(1, ROW_BLOCK_ELEMENTS // max(problem.n, *problem.level_dims)))
-    block_x = np.empty((size, problem.n))
-    block_u = [np.empty((size, d)) for d in problem.level_dims]
+    # row i holds the state at the start of the chunk's iteration i, row i + 1 its post-state
+    block_x, block_z = np.empty((2, size + 1, problem.n))
+    block_u = [np.empty((size + 1, d)) for d in problem.level_dims]
+    block_d = np.empty((size, problem.n))
+    names = ["x", "z"] + [f"u_{m}" for m in range(1, M + 1)]
 
     # the rows of one kind: the multiples of its interval from its start on
     def rows_of(every, start=0):
@@ -188,6 +168,24 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         return rows
     kinds = (rows_of(diag.track_every), rows_of(diag.exact_every, exact_start),
              rows_of(diag.lyapunov_every))
+
+    # iterations lo..hi-1 are done: their d_sq and gap, the guard and the norm maxima
+    def check(lo, hi):
+        nonlocal max_zsq, max_usq
+        n = hi - lo
+        D, Z = block_d[:n], block_z[:n + 1]
+        dsq = rec_dsq[lo:hi] = row_dot(D, D)
+        rec_eta[lo:hi] = row_dot(Z[:n], D) + (0.5 * params.rho) * dsq
+        zsq = row_dot(Z, Z)
+        usq = [row_dot(v[:n + 1], v[:n + 1]) for v in block_u]
+        total = np.add.accumulate([dsq, zsq[1:]] + [sq[1:] for sq in usq])
+        bad = np.flatnonzero(~np.isfinite(total[-1]))
+        if bad.size:
+            i = int(bad[0])
+            evaluate(lo, lo + i + 1)
+            raise NonFiniteIterateError(lo + i, names[np.argmin(np.isfinite(total[:, i]))])
+        max_zsq = max(max_zsq, float(zsq.max()))
+        max_usq = max(max_usq, *(float(sq.max()) for sq in usq))
 
     # each table once, on the union of the rows of the kinds that read it
     def record(lo, hi, X, U):
@@ -220,34 +218,35 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
 
     streams = level_streams(params.seed, M, replication)
     clamps = 0
+    max_zsq = max_usq = 0.0
     # an overflowing state is reported by the finiteness guard, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(problem, params, init_x, init_policy, streams=streams)
         x, z, u = state.x, state.z, state.u
-        max_zsq = float(z @ z)
-        max_usq = max(float(arr @ arr) for arr in u)
         draws = _draws(problem, streams, N)
         for lo in range(0, N, size):
             hi = min(lo + size, N)
+            block_x[0], block_z[0] = x, z
+            for buf, arr in zip(block_u, u):
+                buf[0] = arr
             for k in range(lo, hi):
-                block_x[k - lo] = x
-                for buf, arr in zip(block_u, u):
-                    buf[k - lo] = arr
                 try:
-                    rec_eta[k], rec_dsq[k], samples, x, z, u, zsq, usq = _advance(
-                        problem, params, x, z, u, taus[k], next(draws), k)
+                    d, samples, x, z, u = _advance(problem, params, x, z, u, taus[k],
+                                                   next(draws), k)
                 except Exception as exc:
+                    check(lo, k)  # a non-finite state before k is the earlier failure
                     evaluate(lo, k + 1)
                     if isinstance(exc, ProjectionError):
                         raise ProjectionError(f"{exc} at iteration {k}") from exc
                     raise
-                if zsq > max_zsq:
-                    max_zsq = zsq
-                if usq > max_usq:
-                    max_usq = usq
+                i = k - lo
+                block_d[i], block_x[i + 1], block_z[i + 1] = d, x, z
+                for buf, arr in zip(block_u, u):
+                    buf[i + 1] = arr
                 for s in samples:
                     if s.clamped:
                         clamps += 1
+            check(lo, hi)
             evaluate(lo, hi)
 
     final = IterateState(N, x, z, tuple(u))

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from nestopt.diagnostics import DiagnosticsConfig, RunRecord, optimality_measure
-from nestopt.errors import CompoptError, ProjectionError
+from nestopt.errors import CompoptError, NonFiniteIterateError, ProjectionError
 from nestopt.model import (AlgorithmParams, CompositionProblem, IterateState, init_state,
                            next_stepsize)
 from nestopt.oracles import LevelOracle, NoisyOracle, OracleSample, level_streams
@@ -62,11 +62,11 @@ def step(state: IterateState, problem: CompositionProblem, params: AlgorithmPara
          streams: Sequence[np.random.Generator]) -> tuple[IterateState, StepTrace]:
     """One iteration of the method from ``state``, through run's own body."""
     tau = next_stepsize(params.schedule, state.k, params.a, params.b)
-    _, _, samples, x, z, u, _, _ = _advance(
+    d, samples, x, z, u = _advance(
         problem, params, state.x, state.z, state.u, tau, streams, state.k)
     y = problem.feasible_set.project(state.x - state.z / params.rho)
     return (IterateState(state.k + 1, x, z, tuple(u)),
-            StepTrace(y, y - state.x, assemble_subgradient(samples)[0], tuple(samples)))
+            StepTrace(y, d, assemble_subgradient(samples)[0], tuple(samples)))
 
 
 def default_gammas(problem: CompositionProblem, params: AlgorithmParams,
@@ -118,6 +118,7 @@ def merit_reference(problem: CompositionProblem, state: IterateState, a: float, 
     return w, w_smooth
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as run: the guard reports an overflow
 def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
                 diagnostics: DiagnosticsConfig) -> RunRecord:
     """What solver.run records, with every diagnostic cell evaluated at its own row.
@@ -126,7 +127,10 @@ def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations
     before iteration k evaluates the cells of row k one at a time from
     value_jac: tracking errors, the fully nested objective and residuals
     (bottom-up fold), the gap from sets.gap, and merit_reference for
-    (W, W_smooth), which computes its own gap.
+    (W, W_smooth), which computes its own gap.  After iteration k it checks
+    that iteration's post-state at once: NonFiniteIterateError(k, what) when
+    the running sum ||d||^2 + ||z'||^2 + ||u'_1||^2 + ... is not finite,
+    naming the array whose square first makes it so.
     """
     N, M, exact, diag = iterations, problem.M, problem.exact, diagnostics
     taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
@@ -164,9 +168,15 @@ def run_rowwise(problem: CompositionProblem, params: AlgorithmParams, iterations
             lyap[k] = merit_reference(problem, IterateState(k, x, z, tuple(u)), params.a,
                                       params.rho, diag.gammas)
         eta[k] = gap(problem.feasible_set, x, z, params.rho)
-        _, d_sq[k], samples, x, z, u, zsq, usq = _advance(
-            problem, params, x, z, u, taus[k], streams, k)
-        max_zsq, max_usq = max(max_zsq, zsq), max(max_usq, usq)
+        d, samples, x, z, u = _advance(problem, params, x, z, u, taus[k], streams, k)
+        # the guard: the running sum of squares, and the array that first makes it non-finite
+        squares = [float(d @ d), float(z @ z)] + [float(v @ v) for v in u]
+        d_sq[k], total = squares[0], 0.0
+        for what, sq in zip(["x", "z"] + [f"u_{m}" for m in range(1, M + 1)], squares):
+            total += sq
+            if not math.isfinite(total):
+                raise NonFiniteIterateError(k, what)
+        max_zsq, max_usq = max(max_zsq, squares[1]), max(max_usq, *squares[2:])
         clamps += sum(s.clamped for s in samples)
     return RunRecord(iterations=N, tau=np.array(taus), d_sq=d_sq, eta=eta, tracking=track,
                      exact_residual=vres, lyapunov=lyap,

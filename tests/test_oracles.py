@@ -143,6 +143,14 @@ def test_noise_model_validation():
         NoiseModel(distribution="cauchy")
 
 
+@pytest.mark.parametrize("fields", [{"value_sd": float("nan")}, {"jac_sd": float("nan")},
+                                    {"jac_sd": -1e-300}],
+                         ids=["value-nan", "jac-nan", "jac-negative"])
+def test_noise_model_rejects_nan_and_negative_deviations(fields):
+    with pytest.raises(ValueError, match="noise standard deviations must be >= 0"):
+        NoiseModel(**fields)
+
+
 def test_sample_block_split_roundtrip():
     # exact evaluators read sample[:3] as (value, jac_x, jac_u)
     jac = np.arange(10.0).reshape(2, 5)

@@ -324,6 +324,24 @@ def test_box_rejects_empty():
         Box(np.array([1.0]), np.array([0.0]))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Box([NAN], [1.0]), "empty box"),
+    (lambda: Box([0.0], [NAN]), "empty box"),
+    (lambda: Ball(np.zeros(2), NAN), "radius must be positive"),
+    (lambda: Ball(np.zeros(2), 0.0), "radius must be positive"),
+    (lambda: Ball([NAN], 1.0), "center finite"),
+    (lambda: Simplex(2, NAN), "scale must be positive"),
+    (lambda: Simplex(2, -1.0), "scale must be positive"),
+], ids=["box-nan-lo", "box-nan-hi", "ball-nan-radius", "ball-zero-radius", "ball-nan-center",
+        "simplex-nan-scale", "simplex-negative-scale"])
+def test_sets_reject_nan_and_out_of_range_parameters(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_custom_set_callback():
     fs = CustomSet(2, lambda v: np.clip(v, 0.0, 1.0))
     assert np.array_equal(fs.project(np.array([-1.0, 2.0])), [0.0, 1.0])

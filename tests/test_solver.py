@@ -757,3 +757,88 @@ def test_loop_failure_in_a_later_chunk_reports_the_earliest_row():
     k_star = _loop_failure_reports_the_earliest_row(1024)
     size = ROW_BLOCK_ELEMENTS // 1024
     assert size < k_star and (k_star + 1) // size == k_star // size
+
+
+# ---------------------------------------------------------------------------
+# the finiteness guard, read off each chunk's stored rows
+
+class _BlowUpLevel(LevelOracle):
+    """0.5 ||x||^2 + 0 . u_next, whose samples go wrong on cue.
+
+    From iteration nan_jac_from on, its x-Jacobian is NaN, so z goes NaN;
+    from huge_value_from on, its value is 1e200, so its tracker's square
+    overflows.  A picky level raises ValueError on a non-finite x, and at
+    iteration raise_at whatever x is.  last_k is the last sample's iteration.
+    """
+
+    def __init__(self, n, d_next=None, nan_jac_from=np.inf, huge_value_from=np.inf,
+                 picky=False, raise_at=None):
+        self.n, self.d_next, self.picky, self.raise_at = n, d_next, picky, raise_at
+        self.nan_jac_from, self.huge_value_from, self.last_k = nan_jac_from, huge_value_from, -1
+
+    def sample(self, x, u_next, rng, k=0):
+        self.last_k = k
+        if self.picky and (k == self.raise_at or not np.isfinite(x).all()):
+            raise ValueError("level refuses its input")
+        value = 1e200 if k >= self.huge_value_from else 0.5 * float(x @ x)
+        jac_x = np.full((1, self.n), np.nan) if k >= self.nan_jac_from else x[None, :]
+        jac_u = None if self.d_next is None else np.zeros((1, self.d_next))
+        return OracleSample(np.array([value]), jac_x, jac_u)
+
+
+def _blow_up_problem(what, k_bad, n):
+    """A two-level problem whose first non-finite state is ``what`` after iteration k_bad."""
+    top = _BlowUpLevel(n, 1, nan_jac_from=k_bad if what == "z" else np.inf)
+    bottom = _BlowUpLevel(n, huge_value_from=k_bad if what == "u_2" else np.inf)
+    box = Box(np.full(n, -1.0), np.full(n, 1.0))
+
+    def project(v):  # 1e200 from iteration k_bad on: ||d||^2 overflows, so x is named
+        return np.full(n, 1e200) if what == "x" and bottom.last_k >= k_bad - 1 else box.project(v)
+
+    feasible_set = CustomSet(n, project, box.anchor())
+    return CompositionProblem(n, (1, 1), feasible_set, (top, bottom))
+
+
+# n = 1024: chunks of 4 rows, so N = 10 runs rows 0-3, 4-7 and the partial 8-9
+GUARD_N = 1024
+GUARD_ITERATIONS = 10
+
+
+@pytest.mark.parametrize("k_bad", [3, 4, 9], ids=["chunk-end", "next-chunk-start", "partial"])
+@pytest.mark.parametrize("what", ["x", "z", "u_2"])
+def test_guard_names_the_rowwise_iteration_and_array_at_chunk_boundaries(what, k_bad):
+    assert ROW_BLOCK_ELEMENTS // GUARD_N == 4
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
+    diagnostics = DiagnosticsConfig(track_every=0, exact_every=0)
+    with pytest.raises(NonFiniteIterateError) as rowwise:
+        run_rowwise(_blow_up_problem(what, k_bad, GUARD_N), params, GUARD_ITERATIONS,
+                    diagnostics)
+    with pytest.raises(NonFiniteIterateError) as block:
+        run(_blow_up_problem(what, k_bad, GUARD_N), params, GUARD_ITERATIONS, diagnostics)
+    assert (rowwise.value.iteration, rowwise.value.what) == (k_bad, what)
+    assert (block.value.iteration, block.value.what) == (k_bad, what)
+
+
+def test_divergence_is_reported_before_the_projection_it_breaks():
+    # z goes NaN at iteration 3, so the simplex projection of iteration 4 refuses x - z/rho
+    n = 3
+    problem = CompositionProblem(n, (1,), Simplex(n), (_BlowUpLevel(n, nan_jac_from=3),))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
+    with pytest.raises(ProjectionError):
+        problem.feasible_set.project(np.full(n, np.nan))
+    with pytest.raises(NonFiniteIterateError, match="^non-finite z at iteration 3$"):
+        run(problem, params, 10)
+
+
+@pytest.mark.parametrize("raise_at, error, message", [
+    (None, NonFiniteIterateError, "^non-finite z at iteration 3$"),  # refuses iteration 4's NaN x
+    (2, ValueError, "^level refuses its input$"),  # refuses iteration 2, before z goes NaN
+])
+def test_oracle_failure_after_divergence_reports_the_divergence(raise_at, error, message):
+    n = 3
+    level = _BlowUpLevel(n, nan_jac_from=3, picky=True, raise_at=raise_at)
+    problem = CompositionProblem(n, (1,), Box(np.full(n, -1.0), np.full(n, 1.0)), (level,))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
+    with pytest.raises(error, match=message):
+        run(problem, params, 10)
+    assert level.last_k == (4 if raise_at is None else raise_at)
