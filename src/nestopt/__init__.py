@@ -13,7 +13,7 @@ from .errors import CompoptError, ConfigError, NonFiniteIterateError, Projection
 from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     Diminishing, ExactEvaluators, InitPolicy, IterateState,
                     StepSchedule, Violation, init_state, next_stepsize,
-                    stepsize_cap, validate_problem)
+                    validate_problem)
 from .oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, level_streams
 from .sets import Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap
 from .solver import assemble_subgradient, run, update_trackers, update_z
@@ -29,6 +29,6 @@ __all__ = [
     "Simplex", "StepSchedule", "Violation",
     "assemble_subgradient", "fit_rate", "gap", "init_state", "level_streams",
     "lyapunov", "next_stepsize", "objective_tail_oscillation",
-    "optimality_measure", "run", "stepsize_cap", "update_trackers", "update_z",
+    "optimality_measure", "run", "update_trackers", "update_z",
     "validate_problem",
 ]

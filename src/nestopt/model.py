@@ -43,10 +43,6 @@ class Custom:
 StepSchedule = Diminishing | Constant | Custom
 
 
-def stepsize_cap(a: float, b: float) -> float:
-    return min(1.0, 1.0 / a, 1.0 / b)
-
-
 def next_stepsize(schedule: StepSchedule, k: int, a: float, b: float) -> float:
     """Stepsize for iteration k, clipped into (0, min(1, 1/a, 1/b)]."""
     if isinstance(schedule, Diminishing):
@@ -61,7 +57,7 @@ def next_stepsize(schedule: StepSchedule, k: int, a: float, b: float) -> float:
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")
     if not raw > 0.0:  # also rejects NaN
         raise ValueError(f"schedule produced non-positive stepsize {raw} at k={k}")
-    return min(raw, stepsize_cap(a, b))
+    return min(raw, 1.0, 1.0 / a, 1.0 / b)
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,8 @@ class AlgorithmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.rho > 0):  # also rejects NaN
-            raise ValueError("a, b, rho must all be positive")
+        if not all(0 < v < np.inf for v in (self.a, self.b, self.rho)):  # also rejects NaN
+            raise ValueError("a, b, rho must all be positive and finite")
         if not 0 <= int(self.seed) < _SEED_MAX:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -48,8 +48,8 @@ ROW_BLOCK_ELEMENTS = 2**12
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b for one row, or a_i . b_i for each row i of a block.
 
-    Every row is one BLAS dot, the same call as ``a @ b`` on that row alone,
-    so a block gives the bits of its rows evaluated one at a time.
+    Every row is one BLAS dot, the same call as ``a @ b`` or ``a.dot(b)`` on
+    that row alone, so a block gives the bits of its rows evaluated one at a time.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -97,8 +97,8 @@ class NoiseModel:
     bias: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if not self.value_sd >= 0 or not self.jac_sd >= 0:  # also rejects NaN
-            raise ValueError("noise standard deviations must be >= 0")
+        if not (0 <= self.value_sd < np.inf and 0 <= self.jac_sd < np.inf):  # and NaN
+            raise ValueError("noise standard deviations must be >= 0 and finite")
         if self.distribution not in ("gaussian", "uniform", "rademacher"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
 

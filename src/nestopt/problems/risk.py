@@ -67,7 +67,7 @@ class FiniteScenarios:
     def draw_loss(self, x: np.ndarray, rng):
         """One sampled (loss value, loss subgradient) pair; rng may be a drawn index."""
         i = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
-        t = float(self.coef[i] @ x) + float(self.offset[i])
+        t = float(self.coef[i].dot(x)) + float(self.offset[i])
         if not self.relu:
             return t, self.coef[i]
         if t > 0.0:
@@ -108,7 +108,7 @@ class GaussianScenarios:
         """One sampled (loss value, loss subgradient) pair; rng may be a drawn row."""
         e = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
         a = np.asarray(self.coef_mean, dtype=float) + self.coef_sd * e[:-1]
-        return float(a @ x) + (self.offset_mean + self.offset_sd * e[-1]), a
+        return float(a.dot(x)) + (self.offset_mean + self.offset_sd * e[-1]), a
 
 
 def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,

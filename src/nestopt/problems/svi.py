@@ -40,7 +40,7 @@ class RegularizedGapLevel(NoiseFreeLevel):
     def sample(self, x, u_next, rng, k=0):
         r = self.r
         dy = self.feasible_set.project(x + u_next / r) - x
-        val = np.array([float(u_next @ dy) - 0.5 * r * float(dy @ dy)])
+        val = np.array([float(u_next.dot(dy)) - 0.5 * r * float(dy.dot(dy))])
         return OracleSample(val, (r * dy - u_next)[None, :], dy[None, :])
 
     def exact_value(self, x, u_next):
@@ -61,7 +61,7 @@ class NegatedMeanMapLevel(NoiseFreeLevel):
         self.neg_b = -np.asarray(b, dtype=float)
 
     def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.neg_A @ x + self.neg_b, self.neg_A)
+        return OracleSample(self.neg_A.dot(x) + self.neg_b, self.neg_A)
 
     def exact_value(self, x, u_next):
         return row_matvec(self.neg_A, x) + self.neg_b

@@ -27,7 +27,7 @@ class QuadraticTopLevel(NoiseFreeLevel):
     def sample(self, x, u_next, rng, k=0):
         dx = x - self.x_hat
         du = u_next - self.u_hat
-        val = np.array([0.5 * float(dx @ dx) + 0.5 * float(du @ du)])
+        val = np.array([0.5 * float(dx.dot(dx)) + 0.5 * float(du.dot(du))])
         return OracleSample(val, dx[None, :], du[None, :])
 
     def exact_value(self, x, u_next):
@@ -44,7 +44,7 @@ class QuadraticPointLevel(NoiseFreeLevel):
 
     def sample(self, x, u_next, rng, k=0):
         dx = x - self.x_hat
-        return OracleSample(np.array([0.5 * float(dx @ dx)]), dx[None, :])
+        return OracleSample(np.array([0.5 * float(dx.dot(dx))]), dx[None, :])
 
     def exact_value(self, x, u_next):
         dx = x - self.x_hat
@@ -60,7 +60,7 @@ class LinearLevel(NoiseFreeLevel):
         self.c = np.asarray(c, dtype=float)
 
     def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.Q @ x + self.R @ u_next + self.c, self.Q, self.R)
+        return OracleSample(self.Q.dot(x) + self.R.dot(u_next) + self.c, self.Q, self.R)
 
     def exact_value(self, x, u_next):
         return row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c
@@ -74,7 +74,7 @@ class LinearBottomLevel(NoiseFreeLevel):
         self.c = np.asarray(c, dtype=float)
 
     def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.Q @ x + self.c, self.Q)
+        return OracleSample(self.Q.dot(x) + self.c, self.Q)
 
     def exact_value(self, x, u_next):
         return row_matvec(self.Q, x) + self.c

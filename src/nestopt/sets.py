@@ -27,6 +27,13 @@ _VIOLATION_TOL = 1e-13
 _DEPENDENT_SQ = 1e-14
 
 
+def _require_finite(**arrays):
+    """Raise ValueError naming the first array with a NaN or infinite entry."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 class FeasibleSet(ABC):
     """A nonempty convex compact region of R^dim with a Euclidean projection."""
 
@@ -51,6 +58,7 @@ class Box(FeasibleSet):
             raise ValueError("lo and hi must have the same shape")
         if not np.all(self.lo <= self.hi):  # also rejects NaN
             raise ValueError("empty box: lo > hi componentwise, or a NaN bound")
+        _require_finite(lo=self.lo, hi=self.hi)
         self.dim = self.lo.size
 
     def project(self, v):
@@ -66,8 +74,8 @@ class Ball(FeasibleSet):
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if not self.radius > 0 or not np.isfinite(self.center).all():  # also rejects NaN
-            raise ValueError("radius must be positive and the center finite")
+        if not 0 < self.radius < math.inf or not np.isfinite(self.center).all():  # and NaN
+            raise ValueError("radius must be positive and finite, and the center finite")
         self.dim = self.center.size
 
     def project(self, v):
@@ -89,8 +97,8 @@ class Simplex(FeasibleSet):
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self.scale = float(scale)
-        if not self.scale > 0:  # also rejects NaN
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:  # also rejects NaN
+            raise ValueError("scale must be positive and finite")
 
     def project(self, v):
         # sort-and-threshold (Duchi et al., ICML 2008) on Python floats: the
@@ -138,6 +146,7 @@ class Polytope(FeasibleSet):
             raise ValueError("A and b row counts differ")
         if self.A.shape[1] != self.interior_point.size:
             raise ValueError("interior point dimension mismatch")
+        _require_finite(A=self.A, b=self.b, interior_point=self.interior_point)
         slack = self.A @ self.interior_point - self.b
         if np.any(slack > 1e-12):
             raise ValueError("provided point is not inside the polytope")

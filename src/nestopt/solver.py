@@ -24,6 +24,7 @@ from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
 from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams, row_dot
 
 
+# the products below call .dot: @'s BLAS call without the matmul ufunc's dispatch; blocks keep @
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
     """Fold sampled Jacobians backward through the chain rule.
 
@@ -33,7 +34,7 @@ def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
     """
     g = samples[-1].jac_x
     for s in samples[-2::-1]:
-        g = s.jac_x + s.jac_u @ g
+        g = s.jac_x + s.jac_u.dot(g)
     return g
 
 
@@ -54,10 +55,10 @@ def update_trackers(u: Sequence[np.ndarray], samples: Sequence[OracleSample],
     M = len(u)
     out: list[np.ndarray] = [None] * M
     s = samples[M - 1]
-    out[M - 1] = u[M - 1] + s.jac_x @ dx + (b * tau) * (s.value - u[M - 1])
+    out[M - 1] = u[M - 1] + s.jac_x.dot(dx) + (b * tau) * (s.value - u[M - 1])
     for m in range(M - 2, -1, -1):
         s = samples[m]
-        out[m] = (u[m] + s.jac_x @ dx + s.jac_u @ (out[m + 1] - u[m + 1])
+        out[m] = (u[m] + s.jac_x.dot(dx) + s.jac_u.dot(out[m + 1] - u[m + 1])
                   + (b * tau) * (s.value - u[m]))
     return out
 

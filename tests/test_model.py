@@ -4,7 +4,7 @@ from scipy.special import zeta
 
 from nestopt import (AlgorithmParams, CompositionProblem, Constant, Custom,
                      Diminishing, InitPolicy,
-                     init_state, level_streams, next_stepsize, stepsize_cap,
+                     init_state, level_streams, next_stepsize,
                      validate_problem)
 from nestopt.model import IterateState
 from nestopt.oracles import LevelOracle, OracleSample
@@ -31,7 +31,7 @@ def test_constant_clipped_to_inverse_gain():
 
 
 def test_cap_rule():
-    assert stepsize_cap(2.0, 4.0) == 0.25
+    assert next_stepsize(Constant(1.0), 0, a=2.0, b=4.0) == 0.25
     assert next_stepsize(Diminishing(5.0, 0.6), 0, a=2.0, b=4.0) == 0.25
 
 
@@ -83,6 +83,9 @@ def test_params_validation():
         AlgorithmParams(1.0, 1.0, -1.0, Constant(0.1))
     with pytest.raises(ValueError):
         AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=-1)
+    for gains in ((np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AlgorithmParams(*gains, Constant(0.1))
 
 
 # ---------------------------------------------------------------------------

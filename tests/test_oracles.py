@@ -144,8 +144,9 @@ def test_noise_model_validation():
 
 
 @pytest.mark.parametrize("fields", [{"value_sd": float("nan")}, {"jac_sd": float("nan")},
-                                    {"jac_sd": -1e-300}],
-                         ids=["value-nan", "jac-nan", "jac-negative"])
+                                    {"jac_sd": -1e-300}, {"value_sd": float("inf")},
+                                    {"jac_sd": float("inf")}],
+                         ids=["value-nan", "jac-nan", "jac-negative", "value-inf", "jac-inf"])
 def test_noise_model_rejects_nan_and_negative_deviations(fields):
     with pytest.raises(ValueError, match="noise standard deviations must be >= 0"):
         NoiseModel(**fields)

@@ -17,9 +17,9 @@ def test_public_names_pinned():
         "gap", "init_state", "level_streams", "lyapunov",
         "next_stepsize", "objective_tail_oscillation",
         "optimality_measure", "run",
-        "stepsize_cap", "update_trackers", "update_z", "validate_problem",
+        "update_trackers", "update_z", "validate_problem",
     ])
-    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 40
+    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 39
     for name in nestopt.__all__:
         assert hasattr(nestopt, name), name
 

@@ -325,6 +325,7 @@ def test_box_rejects_empty():
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("build, match", [
@@ -335,8 +336,17 @@ NAN = float("nan")
     (lambda: Ball([NAN], 1.0), "center finite"),
     (lambda: Simplex(2, NAN), "scale must be positive"),
     (lambda: Simplex(2, -1.0), "scale must be positive"),
+    (lambda: Box([0.0], [INF]), "hi must be finite"),
+    (lambda: Box([-INF], [INF]), "lo must be finite"),
+    (lambda: Ball(np.zeros(2), INF), "radius must be positive and finite"),
+    (lambda: Simplex(2, INF), "scale must be positive and finite"),
+    (lambda: Polytope([[1.0, 0.0], [NAN, 1.0]], [1.0, 1.0], [0.0, 0.0]), "A must be finite"),
+    (lambda: Polytope([[1.0, 0.0]], [INF], [0.0, 0.0]), "b must be finite"),
+    (lambda: Polytope([[1.0, 0.0]], [1.0], [NAN, 0.0]), "interior_point must be finite"),
 ], ids=["box-nan-lo", "box-nan-hi", "ball-nan-radius", "ball-zero-radius", "ball-nan-center",
-        "simplex-nan-scale", "simplex-negative-scale"])
+        "simplex-nan-scale", "simplex-negative-scale", "box-inf-hi", "box-inf-both",
+        "ball-inf-radius", "simplex-inf-scale", "polytope-nan-A", "polytope-inf-b",
+        "polytope-nan-interior-point"])
 def test_sets_reject_nan_and_out_of_range_parameters(build, match):
     with pytest.raises(ValueError, match=match):
         build()
