@@ -12,8 +12,7 @@ from .diagnostics import (DiagnosticsConfig, RunRecord, fit_rate, lyapunov,
 from .errors import CompoptError, ConfigError, NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, Constant, Custom,
                     Diminishing, ExactEvaluators, InitPolicy, IterateState,
-                    StepSchedule, Violation, init_state, next_stepsize,
-                    validate_problem)
+                    StepSchedule, init_state, next_stepsize, validate_problem)
 from .oracles import LevelOracle, NoiseModel, NoisyOracle, OracleSample, level_streams
 from .sets import Ball, Box, CustomSet, FeasibleSet, Polytope, Simplex, gap
 from .solver import assemble_subgradient, run, update_trackers, update_z
@@ -26,7 +25,7 @@ __all__ = [
     "Diminishing", "ExactEvaluators", "FeasibleSet", "InitPolicy", "IterateState",
     "LevelOracle", "NoiseModel", "NoisyOracle", "NonFiniteIterateError",
     "OracleSample", "Polytope", "ProjectionError", "RunRecord",
-    "Simplex", "StepSchedule", "Violation",
+    "Simplex", "StepSchedule",
     "assemble_subgradient", "fit_rate", "gap", "init_state", "level_streams",
     "lyapunov", "next_stepsize", "objective_tail_oscillation",
     "optimality_measure", "run", "update_trackers", "update_z",

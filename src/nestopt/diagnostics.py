@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import CompositionProblem, IterateState
-from .oracles import row_norm
+from .oracles import check_count, row_norm
 from .sets import gap as set_gap
 
 
@@ -33,9 +33,7 @@ class DiagnosticsConfig:
 
     def __post_init__(self):
         for name in ("track_every", "exact_every", "exact_window", "lyapunov_every"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+            check_count(name, getattr(self, name))
         if self.lyapunov_every and self.gammas is None:
             raise ConfigError("diagnostics.gammas", "lyapunov_every > 0 needs the merit weights")
 

@@ -62,9 +62,7 @@ def check_problem(diagnostics: DiagnosticsConfig, problem) -> None:
         raise ConfigError("diagnostics.lyapunov_every",
                           "the merit pair needs exact evaluators, which this problem "
                           "does not carry")
-    violations = validate_problem(problem)
-    if violations:
-        raise ConfigError("problem", "; ".join(v.message for v in violations))
+    validate_problem(problem)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .oracles import _SEED_MAX, LevelOracle, OracleSample, level_streams
+from .errors import ConfigError
+from .oracles import _SEED_MAX, LevelOracle, OracleSample, check_count, level_streams
 from .sets import FeasibleSet
 
 
 # ---------------------------------------------------------------------------
 # stepsize schedules
 
-@dataclass(frozen=True)
-class Diminishing:
+class Diminishing(NamedTuple):
     """tau_k = tau0 / (k+1)^gamma before clipping.
 
     gamma in (1/2, 1] gives a divergent-sum, square-summable sequence.
@@ -26,15 +26,13 @@ class Diminishing:
     gamma: float
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     """Fixed tau; meant for finite-horizon runs only."""
 
     tau: float
 
 
-@dataclass(frozen=True)
-class Custom:
+class Custom(NamedTuple):
     """Explicit stepsize sequence; exhausting it is an error."""
 
     taus: tuple[float, ...]
@@ -78,14 +76,12 @@ class AlgorithmParams:
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.a, self.b, self.rho)):  # also rejects NaN
             raise ValueError("a, b, rho must all be positive and finite")
-        if not 0 <= int(self.seed) < _SEED_MAX:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_count("seed", self.seed, below=_SEED_MAX)
 
 
 # ---------------------------------------------------------------------------
 # problem definition
 
-@dataclass(frozen=True)
 class ExactEvaluators:
     """Ground-truth evaluators read off a problem's noise-free levels.
 
@@ -100,11 +96,9 @@ class ExactEvaluators:
     attribute afterwards.  x_star carries a known solution when one exists.
     """
 
-    levels: tuple[LevelOracle, ...]
-    x_star: np.ndarray | None = None
-
-    def __post_init__(self):
-        samplers = tuple(o.sample for o in self.levels)
+    def __init__(self, levels: tuple[LevelOracle, ...], x_star: np.ndarray | None = None):
+        self.levels, self.x_star = levels, x_star
+        self._samplers = samplers = tuple(o.sample for o in levels)
 
         def value_of(sample):
             def value(x, u_next):
@@ -113,10 +107,8 @@ class ExactEvaluators:
                 inner = [None] * len(x) if u_next is None else u_next
                 return np.array([sample(row, v, None, 0)[0] for row, v in zip(x, inner)])
             return value
-        object.__setattr__(self, "_samplers", samplers)
-        object.__setattr__(self, "values", tuple(
-            getattr(o, "exact_value", None) or value_of(s)
-            for o, s in zip(self.levels, samplers)))
+        self.values = tuple(getattr(o, "exact_value", None) or value_of(s)
+                            for o, s in zip(levels, samplers))
 
     def value_jac(self, m: int, x: np.ndarray, u_next: np.ndarray | None) -> tuple:
         """Exact (value, jac_x, jac_u) of level m."""
@@ -135,8 +127,8 @@ class ExactEvaluators:
 class CompositionProblem:
     """An M-level nested problem: dimensions, feasible set, level oracles.
 
-    level_dims holds (d_1, ..., d_M); d_1 = 1 is required to run the solver
-    (scalar objective) but larger d_1 is allowed for diagnostics-only use.
+    level_dims holds (d_1, ..., d_M); the objective is scalar, so d_1 = 1,
+    which init_state checks.
     """
 
     n: int
@@ -166,8 +158,7 @@ class CompositionProblem:
         return samples
 
 
-@dataclass(frozen=True)
-class IterateState:
+class IterateState(NamedTuple):
     """Full solver state: iterate, subgradient average, value trackers."""
 
     k: int
@@ -184,49 +175,39 @@ class InitPolicy(enum.Enum):
 # ---------------------------------------------------------------------------
 # structural validation
 
-@dataclass(frozen=True)
-class Violation:
-    """One structural defect found by validate_problem."""
-
-    level: int | None
-    kind: str
-    message: str
-    expected: object = None
-    actual: object = None
-
-
-def validate_problem(problem: CompositionProblem) -> list[Violation]:
+def validate_problem(problem: CompositionProblem) -> None:
     """Check the dimension contract of every level oracle.
 
-    Pure: probing uses a fixed internal seed, so repeated calls return
-    identical violation lists.  Violations are data, not exceptions.
+    Raises ConfigError("problem", ...) joining the message of every defect
+    found with "; ", and returns None when there is none.  Probing uses a
+    fixed internal seed, so repeated calls give the same outcome.
     """
-    out: list[Violation] = []
+    messages = _problem_defects(problem)
+    if messages:
+        raise ConfigError("problem", "; ".join(messages))
+
+
+def _problem_defects(problem: CompositionProblem) -> list[str]:
+    out: list[str] = []
     M = problem.M
     if M < 1:
-        return [Violation(None, "levels", "problem must have at least one level")]
+        return ["problem must have at least one level"]
     if len(problem.oracles) != M:
-        return [Violation(None, "levels",
-                          f"expected {M} oracles, got {len(problem.oracles)}",
-                          expected=M, actual=len(problem.oracles))]
+        return [f"expected {M} oracles, got {len(problem.oracles)}"]
     for m, d in enumerate(problem.level_dims, start=1):
         if d < 1:
-            out.append(Violation(m, "level_dim", f"level {m} dimension must be >= 1",
-                                 expected=">=1", actual=d))
+            out.append(f"level {m} dimension must be >= 1")
     if problem.n < 1:
-        out.append(Violation(None, "decision_dim", "n must be >= 1",
-                             expected=">=1", actual=problem.n))
+        out.append("n must be >= 1")
     if out:
         return out
 
     try:
         x0 = problem.feasible_set.project(np.asarray(problem.feasible_set.anchor(), dtype=float))
     except Exception as exc:  # noqa: BLE001 - report, don't raise
-        return [Violation(None, "feasible_set", f"projection failed: {exc}")]
+        return [f"projection failed: {exc}"]
     if x0.shape != (problem.n,):
-        return [Violation(None, "feasible_set",
-                          f"set dimension {x0.shape} does not match n={problem.n}",
-                          expected=(problem.n,), actual=x0.shape)]
+        return [f"set dimension {x0.shape} does not match n={problem.n}"]
 
     streams = level_streams(seed=0, n_levels=M, replication=0)
     for m in range(1, M + 1):
@@ -237,29 +218,29 @@ def validate_problem(problem: CompositionProblem) -> list[Violation]:
         try:
             s = oracle.sample(x0, u_next, streams[m - 1], 0)
         except Exception as exc:  # noqa: BLE001
-            out.append(Violation(m, "probe_error", f"oracle sample failed: {exc}"))
+            out.append(f"oracle sample failed: {exc}")
+            continue
+        fields = {"value": s.value, "jac_x": s.jac_x}
+        if s.jac_u is not None:
+            fields["jac_u"] = s.jac_u
+        wrong = [f"level {m} {name} is a {type(a).__name__}, not an ndarray"
+                 for name, a in fields.items() if not isinstance(a, np.ndarray)]
+        if wrong:
+            out += wrong
             continue
         if s.value.shape != (d_m,):
-            out.append(Violation(m, "value_dim",
-                                 f"level {m} value has shape {s.value.shape}",
-                                 expected=(d_m,), actual=s.value.shape))
+            out.append(f"level {m} value has shape {s.value.shape}")
         if s.jac_x.shape != (d_m, problem.n):
-            out.append(Violation(m, "jac_rows" if s.jac_x.shape[0] != d_m else "jac_cols",
-                                 f"level {m} x-block has shape {s.jac_x.shape}",
-                                 expected=(d_m, problem.n), actual=s.jac_x.shape))
+            out.append(f"level {m} x-block has shape {s.jac_x.shape}")
         if d_next:
             if s.jac_u is None or s.jac_u.shape != (d_m, d_next):
                 got = None if s.jac_u is None else s.jac_u.shape
-                out.append(Violation(m, "jac_cols",
-                                     f"level {m} u-block has shape {got}, "
-                                     f"expected columns for inner dimension {d_next}",
-                                     expected=(d_m, d_next), actual=got))
+                out.append(f"level {m} u-block has shape {got}, "
+                           f"expected columns for inner dimension {d_next}")
         elif s.jac_u is not None:
-            out.append(Violation(m, "jac_cols",
-                                 f"innermost level {m} must not carry a u-block",
-                                 expected=None, actual=s.jac_u.shape))
+            out.append(f"innermost level {m} must not carry a u-block")
         if not s.check_finite():
-            out.append(Violation(m, "nonfinite", f"level {m} probe sample is not finite"))
+            out.append(f"level {m} probe sample is not finite")
     return out
 
 
@@ -276,9 +257,13 @@ def init_state(problem: CompositionProblem, params: AlgorithmParams,
     averages at zero; ONE_SAMPLE draws one oracle sample per level at the
     start point (bottom-up, each tracker seeded with the sampled value of
     its level) and sets z from the assembled subgradient, which removes
-    most of the initial tracking transient.
+    most of the initial tracking transient.  A top level with d_1 != 1
+    raises ValueError: the method minimises a scalar objective.
     """
     from .solver import assemble_subgradient  # local import to avoid a cycle
+
+    if problem.level_dims[0] != 1:
+        raise ValueError("the solver needs a scalar top level (d_1 = 1)")
 
     if init_x is None:
         init_x = problem.feasible_set.anchor()
@@ -294,8 +279,5 @@ def init_state(problem: CompositionProblem, params: AlgorithmParams,
     if streams is None:
         streams = level_streams(params.seed, problem.M, replication=0)
     samples = problem.sample_levels(x0, None, streams, 0)
-    if problem.level_dims[0] == 1:
-        z0 = assemble_subgradient(samples)[0].copy()
-    else:
-        z0 = np.zeros(problem.n)  # no scalar chain to fold for diagnostics-only problems
+    z0 = assemble_subgradient(samples)[0].copy()
     return IterateState(0, x0, z0, tuple(s.value for s in samples))

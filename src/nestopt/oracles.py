@@ -23,6 +23,19 @@ import numpy as np
 _SEED_MAX = 2**64
 
 
+def check_count(name: str, value, least: int = 0, below: int | None = None) -> None:
+    """ValueError naming ``name`` unless value is an integer in [least, below).
+
+    An int or a numpy integer counts; a bool, a float or a string does not,
+    even when it holds a whole number, so nothing is silently truncated.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least or (below is not None and value >= below)):
+        bound = "" if below is None else f" below {below}"
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer{bound}, got {value!r}")
+
+
 def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.random.Generator]:
     """Independent per-level generators derived from one master seed.
 
@@ -30,10 +43,8 @@ def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.ran
     are disjoint for every (seed, replication, level) triple and replayable
     in isolation.
     """
-    if not 0 <= int(seed) < _SEED_MAX:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if replication < 0:
-        raise ValueError("replication index must be >= 0")
+    check_count("seed", seed, below=_SEED_MAX)
+    check_count("replication", replication)
     return [
         np.random.Generator(np.random.Philox(key=int(seed), counter=[0, 0, m, int(replication)]))
         for m in range(1, n_levels + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ..oracles import ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, row_matvec
 from ..sets import FeasibleSet, Simplex
 
 
-@dataclass(frozen=True)
 class FiniteScenarios:
     """Discrete scenario table for losses H_i(x) = <coef_i, x> + offset_i.
 
@@ -31,24 +30,19 @@ class FiniteScenarios:
     the scenario.
     """
 
-    weights: np.ndarray
-    coef: np.ndarray
-    offset: np.ndarray
-    relu: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights: np.ndarray, coef: np.ndarray, offset: np.ndarray,
+                 relu: bool = False):
+        w = np.asarray(weights, dtype=float)
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             total = w.sum()
         if np.any(w < 0) or not 0 < total < np.inf:  # also rejects NaN
             raise ConfigError("scenarios.weights", "weights must be >= 0 with a finite sum > 0")
-        w = w / total
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "coef", np.atleast_2d(np.asarray(self.coef, dtype=float)))
-        object.__setattr__(self, "offset", np.atleast_1d(np.asarray(self.offset, dtype=float)))
-        cum = np.cumsum(w)
+        self.weights = w = w / total
+        self.coef = np.atleast_2d(np.asarray(coef, dtype=float))
+        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
+        self.relu = relu
+        self._cum = cum = np.cumsum(w)
         cum[-1] = 1.0
-        object.__setattr__(self, "_cum", cum)
         if self.coef.shape[0] != w.size or self.offset.size != w.size:
             raise ConfigError("scenarios", "weights, coef, offset row counts differ")
 
@@ -87,8 +81,7 @@ class FiniteScenarios:
         return h, self.coef * (h > 0.0)[:, None]  # max(t, 0) > 0 exactly where t > 0
 
 
-@dataclass(frozen=True)
-class GaussianScenarios:
+class GaussianScenarios(NamedTuple):
     """Continuous scenario generator for stress tests (no exact evaluators)."""
 
     coef_mean: np.ndarray

@@ -21,7 +21,7 @@ from .diagnostics import (DiagnosticsConfig, RunRecord, _merit, check_gammas, ne
 from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
-from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, level_streams, row_dot
+from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, check_count, level_streams, row_dot
 
 
 # the products below call .dot: @'s BLAS call without the matmul ufunc's dispatch; blocks keep @
@@ -125,11 +125,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     failing row wins; a diverging run may compute up to one chunk past it.
     Each cell gets the bits a call on its row alone would give.
     """
-    if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
-            or iterations < 1):
-        raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
-    if problem.level_dims[0] != 1:
-        raise ValueError("the solver needs a scalar top level (d_1 = 1)")
+    check_count("iterations", iterations, least=1)
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
     M = problem.M
     exact = problem.exact
@@ -254,7 +250,7 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     return RunRecord(
         iterations=N, tau=rec_tau, d_sq=rec_dsq, eta=rec_eta,
         tracking=rec_track, exact_residual=rec_exact, lyapunov=rec_lyap,
-        final_state=final, seed=params.seed, replication=replication,
+        final_state=final, seed=int(params.seed), replication=int(replication),
         objective=rec_obj,
         max_z_norm=math.sqrt(max_zsq), max_u_norm=math.sqrt(max_usq),
         clamp_events=clamps,

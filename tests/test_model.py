@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from nestopt import (AlgorithmParams, CompositionProblem, Constant, Custom,
+from nestopt import (AlgorithmParams, CompositionProblem, ConfigError, Constant, Custom,
                      Diminishing, InitPolicy,
                      init_state, level_streams, next_stepsize,
                      validate_problem)
@@ -86,6 +86,12 @@ def test_params_validation():
     for gains in ((np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
             AlgorithmParams(*gains, Constant(0.1))
+    # a seed is never truncated: only an integer, not a bool, in [0, 2**64)
+    for seed in (1.5, "3", True, 2**64):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer below "
+                                             f"{2**64}, got {seed!r}"):
+            AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=seed)
+    assert AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=np.uint64(2**63)).seed == 2**63
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ def _linear_problem(n=4):
 
 
 def test_validate_minimal_single_level():
-    assert validate_problem(_linear_problem()) == []
+    assert validate_problem(_linear_problem()) is None
 
 
 class _BadColumnsOracle(LevelOracle):
@@ -121,18 +127,40 @@ def test_validate_reports_column_mismatch():
     bottom = DeterministicOracle(lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
     problem = CompositionProblem(n, (1, 3), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (_BadColumnsOracle(n), bottom))
-    violations = validate_problem(problem)
-    assert len(violations) == 1
-    v = violations[0]
-    assert v.level == 1 and v.kind == "jac_cols"
-    assert v.expected == (1, 3) and v.actual == (1, 2)
+    with pytest.raises(ConfigError) as err:
+        validate_problem(problem)
+    assert err.value.field == "problem"
+    assert err.value.message == ("level 1 u-block has shape (1, 2), "
+                                 "expected columns for inner dimension 3")
+
+
+# each level's sample, outermost first, on a problem with d_m = 1 and n = 3
+@pytest.mark.parametrize("samples, message", [
+    pytest.param([(1.0, np.zeros((1, 3)), None)],
+                 "level 1 value is a float, not an ndarray", id="float-value"),
+    pytest.param([(np.zeros(1), [[0.0] * 3], None)],
+                 "level 1 jac_x is a list, not an ndarray", id="list-jac_x"),
+    pytest.param([(0.0, [[0.0] * 3], None)],
+                 "level 1 value is a float, not an ndarray; level 1 jac_x is a list, "
+                 "not an ndarray", id="float-value-and-list-jac_x"),
+    pytest.param([(np.zeros(1), np.zeros((1, 3)), [[0.0]]), (np.zeros(1), np.zeros((1, 3)), None)],
+                 "level 1 jac_u is a list, not an ndarray", id="list-jac_u"),
+])
+def test_validate_names_sample_fields_that_are_not_ndarrays(samples, message):
+    n = 3
+    oracles = tuple(DeterministicOracle(lambda x, u, s=s: s) for s in samples)
+    problem = CompositionProblem(n, (1,) * len(samples), Box(np.full(n, -1.0), np.full(n, 1.0)),
+                                 oracles)
+    with pytest.raises(ConfigError) as err:
+        validate_problem(problem)
+    assert err.value.field == "problem" and err.value.message == message
 
 
 def test_validate_shipped_risk_clean():
     problem = make_problem({"family": "risk_p2", "n": 5, "kappa": 0.5,
                             "epsilon": 1e-4, "scenarios": {"count": 10, "seed": 0}})
     assert problem.level_dims == (1, 1, 1)
-    assert validate_problem(problem) == []
+    assert validate_problem(problem) is None
 
 
 def test_validate_is_pure():
@@ -140,7 +168,12 @@ def test_validate_is_pure():
     bottom = DeterministicOracle(lambda x, u: (np.zeros(3), np.zeros((3, n)), None))
     problem = CompositionProblem(n, (1, 3), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (_BadColumnsOracle(n), bottom))
-    assert validate_problem(problem) == validate_problem(problem)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as err:
+            validate_problem(problem)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ def test_scenario_csv_roundtrip(tmp_path):
     assert np.allclose(loaded.offset, scen.offset)
     problem = make_problem({"family": "risk_p1", "n": 3, "kappa": 0.3,
                             "scenarios": {"csv": str(path)}})
-    assert validate_problem(problem) == []
+    assert validate_problem(problem) is None
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +484,7 @@ def test_make_problem_families_validate_clean():
         {"family": "svi", "n": 4},
     ]
     for spec in specs:
-        assert validate_problem(make_problem(spec)) == []
+        assert validate_problem(make_problem(spec)) is None
 
 
 def test_make_problem_rejects_bad_params():

@@ -13,13 +13,13 @@ def test_public_names_pinned():
         "InitPolicy", "IterateState", "LevelOracle", "NoiseModel", "NoisyOracle",
         "NonFiniteIterateError", "OracleSample",
         "Polytope", "ProjectionError", "RunRecord", "Simplex", "StepSchedule",
-        "Violation", "assemble_subgradient", "fit_rate",
+        "assemble_subgradient", "fit_rate",
         "gap", "init_state", "level_streams", "lyapunov",
         "next_stepsize", "objective_tail_oscillation",
         "optimality_measure", "run",
         "update_trackers", "update_z", "validate_problem",
     ])
-    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 39
+    assert len(set(nestopt.__all__)) == len(nestopt.__all__) == 38
     for name in nestopt.__all__:
         assert hasattr(nestopt, name), name
 

@@ -204,14 +204,17 @@ def test_step_fixed_point_at_solution(smooth_problem, default_params):
     assert np.allclose(trace.d, 0.0, atol=1e-13)
 
 
-def test_run_rejects_vector_objective():
+# init_state holds the rule, so no path reaches a state without a scalar subgradient row
+@pytest.mark.parametrize("start", [lambda p, a: run(p, a, 5), init_state],
+                         ids=["run", "init_state"])
+def test_run_rejects_vector_objective(start):
     n = 3
     oracle = DeterministicOracle(lambda x, u: (np.zeros(2), np.zeros((2, n)), None))
     problem = CompositionProblem(n, (2,), Box(np.full(n, -1.0), np.full(n, 1.0)),
                                  (oracle,))
     params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.5), seed=0)
     with pytest.raises(ValueError, match=r"scalar top level \(d_1 = 1\)"):
-        run(problem, params, 5)
+        start(problem, params)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +237,23 @@ def test_run_counts_iterations_as_diagnostics_counts_intervals(smooth_problem, d
     assert type(record.iterations) is int and record.iterations == 3
     assert record.d_sq.tobytes() == plain.d_sq.tobytes()
     assert record.final_state.x.tobytes() == plain.final_state.x.tobytes()
+
+
+# nor is a replication index truncated: 1.5 would run as replication 1
+@pytest.mark.parametrize("replication", [1.5, "2", True, -1], ids=repr)
+def test_run_refuses_a_replication_that_is_not_a_count(smooth_problem, default_params,
+                                                        replication):
+    message = f"replication must be a non-negative integer, got {replication!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(smooth_problem, default_params, 2, replication=replication)
+
+
+def test_run_records_numpy_integer_seed_and_replication_as_ints(smooth_problem):
+    # as with iterations: summary.json cannot hold a numpy integer
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=np.uint64(2**63))
+    record = run(smooth_problem, params, 2, replication=np.int64(1))
+    assert type(record.seed) is int and record.seed == 2**63
+    assert type(record.replication) is int and record.replication == 1
 
 
 def test_run_single_iteration_equals_step(noisy_problem, default_params):
