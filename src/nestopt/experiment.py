@@ -199,45 +199,57 @@ def run_single(cfg: ExperimentConfig, problem, out_dir, out_field: str = "output
     return summary
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in cli.main, which a pool worker skips
-def _replication_task(payload: dict) -> dict:
-    """Run one replication of a constant-stepsize horizon (pool worker).
+# the most replications of one horizon that a pool task runs in lockstep; the
+# block holds that many records at once, about 0.5 MB each at 10,000 iterations
+LOCKSTEP_REPLICATIONS = 5
 
-    Without exact evaluators the squared measure degrades to the step norm
-    ||d||^2 alone (tracking errors need ground truth).
+
+@np.errstate(over="ignore", invalid="ignore")  # as in cli.main, which a pool worker skips
+def _replication_task(payload: dict) -> list[dict]:
+    """Run one block of replications of a constant-stepsize horizon in lockstep (pool worker).
+
+    The block's replications share one problem and one run call.  Without
+    exact evaluators the squared measure degrades to the step norm ||d||^2
+    alone (tracking errors need ground truth).
     """
     problem = make_problem(payload["problem"])
     check_problem(payload["diagnostics"], problem)
-    record = run(problem, payload["params"], payload["iterations"],
-                 diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
-                 init_x=payload["init_x"], init_policy=payload["init_policy"],
-                 replication=payload["replication"])
-    result = {
-        "replication": payload["replication"],
-        "measure": float(np.nanmean(optimality_measure(record) if record.tracking is not None
-                                    else record.d_sq)),
-        "max_z_norm": record.max_z_norm,
-        "max_u_norm": record.max_u_norm,
-        "clamp_events": record.clamp_events,
-    }
-    if record.tracking is not None:
-        result["tracking_mean_sq"] = [
-            float(np.nanmean(record.tracking[:, m] ** 2)) for m in range(problem.M)
-        ]
-    return result
+    records = run(problem, payload["params"], payload["iterations"],
+                  diagnostics=DiagnosticsConfig(track_every=1, exact_every=0),
+                  init_x=payload["init_x"], init_policy=payload["init_policy"],
+                  replication=payload["replications"])
+    results = []
+    for record in records:
+        result = {
+            "replication": record.replication,
+            "measure": float(np.nanmean(optimality_measure(record)
+                                        if record.tracking is not None else record.d_sq)),
+            "max_z_norm": record.max_z_norm,
+            "max_u_norm": record.max_u_norm,
+            "clamp_events": record.clamp_events,
+        }
+        if record.tracking is not None:
+            result["tracking_mean_sq"] = [
+                float(np.nanmean(record.tracking[:, m] ** 2)) for m in range(problem.M)
+            ]
+        results.append(result)
+    return results
 
 
 def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
                     out_field: str = "output_dir") -> dict:
     """Constant-stepsize sweep tau = theta / sqrt(N) over the config horizons.
 
-    Runs the configured number of replications per horizon (optionally on a
-    process pool of at most one worker per replication; results are merged
-    in replication order so the artifact does not depend on the pool size)
-    and writes rate.json with the stepsize each horizon ran at (theta /
-    sqrt(N) clipped as every run clips it), the mean squared measure per
-    horizon and the fitted log-log slope.  ``out_field`` is the field a
-    ConfigError names when ``out_dir`` cannot be made.
+    Runs the configured number of replications per horizon in even blocks
+    of at most LOCKSTEP_REPLICATIONS, each in lockstep, and at least one
+    block per worker when the replications suffice (optionally on a process
+    pool of at most one worker per block; results are merged in replication
+    order, and a replication's bits do not depend on its block, so the
+    artifact does not depend on the pool size).  Writes rate.json with the
+    stepsize each horizon ran at (theta / sqrt(N) clipped as every run
+    clips it), the mean squared measure per horizon and the fitted log-log
+    slope.  ``out_field`` is the field a ConfigError names when ``out_dir``
+    cannot be made.
     """
     if cfg.rate is None:
         raise ConfigError("rate_experiment", "missing required section")
@@ -247,21 +259,26 @@ def rate_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
     reps = cfg.rate["replications"]
     taus = [next_stepsize(Constant(theta / math.sqrt(n_iter)), 0, cfg.algorithm.a,
                           cfg.algorithm.b) for n_iter in horizons]
-    payloads = [{"problem": cfg.problem_spec, "iterations": n_iter, "replication": r,
+    # each horizon's blocks, as even as possible: none above the cap, one per worker at least
+    count = max(-(-reps // LOCKSTEP_REPLICATIONS), min(threads, reps))
+    cuts = [reps * i // count for i in range(count + 1)]
+    payloads = [{"problem": cfg.problem_spec, "iterations": n_iter,
+                 "replications": range(lo, hi),
                  "params": replace(cfg.algorithm, schedule=Constant(tau)),
                  "init_x": cfg.init_x, "init_policy": cfg.init_policy,
                  "diagnostics": cfg.diagnostics}
-                for n_iter, tau in zip(horizons, taus) for r in range(reps)]
-    # the pool forks all its workers at once, so never more than there are tasks
+                for n_iter, tau in zip(horizons, taus) for lo, hi in zip(cuts, cuts[1:])]
+    # the pool forks all its workers at once, so never more than there are blocks
     workers = min(threads, len(payloads))
     with _output_directory(out_dir, out_field) as out:
         if workers > 1:
             # imported here: it loads multiprocessing, which no other command needs
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_replication_task, payloads))
+                blocks = list(pool.map(_replication_task, payloads))
         else:
-            results = [_replication_task(p) for p in payloads]
+            blocks = [_replication_task(p) for p in payloads]
+    results = [result for block in blocks for result in block]
 
     entries, points = [], []
     for i, (n_iter, tau) in enumerate(zip(horizons, taus)):

@@ -146,15 +146,19 @@ class CompositionProblem:
         """One sample per level at x, innermost first; samples[m-1] is level m's.
 
         Level m < M reads the tracker u[m] of level m+1 as its inner argument,
-        or, with u None, the value just sampled from level m+1.
+        or, with u None, the value just sampled from level m+1.  A block of R
+        rows (x of shape (R, n), u[m] of shape (R, d_{m+1}), streams[m] each
+        row's rng) takes one sample_rows call per level, whose result is
+        samples[m-1].
         """
         oracles = self.oracles
         M = len(oracles)
+        method = "sample" if x.ndim == 1 else "sample_rows"
         samples: list = [None] * M
-        s = samples[M - 1] = oracles[M - 1].sample(x, None, streams[M - 1], k)
+        s = samples[M - 1] = getattr(oracles[M - 1], method)(x, None, streams[M - 1], k)
         for m in range(M - 2, -1, -1):
-            s = samples[m] = oracles[m].sample(x, s.value if u is None else u[m + 1],
-                                               streams[m], k)
+            s = samples[m] = getattr(oracles[m], method)(x, s.value if u is None else u[m + 1],
+                                                         streams[m], k)
         return samples
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,14 +40,16 @@ def check_count(name: str, value, least: int = 0, below: int | None = None) -> N
 def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.random.Generator]:
     """Independent per-level generators derived from one master seed.
 
-    The Philox counter block is keyed as [0, 0, level, replication]; streams
-    are disjoint for every (seed, replication, level) triple and replayable
-    in isolation.
+    The Philox counter block is keyed as [0, 0, level, replication], a
+    uint64 array, so every replication below 2**64 keys its own streams;
+    streams are disjoint for every (seed, replication, level) triple and
+    replayable in isolation.
     """
     check_count("seed", seed, below=_SEED_MAX)
-    check_count("replication", replication)
+    check_count("replication", replication, below=_SEED_MAX)
     return [
-        np.random.Generator(np.random.Philox(key=int(seed), counter=[0, 0, m, int(replication)]))
+        np.random.Generator(np.random.Philox(
+            key=int(seed), counter=np.array([0, 0, m, replication], dtype=np.uint64)))
         for m in range(1, n_levels + 1)
     ]
 
@@ -137,6 +140,23 @@ class LevelOracle(ABC):
                rng, k: int = 0) -> OracleSample:
         """Draw one estimate at (x, u_next); k indexes bias schedules."""
 
+    def sample_rows(self, x: np.ndarray, u_next: np.ndarray | None, rows,
+                    k: int = 0) -> OracleSample | list[OracleSample]:
+        """The samples of R rows from one call.
+
+        x has shape (R, n), u_next (R, d_{m+1}) or None, and rows[i] is what
+        row i's sample reads: a generator, or its row of a draw.  Row i of
+        the result has the bits of sample(x[i], u_next[i], rows[i], k).  The
+        default returns the list of the R samples, taken one at a time.  A
+        level that stacks them returns one OracleSample: value (R, d_m),
+        jac_x (R, d_m, n), jac_u (R, d_m, d_{m+1}) and clamped (R,), where a
+        Jacobian without the leading axis, or a bool clamped, is every
+        row's.  The shipped noise-free levels state their formula once that
+        way, for a block or for one row, and their exact_value is its value.
+        """
+        inner = repeat(None) if u_next is None else u_next
+        return list(map(self.sample, x, inner, rows, repeat(k)))
+
     def draw(self, rng: np.random.Generator, count: int, dims: tuple) -> np.ndarray | None:
         """From one call, what count samples would draw from rng one by one: a row each.
 
@@ -159,7 +179,9 @@ class NoisyOracle(LevelOracle):
     The value and both Jacobian blocks are perturbed from one row of noise
     per sample, scaled by value_sd on the value columns and by jac_sd on the
     rest, keeping one oracle call per level per iteration.  Over a base that
-    draws nothing, draw fills and scales the rows of a whole block at once;
+    draws nothing, draw fills and scales the rows of a whole block at once,
+    and sample_rows perturbs the base's stacked samples with one expression
+    per field (a base that samples row by row is perturbed row by row);
     over any other base the row is drawn per call, after the base's draw.
     """
 
@@ -182,19 +204,42 @@ class NoisyOracle(LevelOracle):
 
     def sample(self, x, u_next, rng, k=0):
         s = self.base.sample(x, u_next, rng, k)  # a base that draws nothing reads no row
+        if isinstance(rng, np.random.Generator):
+            width = s.value.size + s.jac_x.size + (0 if s.jac_u is None else s.jac_u.size)
+            rng = self._noise(rng, 1, s.value.size, width)[0]
+        return self._add(s, rng, k)
+
+    def _add(self, s, row, k):
+        """One sample plus its row of noise, and the bias offset at k."""
         d = s.value.size
         nx = s.jac_x.size
         jac_u = s.jac_u
-        if isinstance(rng, np.random.Generator):
-            rng = self._noise(rng, 1, d, d + nx + (0 if jac_u is None else jac_u.size))[0]
-        value = s.value + rng[:d]
-        jac_x = s.jac_x + rng[d:d + nx].reshape(s.jac_x.shape)
+        value = s.value + row[:d]
+        jac_x = s.jac_x + row[d:d + nx].reshape(s.jac_x.shape)
         if jac_u is not None:
-            jac_u = jac_u + rng[d + nx:].reshape(jac_u.shape)
+            jac_u = jac_u + row[d + nx:].reshape(jac_u.shape)
         if self.noise.bias is not None:
-            off = float(self.noise.bias(k))
-            value = value + off
-            jac_x = jac_x + off
-            if jac_u is not None:
-                jac_u = jac_u + off
+            value, jac_x, jac_u = self._offset(k, value, jac_x, jac_u)
         return OracleSample(value, jac_x, jac_u, s.clamped)
+
+    def sample_rows(self, x, u_next, rows, k=0):
+        if not isinstance(rows, np.ndarray):  # the base draws: each row's noise follows its draw
+            return super().sample_rows(x, u_next, rows, k)
+        s = self.base.sample_rows(x, u_next, rows, k)  # the base draws nothing and reads no row
+        if isinstance(s, list):  # a base that samples row by row
+            return list(map(self._add, s, rows, repeat(k)))
+        R, d = s.value.shape  # a stacked base: _add's sums, every row at once
+        nx = d * x.shape[1]
+        value = s.value + rows[:, :d]
+        jac_x = s.jac_x + rows[:, d:d + nx].reshape(R, d, -1)
+        jac_u = s.jac_u
+        if jac_u is not None:
+            jac_u = jac_u + rows[:, d + nx:].reshape(R, d, -1)
+        if self.noise.bias is not None:
+            value, jac_x, jac_u = self._offset(k, value, jac_x, jac_u)
+        return OracleSample(value, jac_x, jac_u, s.clamped)
+
+    def _offset(self, k, *fields):
+        """The fields plus the bias schedule's offset at k; None stays None."""
+        off = float(self.noise.bias(k))
+        return [None if f is None else f + off for f in fields]

@@ -43,14 +43,14 @@ class RegularizedGapLevel(NoiseFreeLevel):
         val = np.array([float(u_next.dot(dy)) - 0.5 * r * float(dy.dot(dy))])
         return OracleSample(val, (r * dy - u_next)[None, :], dy[None, :])
 
+    def sample_rows(self, x, u_next, rows, k=0):
+        r = self.r
+        dy = self.feasible_set.project_rows(x + u_next / r) - x
+        return OracleSample((row_dot(u_next, dy) - 0.5 * r * row_dot(dy, dy))[..., None],
+                            (r * dy - u_next)[..., None, :], dy[..., None, :])
+
     def exact_value(self, x, u_next):
-        r, fs = self.r, self.feasible_set
-        v = x + u_next / r
-        if v.ndim == 1 or isinstance(fs, Box):  # clipping projects a whole block at once
-            dy = fs.project(v) - x
-        else:
-            dy = np.array([fs.project(row) for row in v]) - x
-        return (row_dot(u_next, dy) - 0.5 * r * row_dot(dy, dy))[..., None]
+        return self.sample_rows(x, u_next, None).value
 
 
 class NegatedMeanMapLevel(NoiseFreeLevel):
@@ -63,8 +63,11 @@ class NegatedMeanMapLevel(NoiseFreeLevel):
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.neg_A.dot(x) + self.neg_b, self.neg_A)
 
+    def sample_rows(self, x, u_next, rows, k=0):
+        return OracleSample(row_matvec(self.neg_A, x) + self.neg_b, self.neg_A)
+
     def exact_value(self, x, u_next):
-        return row_matvec(self.neg_A, x) + self.neg_b
+        return self.sample_rows(x, u_next, None).value
 
 
 def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,

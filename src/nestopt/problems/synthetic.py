@@ -30,10 +30,14 @@ class QuadraticTopLevel(NoiseFreeLevel):
         val = np.array([0.5 * float(dx.dot(dx)) + 0.5 * float(du.dot(du))])
         return OracleSample(val, dx[None, :], du[None, :])
 
-    def exact_value(self, x, u_next):
+    def sample_rows(self, x, u_next, rows, k=0):
         dx = x - self.x_hat
         du = u_next - self.u_hat
-        return (0.5 * row_dot(dx, dx) + 0.5 * row_dot(du, du))[..., None]
+        return OracleSample((0.5 * row_dot(dx, dx) + 0.5 * row_dot(du, du))[..., None],
+                            dx[..., None, :], du[..., None, :])
+
+    def exact_value(self, x, u_next):
+        return self.sample_rows(x, u_next, None).value
 
 
 class QuadraticPointLevel(NoiseFreeLevel):
@@ -46,9 +50,12 @@ class QuadraticPointLevel(NoiseFreeLevel):
         dx = x - self.x_hat
         return OracleSample(np.array([0.5 * float(dx.dot(dx))]), dx[None, :])
 
-    def exact_value(self, x, u_next):
+    def sample_rows(self, x, u_next, rows, k=0):
         dx = x - self.x_hat
-        return (0.5 * row_dot(dx, dx))[..., None]
+        return OracleSample((0.5 * row_dot(dx, dx))[..., None], dx[..., None, :])
+
+    def exact_value(self, x, u_next):
+        return self.sample_rows(x, u_next, None).value
 
 
 class LinearLevel(NoiseFreeLevel):
@@ -62,8 +69,12 @@ class LinearLevel(NoiseFreeLevel):
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q.dot(x) + self.R.dot(u_next) + self.c, self.Q, self.R)
 
+    def sample_rows(self, x, u_next, rows, k=0):
+        return OracleSample(row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c,
+                            self.Q, self.R)
+
     def exact_value(self, x, u_next):
-        return row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c
+        return self.sample_rows(x, u_next, None).value
 
 
 class LinearBottomLevel(NoiseFreeLevel):
@@ -76,8 +87,11 @@ class LinearBottomLevel(NoiseFreeLevel):
     def sample(self, x, u_next, rng, k=0):
         return OracleSample(self.Q.dot(x) + self.c, self.Q)
 
+    def sample_rows(self, x, u_next, rows, k=0):
+        return OracleSample(row_matvec(self.Q, x) + self.c, self.Q)
+
     def exact_value(self, x, u_next):
-        return row_matvec(self.Q, x) + self.c
+        return self.sample_rows(x, u_next, None).value
 
 
 def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,

@@ -43,6 +43,15 @@ class FeasibleSet(ABC):
     def project(self, v: np.ndarray) -> np.ndarray:
         """Return argmin_{y in X} ||y - v||."""
 
+    def project_rows(self, v: np.ndarray) -> np.ndarray:
+        """project(v) for one row (shape (dim,)) or for each row of a block (shape (R, dim)).
+
+        The default projects a block's rows one at a time.
+        """
+        if v.ndim == 1:
+            return self.project(v)
+        return np.array([self.project(row) for row in v])
+
     @abstractmethod
     def anchor(self) -> np.ndarray:
         """A canonical feasible point (interior whenever the set has one)."""
@@ -63,6 +72,9 @@ class Box(FeasibleSet):
 
     def project(self, v):
         return np.minimum(np.maximum(v, self.lo), self.hi)
+
+    def project_rows(self, v):
+        return self.project(v)  # clipping takes a whole block at once
 
     def anchor(self):
         return 0.5 * (self.lo + self.hi)

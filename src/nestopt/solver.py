@@ -63,51 +63,101 @@ def update_trackers(u: Sequence[np.ndarray], samples: Sequence[OracleSample],
     return out
 
 
+def _rows(s: OracleSample | list[OracleSample]):
+    """The per-row samples of a block: a list as it is, or the rows of a stacked sample,
+    where a field without the leading axis is every row's."""
+    if isinstance(s, list):
+        return s
+    R = len(s.value)
+    jac_x, jac_u, clamped = s.jac_x, s.jac_u, s.clamped
+    if jac_u is None or jac_u.ndim == 2:
+        jac_u = repeat(jac_u, R)
+    fields = zip(s.value, jac_x if jac_x.ndim == 3 else repeat(jac_x, R), jac_u,
+                 clamped if isinstance(clamped, np.ndarray) else repeat(clamped, R))
+    return map(tuple.__new__, repeat(OracleSample), fields)  # OracleSample(*f), built in C
+
+
 def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray,
-             z: np.ndarray, u: Sequence[np.ndarray], tau: float,
-             streams: Sequence[np.random.Generator], k: int):
+             z: np.ndarray, u: Sequence[np.ndarray], tau: float, draws, k: int):
     """Iteration k from (x, z, u) with stepsize tau: the method's one body and nothing else.
 
     Order: subproblem solve, decision update, sampling at the new point with
     the old trackers, chain-rule assembly, z update, tracker update.
+    x, z and u[m-1] are one replication's rows, of shapes (n,), (n,) and
+    (d_m,), or R replications' rows stacked in lockstep: (R, n), (R, n) and
+    (R, d_m).  A block is projected in one project_rows call and each level
+    samples it in one sample_rows call; the recursions then run once per
+    replication, on its rows, so every row gets the bits it gets alone.
+    draws[m-1] is what level m's sample reads (see _draws).
     Returns (d, samples, x', z', u'), where d is the step direction at
-    (x, z); run reads ||d||^2, the gap and the finiteness guard off its
+    (x, z) and samples[m-1] level m's sample (its sample_rows result for a
+    block); run reads ||d||^2, the gap and the finiteness guard off its
     stored rows.
     """
-    d = problem.feasible_set.project(x - z / params.rho) - x
+    fs = problem.feasible_set
+    block = x.ndim > 1
+    v = x - z / params.rho
+    d = (fs.project_rows(v) if block else fs.project(v)) - x
     dx = tau * d
     x = x + dx
-    samples = problem.sample_levels(x, u, streams, k)
-    z = update_z(z, assemble_subgradient(samples)[0], params.a, tau)
-    u = update_trackers(u, samples, dx, params.b, tau)
-    return d, samples, x, z, u
+    samples = problem.sample_levels(x, u, draws, k)
+    if not block:
+        z = update_z(z, assemble_subgradient(samples)[0], params.a, tau)
+        u = update_trackers(u, samples, dx, params.b, tau)
+        return d, samples, x, z, u
+    z_next, u_next = np.empty_like(z), [np.empty_like(w) for w in u]
+    for r, (zr, ur, dxr, sr) in enumerate(zip(z, zip(*u), dx, zip(*map(_rows, samples)))):
+        z_next[r] = update_z(zr, assemble_subgradient(sr)[0], params.a, tau)
+        for out, w in zip(u_next, update_trackers(ur, sr, dxr, params.b, tau)):
+            out[r] = w
+    return d, samples, x, z_next, u_next
 
 
-def _draws(problem: CompositionProblem, streams: Sequence[np.random.Generator], N: int):
+def _draws(problem: CompositionProblem, streams: Sequence[Sequence[np.random.Generator]],
+           N: int):
     """Per iteration, what each level's sample reads: its row of a block, or its generator.
 
-    A block holds at most max(ROW_BLOCK_ELEMENTS, one sample) entries, where
-    a sample has d_m (1 + n + d_{m+1}); a level whose draw is None gets rng.
+    streams holds each replication's per-level generators.  One
+    replication's level reads its row or its generator; a lockstep block's
+    level reads its replications' rows stacked, shape (R, width), or the
+    tuple of their generators.  Each replication draws from its own streams
+    the blocks it draws alone: at most max(ROW_BLOCK_ELEMENTS, one sample)
+    entries, where a sample has d_m (1 + n + d_{m+1}); a level whose draw
+    is None gets rng.
     """
     dims = [(d, problem.n, dn) for d, dn in zip(problem.level_dims, problem.level_dims[1:] + (0,))]
     size = max(1, ROW_BLOCK_ELEMENTS // max(d * (1 + n + dn) for d, n, dn in dims))
+    block = len(streams) > 1
     for lo in range(0, N, size):
         count = min(size, N - lo)
-        blocks = [o.draw(g, count, s) for o, g, s in zip(problem.oracles, streams, dims)]
-        yield from zip(*[repeat(g, count) if b is None else b for g, b in zip(streams, blocks)])
+        levels = []
+        for o, gens, dim in zip(problem.oracles, zip(*streams), dims):
+            rows = [o.draw(g, count, dim) for g in gens]
+            if rows[0] is None:
+                levels.append(repeat(gens if block else gens[0], count))
+            else:
+                levels.append(np.stack(rows, axis=1) if block else rows[0])
+        yield from zip(*levels)
 
 
 def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
         diagnostics: DiagnosticsConfig | None = None,
         init_x: np.ndarray | None = None,
         init_policy: InitPolicy = InitPolicy.ONE_SAMPLE,
-        replication: int = 0) -> RunRecord:
+        replication: int | Sequence[int] = 0) -> RunRecord | list[RunRecord]:
     """Run the method for a fixed horizon and record diagnostics.
 
     Row k of the record describes the state at the start of iteration k.
     With identical (problem, params, iterations, replication) the output is
     bit-identical across calls: all randomness flows from per-(replication,
     level) counter-derived streams of params.seed.
+
+    replication may also be a list, tuple or range of replications: they
+    then run in lockstep, as one block (see _advance), and run returns
+    their records in that order, each bit-identical to the record
+    run(..., replication=r) returns alone.  A block that fails anywhere
+    runs its replications again one by one, in order, so it raises what
+    the first failing replication raises alone.
 
     Nothing recorded feeds back into the method, so the loop runs the
     method alone, in chunks of iterations, and stores x, z, u and the step d
@@ -126,8 +176,35 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     Each cell gets the bits a call on its row alone would give.
     """
     check_count("iterations", iterations, least=1)
+    block = isinstance(replication, (list, tuple, range))
+    reps = list(replication) if block else [replication]
+    if not reps:
+        raise ValueError("replication must be an index or a non-empty sequence of indices")
+    streams = [level_streams(params.seed, problem.M, r) for r in reps]
+    try:
+        records = _lockstep(problem, params, int(iterations), diagnostics, init_x, init_policy,
+                            reps, streams)
+    except Exception:
+        if len(reps) == 1:
+            raise
+        records = None  # rerun below, once the failed block's frames are released
+    if records is None:
+        records = [run(problem, params, iterations, diagnostics, init_x, init_policy, r)
+                   for r in reps]
+    return records if block else records[0]
+
+
+def _lockstep(problem, params, N, diagnostics, init_x, init_policy, reps, streams):
+    """run's body for the replications reps, whose level streams are streams.
+
+    One replication keeps 1-D rows.  R >= 2 stack theirs along a leading
+    axis: the state, the chunk's stored rows (R, rows, width) and the
+    record arrays (R, N, ...), whose row r is replication r's.  A chunk
+    then spans 1/R of the iterations, so its tables evaluate as many rows
+    as one replication's do.
+    """
     diag = diagnostics if diagnostics is not None else DiagnosticsConfig()
-    M = problem.M
+    M, n = problem.M, problem.n
     exact = problem.exact
     if exact is None:
         # tracking columns are on by default but need ground truth; drop them
@@ -137,24 +214,28 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     if diag.lyapunov_every:
         check_gammas(M, diag.gammas)
 
-    N = int(iterations)
     # the whole schedule up front: a short Custom schedule fails before k = 0
     taus = [next_stepsize(params.schedule, k, params.a, params.b) for k in range(N)]
 
+    R = len(reps)
+    lead = (R,) if R > 1 else ()
     rec_tau = np.array(taus)
-    rec_dsq = np.empty(N)
-    rec_eta = np.full(N, np.nan)  # NaN in the merit of a failing iteration's row
-    rec_track = np.full((N, M), np.nan) if diag.track_every else None
-    rec_exact = np.full((N, M), np.nan) if diag.exact_every else None
-    rec_obj = np.full(N, np.nan) if diag.exact_every else None
-    rec_lyap = np.full((N, 2), np.nan) if diag.lyapunov_every else None
+    rec_dsq = np.empty(lead + (N,))
+    rec_eta = np.full(lead + (N,), np.nan)  # NaN in the merit of a failing iteration's row
+    rec_track = np.full(lead + (N, M), np.nan) if diag.track_every else None
+    rec_exact = np.full(lead + (N, M), np.nan) if diag.exact_every else None
+    rec_obj = np.full(lead + (N,), np.nan) if diag.exact_every else None
+    rec_lyap = np.full(lead + (N, 2), np.nan) if diag.lyapunov_every else None
     exact_start = max(0, N - diag.exact_window) if diag.exact_window else 0
 
-    size = min(N, max(1, ROW_BLOCK_ELEMENTS // max(problem.n, *problem.level_dims)))
+    size = min(N, max(1, ROW_BLOCK_ELEMENTS // (R * max(n, *problem.level_dims))))
     # row i holds the state at the start of the chunk's iteration i, row i + 1 its post-state
-    block_x, block_z = np.empty((2, size + 1, problem.n))
-    block_u = [np.empty((size + 1, d)) for d in problem.level_dims]
-    block_d = np.empty((size, problem.n))
+    block_x, block_z = np.empty((2,) + lead + (size + 1, n))
+    block_u = [np.empty(lead + (size + 1, d)) for d in problem.level_dims]
+    block_d = np.empty(lead + (size, n))
+    # the same buffers indexed by row first: row i of every replication at once
+    row_x, row_z, row_d = (np.moveaxis(b, -2, 0) for b in (block_x, block_z, block_d))
+    row_u = [np.moveaxis(b, -2, 0) for b in block_u]
     names = ["x", "z"] + [f"u_{m}" for m in range(1, M + 1)]
 
     # the rows of one kind: the multiples of its interval from its start on
@@ -169,62 +250,72 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
     # iterations lo..hi-1 are done: their d_sq and gap, the guard and the norm maxima
     def check(lo, hi):
         nonlocal max_zsq, max_usq
-        n = hi - lo
-        D, Z = block_d[:n], block_z[:n + 1]
-        dsq = rec_dsq[lo:hi] = row_dot(D, D)
-        rec_eta[lo:hi] = row_dot(Z[:n], D) + (0.5 * params.rho) * dsq
+        k = hi - lo
+        D, Z = block_d[..., :k, :], block_z[..., :k + 1, :]
+        dsq = rec_dsq[..., lo:hi] = row_dot(D, D)
+        rec_eta[..., lo:hi] = row_dot(Z[..., :k, :], D) + (0.5 * params.rho) * dsq
         zsq = row_dot(Z, Z)
-        usq = [row_dot(v[:n + 1], v[:n + 1]) for v in block_u]
-        total = np.add.accumulate([dsq, zsq[1:]] + [sq[1:] for sq in usq])
-        bad = np.flatnonzero(~np.isfinite(total[-1]))
+        usq = [row_dot(v[..., :k + 1, :], v[..., :k + 1, :]) for v in block_u]
+        total = np.add.accumulate([dsq, zsq[..., 1:]] + [sq[..., 1:] for sq in usq])
+        finite = np.isfinite(total).all(axis=tuple(range(1, total.ndim - 1)))  # over a block
+        bad = np.flatnonzero(~finite[-1])
         if bad.size:
             i = int(bad[0])
             evaluate(lo, lo + i + 1)
-            raise NonFiniteIterateError(lo + i, names[np.argmin(np.isfinite(total[:, i]))])
-        max_zsq = max(max_zsq, float(zsq.max()))
-        max_usq = max(max_usq, *(float(sq.max()) for sq in usq))
+            raise NonFiniteIterateError(lo + i, names[np.argmin(finite[:, i])])
+        max_zsq = np.maximum(max_zsq, zsq.max(axis=-1))
+        max_usq = np.maximum.reduce([max_usq] + [sq.max(axis=-1) for sq in usq])
 
     # each table once, on the union of the rows of the kinds that read it
     def record(lo, hi, X, U):
         track, nest, merit = (rows[lo:hi] for rows in kinds)
-        T, V = np.empty((2, hi - lo, M + 1))
+        T, V = np.empty((2,) + lead + (hi - lo, M + 1))
         for out, table, rows in ((T, tracking_table, track | merit),
                                  (V, nested_table, nest | merit)):
             if rows.any():
-                out[rows] = table(exact, X[rows], [v[rows] for v in U])
+                out[..., rows, :] = table(
+                    exact, X[..., rows, :].reshape(-1, n),
+                    [v[..., rows, :].reshape(-1, v.shape[-1]) for v in U],
+                ).reshape(lead + (-1, M + 1))
         if diag.track_every:
-            rec_track[lo:hi][track] = T[track, 1:]
+            rec_track[..., lo:hi, :][..., track, :] = T[..., track, 1:]
         if diag.exact_every:
-            rec_obj[lo:hi][nest], rec_exact[lo:hi][nest] = V[nest, 0], V[nest, 1:]
+            rec_obj[..., lo:hi][..., nest] = V[..., nest, 0]
+            rec_exact[..., lo:hi, :][..., nest, :] = V[..., nest, 1:]
         if diag.lyapunov_every:
-            rec_lyap[lo:hi][merit, 0], rec_lyap[lo:hi][merit, 1] = _merit(
-                T[merit], V[merit], rec_eta[lo:hi][merit], params.a, diag.gammas)
+            lyap = rec_lyap[..., lo:hi, :]
+            lyap[..., merit, 0], lyap[..., merit, 1] = _merit(
+                T[..., merit, :], V[..., merit, :], rec_eta[..., lo:hi][..., merit], params.a,
+                diag.gammas)
 
     def evaluate(lo, hi):
-        X, U = block_x[:hi - lo], [v[:hi - lo] for v in block_u]
+        X, U = block_x[..., :hi - lo, :], [v[..., :hi - lo, :] for v in block_u]
         try:
             record(lo, hi, X, U)
         except ProjectionError:
             for k in range(lo, hi):  # the first failing row names the iteration
                 i = k - lo
                 try:
-                    record(k, k + 1, X[i:i + 1], [v[i:i + 1] for v in U])
+                    record(k, k + 1, X[..., i:i + 1, :], [v[..., i:i + 1, :] for v in U])
                 except ProjectionError as exc:
                     raise ProjectionError(f"{exc} at iteration {k}") from exc
             raise
 
-    streams = level_streams(params.seed, M, replication)
-    clamps = 0
-    max_zsq = max_usq = 0.0
+    def stacked(rows):  # one replication's row, or R replications' rows stacked
+        return np.stack(rows) if lead else rows[0]
+
+    clamps = np.zeros(lead, int)
+    max_zsq = max_usq = np.zeros(lead)
     # an overflowing state is reported by the finiteness guard, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(problem, params, init_x, init_policy, streams=streams)
-        x, z, u = state.x, state.z, state.u
+        states = [init_state(problem, params, init_x, init_policy, streams=s) for s in streams]
+        x, z = stacked([s.x for s in states]), stacked([s.z for s in states])
+        u = [stacked(rows) for rows in zip(*(s.u for s in states))]
         draws = _draws(problem, streams, N)
         for lo in range(0, N, size):
             hi = min(lo + size, N)
-            block_x[0], block_z[0] = x, z
-            for buf, arr in zip(block_u, u):
+            row_x[0], row_z[0] = x, z
+            for buf, arr in zip(row_u, u):
                 buf[0] = arr
             for k in range(lo, hi):
                 try:
@@ -237,21 +328,27 @@ def run(problem: CompositionProblem, params: AlgorithmParams, iterations: int,
                         raise ProjectionError(f"{exc} at iteration {k}") from exc
                     raise
                 i = k - lo
-                block_d[i], block_x[i + 1], block_z[i + 1] = d, x, z
-                for buf, arr in zip(block_u, u):
+                row_d[i], row_x[i + 1], row_z[i + 1] = d, x, z
+                for buf, arr in zip(row_u, u):
                     buf[i + 1] = arr
                 for s in samples:
-                    if s.clamped:
-                        clamps += 1
+                    if isinstance(s, list):  # a block sampled row by row
+                        clamped = [r.clamped for r in s]
+                        if any(clamped):
+                            clamps += clamped
+                    elif s.clamped is not False:
+                        clamps += s.clamped
             check(lo, hi)
             evaluate(lo, hi)
 
-    final = IterateState(N, x, z, tuple(u))
-    return RunRecord(
-        iterations=N, tau=rec_tau, d_sq=rec_dsq, eta=rec_eta,
-        tracking=rec_track, exact_residual=rec_exact, lyapunov=rec_lyap,
-        final_state=final, seed=int(params.seed), replication=int(replication),
-        objective=rec_obj,
-        max_z_norm=math.sqrt(max_zsq), max_u_norm=math.sqrt(max_usq),
-        clamp_events=clamps,
-    )
+    def of(a, r):  # replication r's part of a record array
+        return a[r] if lead and a is not None else a
+
+    return [RunRecord(
+        iterations=N, tau=rec_tau, d_sq=of(rec_dsq, r), eta=of(rec_eta, r),
+        tracking=of(rec_track, r), exact_residual=of(rec_exact, r), lyapunov=of(rec_lyap, r),
+        final_state=IterateState(N, of(x, r), of(z, r), tuple(of(v, r) for v in u)),
+        seed=int(params.seed), replication=int(rep), objective=of(rec_obj, r),
+        max_z_norm=math.sqrt(of(max_zsq, r)), max_u_norm=math.sqrt(of(max_usq, r)),
+        clamp_events=int(of(clamps, r)),
+    ) for r, rep in enumerate(reps)]

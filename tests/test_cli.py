@@ -589,9 +589,9 @@ def test_rate_json_reports_the_clipped_stepsize_each_horizon_ran(tmp_path, monke
     solver_run = nestopt.experiment.run
 
     def recording_run(problem, params, N, **kwargs):
-        record = solver_run(problem, params, N, **kwargs)
-        ran[N] = set(record.tau.tolist())
-        return record
+        records = solver_run(problem, params, N, **kwargs)  # a block of replications
+        ran[N] = {tau for record in records for tau in record.tau.tolist()}
+        return records
 
     monkeypatch.setattr(nestopt.experiment, "run", recording_run)
     doc = json.loads((CONFIG_DIR / "synthetic_rate.json").read_text(encoding="utf-8"))
@@ -721,9 +721,9 @@ def test_traced_benchmark_hooks_see_every_iteration(tmp_path, monkeypatch):
 
 
 def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):
-    # a pool forks all its workers up front; this one records its size and
-    # maps in-process, so the test starts no process
-    sizes = []
+    # a pool forks all its workers up front; this one records its size and the
+    # blocks of replications it maps, in-process, so the test starts no process
+    sizes, blocks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -736,17 +736,38 @@ def test_rate_experiment_pool_capped_at_task_count(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items):
+            blocks.append([len(item["replications"]) for item in items])
             return map(fn, items)
 
     # rate_experiment imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg_path = _write(tmp_path, _rate_config())
-    for threads in ("1", "5000", "4"):
+    for threads in ("1", "5000", "4", "2"):
         assert main(["rate-experiment", "--config", str(cfg_path),
                      "--out", str(tmp_path / threads), "--threads", threads]) == 0
-    assert sizes == [9, 4]  # 3 horizons x 3 replications; none for --threads 1
-    assert (tmp_path / "5000" / "rate.json").read_bytes() == \
-        (tmp_path / "1" / "rate.json").read_bytes()
+    # 3 horizons x 3 replications: blocks of 1 for 3 or more workers, of 1 and 2 for two;
+    # none for --threads 1, which runs one block of 3 per horizon
+    assert sizes == [9, 4, 2]
+    assert blocks == [[1] * 9, [1] * 9, [1, 2] * 3]
+    for threads in ("5000", "2"):
+        assert (tmp_path / threads / "rate.json").read_bytes() == \
+            (tmp_path / "1" / "rate.json").read_bytes()
+
+
+@pytest.mark.parametrize("family", ["risk_p1", "svi"])
+def test_rate_json_same_bytes_at_one_two_and_three_threads(tmp_path, family):
+    # 5 replications per horizon run as blocks of 5, of 2 and 3, and of 1, 2 and 2:
+    # the Simplex and the scenario levels go row by row, the svi box and levels stacked
+    doc = json.loads((CONFIG_DIR / f"{family}_run.json").read_text(encoding="utf-8"))
+    del doc["run"]
+    doc["rate_experiment"] = {"horizons": [10, 100, 1000], "replications": 5, "theta": 1.0}
+    config = str(_write(tmp_path, doc))
+    artifacts = []
+    for threads in ("1", "2", "3"):
+        assert main(["rate-experiment", "--config", config, "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+        artifacts.append((tmp_path / threads / "rate.json").read_bytes())
+    assert artifacts == [artifacts[0]] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,30 @@ def test_level_streams_seed_range():
         level_streams(-1, 2)
     with pytest.raises(ValueError):
         level_streams(2**64, 2)
+
+
+@pytest.mark.parametrize("a, b", [
+    (2**63, 2**63 + 1),  # through a float counter, both were counter 2**63
+    (2**64 - 1, 0),  # through a float counter, 2**64 - 1 wrapped to 0 with a RuntimeWarning
+    (np.uint64(2**64 - 1), 2**64 - 2),
+    (2**53, 2**53 + 1),
+    (0, 1),
+], ids=["2**63", "2**64-1", "uint64", "2**53", "small"])
+def test_level_streams_of_distinct_replications_differ(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = level_streams(5, 2, a), level_streams(5, 2, b)
+    for g, h in zip(first, second):
+        assert g.random() != h.random()
+
+
+@pytest.mark.parametrize("replication", [0, 1, 19, 2**40 + 3, 2**62])
+def test_level_streams_of_small_replications_keep_their_bits(replication):
+    # a counter [0, 0, m, r] below 2**63 reads the same as a Python list or as uint64
+    streams = level_streams(7, 3, replication)
+    for m, g in enumerate(streams, 1):
+        ref = np.random.Generator(np.random.Philox(key=7, counter=[0, 0, m, replication]))
+        assert same_bits(g.standard_normal(5), ref.standard_normal(5))
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "rademacher"])

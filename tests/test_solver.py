@@ -3,6 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import nestopt.solver
 
 from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      Custom, CustomSet, Diminishing, NoiseModel, NoisyOracle,
@@ -11,7 +15,7 @@ from nestopt import (AlgorithmParams, Box, CompositionProblem, Constant,
                      update_trackers, update_z)
 from nestopt.diagnostics import DiagnosticsConfig
 from nestopt.model import ExactEvaluators
-from nestopt.oracles import LevelOracle, OracleSample
+from nestopt.oracles import LevelOracle, NoiseFreeLevel, OracleSample
 from nestopt.oracles import ROW_BLOCK_ELEMENTS
 from nestopt.problems import (FiniteScenarios, GaussianScenarios, make_problem,
                               random_scenarios, risk_p1, risk_p2, svi_problem, synthetic_smooth)
@@ -240,10 +244,10 @@ def test_run_counts_iterations_as_diagnostics_counts_intervals(smooth_problem, d
 
 
 # nor is a replication index truncated: 1.5 would run as replication 1
-@pytest.mark.parametrize("replication", [1.5, "2", True, -1], ids=repr)
+@pytest.mark.parametrize("replication", [1.5, "2", True, -1, 2**64], ids=repr)
 def test_run_refuses_a_replication_that_is_not_a_count(smooth_problem, default_params,
                                                         replication):
-    message = f"replication must be a non-negative integer, got {replication!r}"
+    message = f"replication must be a non-negative integer below {2**64}, got {replication!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         run(smooth_problem, default_params, 2, replication=replication)
 
@@ -862,3 +866,136 @@ def test_oracle_failure_after_divergence_reports_the_divergence(raise_at, error,
     with pytest.raises(error, match=message):
         run(problem, params, 10)
     assert level.last_k == (4 if raise_at is None else raise_at)
+
+
+# ---------------------------------------------------------------------------
+# replications in lockstep blocks
+
+def _lockstep_problems():
+    """(problem, diagnostics) of every shipped family, over each kind of set and sampling path."""
+    polytope = Polytope(np.vstack([np.eye(4), -np.ones((1, 4))]),
+                        np.array([1.5, 1.5, 1.5, 1.5, -1.0]), np.full(4, 0.5))
+    merit = DiagnosticsConfig(track_every=1, exact_every=2, lyapunov_every=3, gammas=(1.5,))
+    return {
+        # stacked samples over a Box
+        "synthetic": (synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2),
+                      BLOCK_DIAGNOSTICS["shipped"]),
+        "synthetic-noise-bias": (_noisy_synthetic("rademacher", bias=lambda k: 0.5 / (k + 1)),
+                                 BLOCK_DIAGNOSTICS["tracking-only"]),
+        # n = 300: chunks of 4096 // (300 R) rows and draws of 4 iterations
+        "synthetic-noisy-wide": (
+            synthetic_smooth(levels=3, n=300, inner_dim=3, noise=NoiseModel(0.1, 0.1)),
+            DiagnosticsConfig(track_every=2, exact_every=3, lyapunov_every=5, gammas=(2.0, 3.0))),
+        # scenario draws and the Simplex: rows sampled and projected one at a time
+        "risk_p1": (risk_p1(_unequal_scenarios(True), 0.5),
+                    DiagnosticsConfig(track_every=1, exact_every=4)),
+        "risk_p2-clamp": (risk_p2(random_scenarios(n=4, count=30, seed=5, relu=True), 0.5, 1e-2),
+                          DiagnosticsConfig(track_every=1, exact_every=3, lyapunov_every=7,
+                                            gammas=(1.5, 2.5))),
+        "risk_p1-polytope": (risk_p1(random_scenarios(n=4, count=20, seed=2), 0.5, polytope),
+                             DiagnosticsConfig(track_every=3, exact_every=2)),
+        "gaussian-scenarios": (risk_p2(GaussianScenarios(np.full(4, 0.05), 0.4, 1.0, 0.5),
+                                       0.5, 1e-2), DiagnosticsConfig()),
+        # a noisy inner level under the gap level
+        "svi-noisy": (svi_problem(n=4, noise_sd=0.1), merit),
+        "svi-ball": (svi_problem(n=4, noise_sd=0.1, feasible_set=Ball(np.ones(4), 0.8)), merit),
+        # a user level without sample_rows or exact_value
+        "custom-level": (_custom_problem(), DiagnosticsConfig(track_every=1, exact_every=4)),
+        # block noise over a user level that draws nothing but samples row by row
+        "noisy-user-level": (_noisy_user_level_problem(), BLOCK_DIAGNOSTICS["tracking-only"]),
+    }
+
+
+class _RowwiseNoiseFreeLevel(NoiseFreeLevel):
+    """A level's sample alone: no sample_rows of its own, and no draw."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def sample(self, x, u_next, rng, k=0):
+        return self.level.sample(x, u_next, rng, k)
+
+
+def _noisy_user_level_problem():
+    base = synthetic_smooth(levels=2, n=4, inner_dim=2, instance_seed=3)
+    top = NoisyOracle(_RowwiseNoiseFreeLevel(base.oracles[0]), NoiseModel(0.1, 0.1))
+    return dataclasses.replace(base, oracles=(top,) + base.oracles[1:])
+
+
+LOCKSTEP_PROBLEMS = _lockstep_problems()
+
+
+def _run_lockstep(problem, params, N, diagnostics, replications):
+    """run on a block of replications; also returns whether the block itself failed."""
+    failures = []
+    lockstep = nestopt.solver._lockstep
+
+    def spied(*args):
+        try:
+            return lockstep(*args)
+        except Exception as exc:
+            failures.append(exc)
+            raise
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nestopt.solver, "_lockstep", spied)
+        return run(problem, params, N, diagnostics, replication=replications), failures
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(LOCKSTEP_PROBLEMS)), first=st.integers(0, 2**64 - 6),
+       count=st.integers(2, 5), N=st.integers(1, 50))
+@example(name="synthetic-noisy-wide", first=2**64 - 5, count=5, N=50)
+@example(name="risk_p2-clamp", first=0, count=2, N=50)
+def test_each_replication_of_a_lockstep_block_is_the_run_alone(name, first, count, N):
+    problem, diagnostics = LOCKSTEP_PROBLEMS[name]
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=4)
+    replications = range(first, first + count)
+    block, failures = _run_lockstep(problem, params, N, diagnostics, replications)
+    assert not failures  # the block ran in lockstep, not one replication after another
+    assert [record.replication for record in block] == list(replications)
+    for record, r in zip(block, replications):
+        _same_record(record, run(problem, params, N, diagnostics, replication=r))
+
+
+class _DiceLevel(LevelOracle):
+    """0.5 ||x||^2; each sample rolls one uniform, and a low roll makes its value NaN, a high
+    one raises ValueError: a replication fails where its own stream says."""
+
+    def __init__(self, nan_below, raise_above):
+        self.nan_below, self.raise_above = nan_below, raise_above
+
+    def sample(self, x, u_next, rng, k=0):
+        roll = rng.random()
+        if roll > self.raise_above:
+            raise ValueError(f"the dice refused iteration {k}")
+        value = np.nan if roll < self.nan_below else 0.5 * float(x @ x)
+        return OracleSample(np.array([value]), x[None, :])
+
+
+def _failure(call):
+    """(type, message, iteration) of what call() raises, None if it returns; the iteration
+    is read off the message."""
+    try:
+        call()
+    except (NonFiniteIterateError, ValueError) as exc:
+        return type(exc), str(exc), int(str(exc).rsplit(" ", 1)[1])
+    return None
+
+
+@pytest.mark.parametrize("nan_below, raise_above", [(0.004, 1.0), (0.0, 0.996), (0.003, 0.997)],
+                         ids=["non-finite", "oracle-error", "either"])
+def test_a_failing_block_raises_what_its_first_failing_replication_raises_alone(nan_below,
+                                                                                raise_above):
+    n, N = 3, 400
+    problem = CompositionProblem(n, (1,), Box(np.full(n, -1.0), np.full(n, 1.0)),
+                                 (_DiceLevel(nan_below, raise_above),))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Constant(0.1), seed=3)
+    alone = [_failure(lambda: run(problem, params, N, replication=r)) for r in range(12)]
+    # a replication that fails at an earlier iteration than one before it
+    a, b = next((a, b) for a in range(12) for b in range(a + 1, 12)
+                if alone[a] and alone[b] and alone[b][2] < alone[a][2])
+    first = next(r for r in range(12) if alone[r])
+    for replications, r in (([a, b], a), (range(a, b + 1), a), (range(12), first)):
+        with pytest.raises(alone[r][0]) as info:
+            run(problem, params, N, replication=replications)
+        assert str(info.value) == alone[r][1]
