@@ -62,9 +62,11 @@ ROW_BLOCK_ELEMENTS = 2**12
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b for one row, or a_i . b_i for each row i of a block.
 
-    Every row is one BLAS dot, the same call as ``a @ b`` or ``a.dot(b)`` on
-    that row alone, so a block gives the bits of its rows evaluated one at a time.
+    Every row is one BLAS dot, the same call as ``a.dot(b)`` on that row
+    alone, so a block gives the bits of its rows evaluated one at a time.
     """
+    if a.ndim == 1 == b.ndim:
+        return a.dot(b)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -74,7 +76,9 @@ def row_norm(r: np.ndarray) -> np.ndarray:
 
 
 def row_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for one row, or A @ x_i for each row i of a block, bit for bit as for one row."""
+    """A.dot(x) for one row, or A @ x_i for each row i of a block, bit for bit as for one row."""
+    if x.ndim == 1:
+        return A.dot(x)
     return (A @ x[..., None])[..., 0]
 
 
@@ -149,10 +153,8 @@ class LevelOracle(ABC):
         the result has the bits of sample(x[i], u_next[i], rows[i], k).  The
         default returns the list of the R samples, taken one at a time.  A
         level that stacks them returns one OracleSample: value (R, d_m),
-        jac_x (R, d_m, n), jac_u (R, d_m, d_{m+1}) and clamped (R,), where a
-        Jacobian without the leading axis, or a bool clamped, is every
-        row's.  The shipped noise-free levels state their formula once that
-        way, for a block or for one row, and their exact_value is its value.
+        jac_x (R, d_m, n), jac_u (R, d_m, d_{m+1}) and clamped (R,); a
+        Jacobian without the leading axis, or a bool clamped, is every row's.
         """
         inner = repeat(None) if u_next is None else u_next
         return list(map(self.sample, x, inner, rows, repeat(k)))
@@ -167,7 +169,25 @@ class LevelOracle(ABC):
 
 
 class NoiseFreeLevel(LevelOracle):
-    """A level whose samples draw nothing: its rows are empty."""
+    """A level whose samples draw nothing: its rows are empty.
+
+    A subclass states its formula once, as a sample_rows that takes one row
+    (x of shape (n,)) or a block, and sample and exact_value follow from it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.sample_rows is LevelOracle.sample_rows:  # it states sample: rows go one by one
+            if cls.sample is NoiseFreeLevel.sample:
+                raise TypeError(f"{cls.__name__} defines neither sample_rows nor sample")
+            if cls.exact_value is NoiseFreeLevel.exact_value:
+                cls.exact_value = None  # ExactEvaluators then reads its sample's value
+
+    def sample(self, x, u_next, rng, k=0):
+        return self.sample_rows(x, u_next, rng, k)
+
+    def exact_value(self, x, u_next):
+        return self.sample_rows(x, u_next, None).value
 
     def draw(self, rng, count, dims):
         return np.empty((count, 0))

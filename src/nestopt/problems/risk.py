@@ -272,8 +272,8 @@ def risk_p2(scen, kappa: float, epsilon: float,
     """Three-level mean-semideviation problem (p = 2)."""
     if not 0.0 <= kappa <= 1.0:
         raise ConfigError("problem.kappa", "kappa must lie in [0, 1]")
-    if epsilon <= 0.0:
-        raise ConfigError("problem.epsilon", "epsilon must be strictly positive")
+    if not 0.0 < epsilon < math.inf:  # and NaN
+        raise ConfigError("problem.epsilon", "epsilon must be strictly positive and finite")
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),

@@ -19,8 +19,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample, row_dot, row_matvec
+from ..oracles import NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample, row_dot
 from ..sets import Box, FeasibleSet
+from .synthetic import LinearBottomLevel
 
 
 class RegularizedGapLevel(NoiseFreeLevel):
@@ -32,42 +33,16 @@ class RegularizedGapLevel(NoiseFreeLevel):
     """
 
     def __init__(self, feasible_set: FeasibleSet, r: float):
-        if r <= 0:
-            raise ConfigError("problem.r", "regularization r must be positive")
+        if not 0 < r < np.inf:  # and NaN
+            raise ConfigError("problem.r", "regularization r must be positive and finite")
         self.feasible_set = feasible_set
         self.r = float(r)
-
-    def sample(self, x, u_next, rng, k=0):
-        r = self.r
-        dy = self.feasible_set.project(x + u_next / r) - x
-        val = np.array([float(u_next.dot(dy)) - 0.5 * r * float(dy.dot(dy))])
-        return OracleSample(val, (r * dy - u_next)[None, :], dy[None, :])
 
     def sample_rows(self, x, u_next, rows, k=0):
         r = self.r
         dy = self.feasible_set.project_rows(x + u_next / r) - x
         return OracleSample((row_dot(u_next, dy) - 0.5 * r * row_dot(dy, dy))[..., None],
                             (r * dy - u_next)[..., None, :], dy[..., None, :])
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
-
-
-class NegatedMeanMapLevel(NoiseFreeLevel):
-    """Inner level f(x) = -(A x + b), the negated mean of the VI map."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        self.neg_A = -np.asarray(A, dtype=float)
-        self.neg_b = -np.asarray(b, dtype=float)
-
-    def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.neg_A.dot(x) + self.neg_b, self.neg_A)
-
-    def sample_rows(self, x, u_next, rows, k=0):
-        return OracleSample(row_matvec(self.neg_A, x) + self.neg_b, self.neg_A)
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
 
 
 def solve_vi_fixed_point(A: np.ndarray, b: np.ndarray, fs: FeasibleSet,
@@ -139,7 +114,7 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
 
     x_star = solve_vi_fixed_point(A, b_vec, fs) if monotone else None
 
-    inner = NegatedMeanMapLevel(A, b_vec)
+    inner = LinearBottomLevel(-A, -b_vec)  # the negated mean map -(A x + b)
     inner_oracle = NoisyOracle(inner, NoiseModel(value_sd=noise_sd, jac_sd=noise_sd)) \
         if noise_sd > 0 else inner
     oracles = (gap_level, inner_oracle)

@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
 from ..oracles import (LevelOracle, NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample,
-                       row_dot, row_matvec)
+                       check_count, row_dot, row_matvec)
 from ..sets import Box
 
 
@@ -24,20 +24,11 @@ class QuadraticTopLevel(NoiseFreeLevel):
         self.x_hat = np.asarray(x_hat, dtype=float)
         self.u_hat = np.asarray(u_hat, dtype=float)
 
-    def sample(self, x, u_next, rng, k=0):
-        dx = x - self.x_hat
-        du = u_next - self.u_hat
-        val = np.array([0.5 * float(dx.dot(dx)) + 0.5 * float(du.dot(du))])
-        return OracleSample(val, dx[None, :], du[None, :])
-
     def sample_rows(self, x, u_next, rows, k=0):
         dx = x - self.x_hat
         du = u_next - self.u_hat
         return OracleSample((0.5 * row_dot(dx, dx) + 0.5 * row_dot(du, du))[..., None],
                             dx[..., None, :], du[..., None, :])
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
 
 
 class QuadraticPointLevel(NoiseFreeLevel):
@@ -46,16 +37,9 @@ class QuadraticPointLevel(NoiseFreeLevel):
     def __init__(self, x_hat: np.ndarray):
         self.x_hat = np.asarray(x_hat, dtype=float)
 
-    def sample(self, x, u_next, rng, k=0):
-        dx = x - self.x_hat
-        return OracleSample(np.array([0.5 * float(dx.dot(dx))]), dx[None, :])
-
     def sample_rows(self, x, u_next, rows, k=0):
         dx = x - self.x_hat
         return OracleSample((0.5 * row_dot(dx, dx))[..., None], dx[..., None, :])
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
 
 
 class LinearLevel(NoiseFreeLevel):
@@ -66,15 +50,9 @@ class LinearLevel(NoiseFreeLevel):
         self.R = np.asarray(R, dtype=float)
         self.c = np.asarray(c, dtype=float)
 
-    def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.Q.dot(x) + self.R.dot(u_next) + self.c, self.Q, self.R)
-
     def sample_rows(self, x, u_next, rows, k=0):
         return OracleSample(row_matvec(self.Q, x) + row_matvec(self.R, u_next) + self.c,
                             self.Q, self.R)
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
 
 
 class LinearBottomLevel(NoiseFreeLevel):
@@ -84,14 +62,8 @@ class LinearBottomLevel(NoiseFreeLevel):
         self.Q = np.asarray(Q, dtype=float)
         self.c = np.asarray(c, dtype=float)
 
-    def sample(self, x, u_next, rng, k=0):
-        return OracleSample(self.Q.dot(x) + self.c, self.Q)
-
     def sample_rows(self, x, u_next, rows, k=0):
         return OracleSample(row_matvec(self.Q, x) + self.c, self.Q)
-
-    def exact_value(self, x, u_next):
-        return self.sample_rows(x, u_next, None).value
 
 
 def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
@@ -105,12 +77,12 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     quadratic centers are chosen so the unconstrained minimizer is the
     x-center itself, strictly inside the box [-halfwidth, halfwidth]^n.
     """
-    if levels < 1:
-        raise ConfigError("problem.levels", "need at least one level")
-    if n < 1 or inner_dim < 1:
-        raise ConfigError("problem.n", "dimensions must be positive")
-    if halfwidth <= 0:
-        raise ConfigError("problem.halfwidth", "halfwidth must be positive")
+    for name, count in (("levels", levels), ("n", n), ("inner_dim", inner_dim)):
+        check_count(name, count, least=1)
+    if not 0 < halfwidth < np.inf:  # and NaN
+        raise ConfigError("problem.halfwidth", "halfwidth must be positive and finite")
+    if not np.isfinite(coupling):
+        raise ConfigError("problem.coupling", "coupling must be finite")
     rng = np.random.default_rng(instance_seed)
     M = levels
     x_hat = rng.uniform(-0.5 * halfwidth, 0.5 * halfwidth, size=n)

@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ProjectionError
+from .oracles import check_count
 
 # Polytope.project: a row counts as violated beyond this multiple of the
 # iterate's scale, and a new row whose part orthogonal to the active rows has
@@ -105,8 +106,7 @@ class Simplex(FeasibleSet):
     """Scaled probability simplex {y >= 0, sum(y) = scale}."""
 
     def __init__(self, dim: int, scale: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_count("dim", dim, least=1)
         self.dim = int(dim)
         self.scale = float(scale)
         if not 0 < self.scale < math.inf:  # also rejects NaN

@@ -28,7 +28,7 @@ from nestopt.model import (AlgorithmParams, CompositionProblem, IterateState, in
 from nestopt.oracles import LevelOracle, NoisyOracle, OracleSample, level_streams
 from nestopt.problems import FiniteScenarios
 from nestopt.problems.risk import MeanLossLevel, UpperSemidevLevel
-from nestopt.problems.svi import NegatedMeanMapLevel, RegularizedGapLevel
+from nestopt.problems.svi import RegularizedGapLevel
 from nestopt.problems.synthetic import LinearBottomLevel, LinearLevel, QuadraticTopLevel
 from nestopt.sets import Ball, Box, FeasibleSet, Simplex, gap
 from nestopt.solver import _advance, assemble_subgradient
@@ -247,8 +247,6 @@ def norm_bounds(problem: CompositionProblem) -> NormBounds:
             bh = bg * sup + float(np.max(np.abs(o.scen.offset)))
             kappa = getattr(o, "kappa", 0.0)  # the mean loss is the kappa = 0 case
             v, j = bh * (1.0 + 2.0 * kappa), ((1.0 + kappa) * bg, kappa)
-        elif isinstance(o, NegatedMeanMapLevel):
-            v, j = norm(o.neg_A) * sup + norm(o.neg_b), (norm(o.neg_A), 0.0)
         elif isinstance(o, RegularizedGapLevel):
             v, j = v * diam + 0.5 * o.r * diam**2, (v + o.r * diam, diam)
         else:

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from nestopt import ConfigError, NoiseModel, gap, validate_problem
 from nestopt.diagnostics import nested_table, tracking_table
+from nestopt.model import ExactEvaluators
+from nestopt.oracles import NoiseFreeLevel, OracleSample, row_dot, row_matvec
 from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
                               risk_p1, risk_p2, scenarios_from_csv,
                               solve_vi_fixed_point, svi_problem, synthetic_smooth)
@@ -448,8 +452,8 @@ def test_svi_known_identity_solution():
 def test_svi_fixed_point_matches_projection_characterization():
     problem = svi_problem(n=5, instance_seed=12)
     x_star = problem.exact.x_star
-    A = -problem.oracles[1].neg_A
-    b = -problem.oracles[1].neg_b
+    A = -problem.oracles[1].Q
+    b = -problem.oracles[1].c
     proj = problem.feasible_set.project(x_star - 0.3 * (A @ x_star + b))
     assert np.allclose(proj, x_star, atol=1e-8)
 
@@ -541,3 +545,99 @@ def test_exact_composed_gradient_matches_fd(smooth_problem):
 
     fd = finite_difference_reference(f1, x, step=1e-6)
     assert np.allclose(exact_composed_gradient(problem, x), fd, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# parameter checks, and one formula per noise-free level
+
+NAN, INF = float("nan"), float("inf")
+_SCEN = random_scenarios(n=3, count=5, seed=1)
+
+
+@pytest.mark.parametrize("build, error, name", [
+    (lambda: svi_problem(n=3, r=NAN), ConfigError, "problem.r"),
+    (lambda: svi_problem(n=3, r=INF), ConfigError, "problem.r"),
+    (lambda: risk_p2(_SCEN, 0.5, epsilon=NAN), ConfigError, "problem.epsilon"),
+    (lambda: risk_p2(_SCEN, 0.5, epsilon=INF), ConfigError, "problem.epsilon"),
+    (lambda: synthetic_smooth(halfwidth=NAN), ConfigError, "problem.halfwidth"),
+    (lambda: synthetic_smooth(halfwidth=INF), ConfigError, "problem.halfwidth"),
+    (lambda: synthetic_smooth(coupling=NAN), ConfigError, "problem.coupling"),
+    (lambda: synthetic_smooth(coupling=-INF), ConfigError, "problem.coupling"),
+    (lambda: synthetic_smooth(levels=2.5), ValueError, "levels"),
+    (lambda: synthetic_smooth(n=2.5), ValueError, "n"),
+    (lambda: synthetic_smooth(inner_dim=True), ValueError, "inner_dim"),
+    (lambda: Simplex(2.7), ValueError, "dim"),
+    (lambda: Simplex(True), ValueError, "dim"),
+], ids=["svi-nan-r", "svi-inf-r", "p2-nan-epsilon", "p2-inf-epsilon", "nan-halfwidth",
+        "inf-halfwidth", "nan-coupling", "inf-coupling", "float-levels", "float-n",
+        "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim"])
+def test_family_parameters_fail_at_construction_with_their_name(build, error, name):
+    with pytest.raises(error) as exc:
+        build()
+    if error is ConfigError:
+        assert exc.value.field == name
+    else:  # a ValueError that no config can reach, naming the parameter
+        assert not isinstance(exc.value, ConfigError)
+        assert str(exc.value).startswith(f"{name} must be a positive integer")
+
+
+class _SquarePlusLinear(NoiseFreeLevel):
+    """f(x, u) = 0.5||x||^2 + w . u, stated once over a row or a block."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def sample_rows(self, x, u_next, rows, k=0):
+        value = (0.5 * row_dot(x, x) + row_dot(u_next, np.broadcast_to(self.w, u_next.shape)))
+        return OracleSample(value[..., None], x[..., None, :], self.w[None, :])
+
+
+class _SampleOnly(NoiseFreeLevel):
+    """The same level stated as sample alone: its rows go one at a time."""
+
+    def sample(self, x, u_next, rng, k=0):
+        return _SquarePlusLinear(np.arange(3.0)).sample(x, u_next, rng, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_level_stated_as_sample_rows_alone_samples_each_row_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    level = _SquarePlusLinear(rng.standard_normal(3))
+    x, u = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+    block = level.sample_rows(x, u, level.draw(rng, 4, (1, 5, 3)))
+    assert same_bits(level.exact_value(x, u), block.value)
+    for i, row in enumerate(level.draw(rng, 4, (1, 5, 3))):
+        s = level.sample(x[i], u[i], row)
+        assert same_bits(s.value, block.value[i]) and same_bits(s.jac_x, block.jac_x[i])
+        assert same_bits(s.jac_u, block.jac_u) and s.clamped is False
+        assert same_bits(level.exact_value(x[i], u[i]), block.value[i])
+
+
+def test_a_level_stated_as_sample_alone_takes_its_exact_values_row_by_row():
+    x, u = np.ones((2, 5)), np.ones((2, 3))
+    level, values = _SampleOnly(), ExactEvaluators((_SampleOnly(),)).values[0]
+    assert level.exact_value is None
+    assert same_bits(values(x, u), np.array([level.sample(x[i], u[i], None)[0]
+                                             for i in range(2)]))
+    with pytest.raises(TypeError, match="neither sample_rows nor sample"):
+        type("_Nothing", (NoiseFreeLevel,), {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_row_dot_and_row_matvec_of_one_row_are_dot(n):
+    rng = np.random.default_rng(n)
+    a, b, A = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal((n + 2, n))
+    for got, want in ((row_dot(a, b), a.dot(b)), (row_matvec(A, a), A.dot(a))):
+        assert type(got) is type(want) and same_bits(got, want)
+
+
+def test_shipped_noise_free_levels_state_only_sample_rows():
+    import nestopt.problems
+    levels = [cls for info in pkgutil.iter_modules(nestopt.problems.__path__)
+              for cls in vars(importlib.import_module(f"nestopt.problems.{info.name}")).values()
+              if isinstance(cls, type) and issubclass(cls, NoiseFreeLevel)
+              and cls.__module__ == f"nestopt.problems.{info.name}"]
+    assert len(levels) >= 5
+    for cls in levels:
+        assert "sample_rows" in vars(cls), cls.__name__
+        assert not {"sample", "exact_value"} & set(vars(cls)), cls.__name__
