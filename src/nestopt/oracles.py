@@ -145,19 +145,23 @@ class LevelOracle(ABC):
         """Draw one estimate at (x, u_next); k indexes bias schedules."""
 
     def sample_rows(self, x: np.ndarray, u_next: np.ndarray | None, rows,
-                    k: int = 0) -> OracleSample | list[OracleSample]:
-        """The samples of R rows from one call.
+                    k: int = 0) -> OracleSample:
+        """The samples of R rows from one call, stacked in one OracleSample.
 
         x has shape (R, n), u_next (R, d_{m+1}) or None, and rows[i] is what
-        row i's sample reads: a generator, or its row of a draw.  Row i of
-        the result has the bits of sample(x[i], u_next[i], rows[i], k).  The
-        default returns the list of the R samples, taken one at a time.  A
-        level that stacks them returns one OracleSample: value (R, d_m),
-        jac_x (R, d_m, n), jac_u (R, d_m, d_{m+1}) and clamped (R,); a
-        Jacobian without the leading axis, or a bool clamped, is every row's.
+        row i's sample reads: a generator, or its row of a draw.  The result
+        holds value (R, d_m), jac_x (R, d_m, n), jac_u (R, d_m, d_{m+1}) and
+        clamped (R,), where a Jacobian without the leading axis, or a bool
+        clamped, is every row's; row i has the bits of sample(x[i], u_next[i],
+        rows[i], k).  The default takes the rows one at a time and stacks
+        each field with np.array (faster than np.stack on small rows); when
+        no row clamps, clamped is False.
         """
         inner = repeat(None) if u_next is None else u_next
-        return list(map(self.sample, x, inner, rows, repeat(k)))
+        value, jac_x, jac_u, clamped = zip(*map(self.sample, x, inner, rows, repeat(k)))
+        return OracleSample(np.array(value), np.array(jac_x),
+                            None if jac_u[0] is None else np.array(jac_u),
+                            np.array(clamped) if any(clamped) else False)
 
     def draw(self, rng: np.random.Generator, count: int, dims: tuple) -> np.ndarray | None:
         """From one call, what count samples would draw from rng one by one: a row each.
@@ -201,8 +205,8 @@ class NoisyOracle(LevelOracle):
     rest, keeping one oracle call per level per iteration.  Over a base that
     draws nothing, draw fills and scales the rows of a whole block at once,
     and sample_rows perturbs the base's stacked samples with one expression
-    per field (a base that samples row by row is perturbed row by row);
-    over any other base the row is drawn per call, after the base's draw.
+    per field; over any other base the row is drawn per call, after the
+    base's draw.
     """
 
     def __init__(self, base: LevelOracle, noise: NoiseModel):
@@ -246,9 +250,7 @@ class NoisyOracle(LevelOracle):
         if not isinstance(rows, np.ndarray):  # the base draws: each row's noise follows its draw
             return super().sample_rows(x, u_next, rows, k)
         s = self.base.sample_rows(x, u_next, rows, k)  # the base draws nothing and reads no row
-        if isinstance(s, list):  # a base that samples row by row
-            return list(map(self._add, s, rows, repeat(k)))
-        R, d = s.value.shape  # a stacked base: _add's sums, every row at once
+        R, d = s.value.shape  # _add's sums, every row at once
         nx = d * x.shape[1]
         value = s.value + rows[:, :d]
         jac_x = s.jac_x + rows[:, d:d + nx].reshape(R, d, -1)

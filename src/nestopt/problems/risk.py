@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, row_matvec
+from ..oracles import ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, check_count, row_matvec
 from ..sets import FeasibleSet, Simplex
 
 
@@ -108,6 +108,8 @@ def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,
                      coef_scale: float = 0.4, offset_loc: float = 1.0,
                      offset_scale: float = 0.5, relu: bool = False) -> FiniteScenarios:
     """Equal-weight random affine scenario table."""
+    check_count("n", n, least=1)
+    check_count("count", count, least=1)
     rng = np.random.default_rng(seed)
     return FiniteScenarios(
         weights=np.full(count, 1.0 / count),

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample, row_dot
+from ..oracles import (NoiseFreeLevel, NoiseModel, NoisyOracle, OracleSample, check_count,
+                       row_dot)
 from ..sets import Box, FeasibleSet
 from .synthetic import LinearBottomLevel
 
@@ -85,6 +86,10 @@ def svi_problem(n: int = 5, instance_seed: int = 3, skew_scale: float = 0.5,
     [0, 2]^n.  With monotone=True the exact solution is computed by the
     fixed-point oracle and stored in the exact evaluators.
     """
+    check_count("n", n, least=1)
+    check_count("instance_seed", instance_seed)
+    if not np.isfinite(skew_scale):  # NaN would reach the fixed point's eigensolver
+        raise ConfigError("problem.skew_scale", "skew_scale must be finite")
     fs = feasible_set if feasible_set is not None else Box(np.zeros(n), np.full(n, 2.0))
     if fs.dim != n:
         raise ConfigError("problem.set", f"set dimension {fs.dim} != n={n}")

@@ -79,6 +79,7 @@ def synthetic_smooth(levels: int = 3, n: int = 10, inner_dim: int = 3,
     """
     for name, count in (("levels", levels), ("n", n), ("inner_dim", inner_dim)):
         check_count(name, count, least=1)
+    check_count("instance_seed", instance_seed)
     if not 0 < halfwidth < np.inf:  # and NaN
         raise ConfigError("problem.halfwidth", "halfwidth must be positive and finite")
     if not np.isfinite(coupling):

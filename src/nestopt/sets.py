@@ -231,6 +231,7 @@ class CustomSet(FeasibleSet):
     """A set given only through a user projection callback."""
 
     def __init__(self, dim: int, project_fn, anchor_point=None):
+        check_count("dim", dim, least=1)
         self.dim = int(dim)
         self._project_fn = project_fn
         self._anchor = (np.zeros(dim) if anchor_point is None

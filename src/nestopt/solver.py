@@ -21,20 +21,25 @@ from .diagnostics import (DiagnosticsConfig, RunRecord, _merit, check_gammas, ne
 from .errors import NonFiniteIterateError, ProjectionError
 from .model import (AlgorithmParams, CompositionProblem, InitPolicy,
                     IterateState, init_state, next_stepsize)
-from .oracles import ROW_BLOCK_ELEMENTS, OracleSample, check_count, level_streams, row_dot
+from .oracles import (ROW_BLOCK_ELEMENTS, OracleSample, check_count, level_streams, row_dot,
+                      row_matvec)
 
 
-# the products below call .dot: @'s BLAS call without the matmul ufunc's dispatch; blocks keep @
+# one replication's products call .dot: @'s BLAS call without the matmul ufunc's dispatch; a
+# block's stacked rows take @, whose every row has the bits of .dot on that row alone
 def assemble_subgradient(samples: Sequence[OracleSample]) -> np.ndarray:
     """Fold sampled Jacobians backward through the chain rule.
 
     samples[m-1] is level m's sample, innermost last.  Returns the composite
     subgradient estimate of the top level as a (d_1, n) row-block matrix;
-    for a scalar objective that is a single row.
+    for a scalar objective that is a single row.  Over a block's stacked
+    samples it is (R, d_1, n), or (d_1, n) when no level's Jacobians have
+    the leading axis.
     """
+    matmul = np.ndarray.dot if samples[0].value.ndim == 1 else np.matmul
     g = samples[-1].jac_x
     for s in samples[-2::-1]:
-        g = s.jac_x + s.jac_u.dot(g)
+        g = s.jac_x + matmul(s.jac_u, g)
     return g
 
 
@@ -51,30 +56,18 @@ def update_trackers(u: Sequence[np.ndarray], samples: Sequence[OracleSample],
     outer levels, the movement of the freshly updated inner tracker) plus a
     relaxation toward the sampled value with gain b*tau.  The backward order
     matters: level m consumes the already-updated tracker of level m+1.
+    u, samples and dx are one replication's or a block's stacked rows.
     """
+    matvec = np.ndarray.dot if dx.ndim == 1 else row_matvec
     M = len(u)
     out: list[np.ndarray] = [None] * M
     s = samples[M - 1]
-    out[M - 1] = u[M - 1] + s.jac_x.dot(dx) + (b * tau) * (s.value - u[M - 1])
+    out[M - 1] = u[M - 1] + matvec(s.jac_x, dx) + (b * tau) * (s.value - u[M - 1])
     for m in range(M - 2, -1, -1):
         s = samples[m]
-        out[m] = (u[m] + s.jac_x.dot(dx) + s.jac_u.dot(out[m + 1] - u[m + 1])
+        out[m] = (u[m] + matvec(s.jac_x, dx) + matvec(s.jac_u, out[m + 1] - u[m + 1])
                   + (b * tau) * (s.value - u[m]))
     return out
-
-
-def _rows(s: OracleSample | list[OracleSample]):
-    """The per-row samples of a block: a list as it is, or the rows of a stacked sample,
-    where a field without the leading axis is every row's."""
-    if isinstance(s, list):
-        return s
-    R = len(s.value)
-    jac_x, jac_u, clamped = s.jac_x, s.jac_u, s.clamped
-    if jac_u is None or jac_u.ndim == 2:
-        jac_u = repeat(jac_u, R)
-    fields = zip(s.value, jac_x if jac_x.ndim == 3 else repeat(jac_x, R), jac_u,
-                 clamped if isinstance(clamped, np.ndarray) else repeat(clamped, R))
-    return map(tuple.__new__, repeat(OracleSample), fields)  # OracleSample(*f), built in C
 
 
 def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray,
@@ -85,9 +78,10 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     the old trackers, chain-rule assembly, z update, tracker update.
     x, z and u[m-1] are one replication's rows, of shapes (n,), (n,) and
     (d_m,), or R replications' rows stacked in lockstep: (R, n), (R, n) and
-    (R, d_m).  A block is projected in one project_rows call and each level
-    samples it in one sample_rows call; the recursions then run once per
-    replication, on its rows, so every row gets the bits it gets alone.
+    (R, d_m).  A block is projected in one project_rows call, each level
+    samples it in one sample_rows call, and assemble_subgradient and
+    update_trackers run once on the stacked rows; update_z runs once per
+    row.  Every row gets the bits it gets alone.
     draws[m-1] is what level m's sample reads (see _draws).
     Returns (d, samples, x', z', u'), where d is the step direction at
     (x, z) and samples[m-1] level m's sample (its sample_rows result for a
@@ -101,16 +95,14 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     dx = tau * d
     x = x + dx
     samples = problem.sample_levels(x, u, draws, k)
+    g = assemble_subgradient(samples)
     if not block:
-        z = update_z(z, assemble_subgradient(samples)[0], params.a, tau)
-        u = update_trackers(u, samples, dx, params.b, tau)
-        return d, samples, x, z, u
-    z_next, u_next = np.empty_like(z), [np.empty_like(w) for w in u]
-    for r, (zr, ur, dxr, sr) in enumerate(zip(z, zip(*u), dx, zip(*map(_rows, samples)))):
-        z_next[r] = update_z(zr, assemble_subgradient(sr)[0], params.a, tau)
-        for out, w in zip(u_next, update_trackers(ur, sr, dxr, params.b, tau)):
-            out[r] = w
-    return d, samples, x, z_next, u_next
+        z = update_z(z, g[0], params.a, tau)
+    else:  # one update_z call per row: the benchmark's tracer counts iterations by these calls
+        z = np.array([update_z(zr, gr, params.a, tau)
+                      for zr, gr in zip(z, g[:, 0] if g.ndim > 2 else repeat(g[0]))])
+    u = update_trackers(u, samples, dx, params.b, tau)
+    return d, samples, x, z, u
 
 
 def _draws(problem: CompositionProblem, streams: Sequence[Sequence[np.random.Generator]],
@@ -332,11 +324,7 @@ def _lockstep(problem, params, N, diagnostics, init_x, init_policy, reps, stream
                 for buf, arr in zip(row_u, u):
                     buf[i + 1] = arr
                 for s in samples:
-                    if isinstance(s, list):  # a block sampled row by row
-                        clamped = [r.clamped for r in s]
-                        if any(clamped):
-                            clamps += clamped
-                    elif s.clamped is not False:
+                    if s.clamped is not False:
                         clamps += s.clamped
             check(lo, hi)
             evaluate(lo, hi)

@@ -200,6 +200,21 @@ def test_noisy_oracle_keeps_the_base_clamped_flag():
     assert NoisyOracle(base, NoiseModel(0.0, 0.0)).sample(x, u, rng).clamped
 
 
+def test_default_sample_rows_stacks_the_rows_sampled_one_at_a_time():
+    level = SqrtRiskLevel(random_scenarios(n=3, count=5, seed=1), kappa=0.5, epsilon=1e-2)
+    rng = np.random.default_rng(2)
+    x = rng.dirichlet(np.ones(3), size=4)
+    u = np.array([[-9e-3], [0.2], [-9e-3], [-4e-3]])  # rows 0 and 2 clamp
+    rows = level.draw(level_streams(0, 1)[0], 4, (1, 3, 1))
+    block = level.sample_rows(x, u, rows)
+    assert type(block) is OracleSample
+    assert block.clamped.dtype == bool and list(block.clamped) == [True, False, True, False]
+    for i in range(4):
+        s = level.sample(x[i], u[i], rows[i])
+        assert all(same_bits(a[i], b) for a, b in zip(block[:3], s[:3]))
+        assert block.clamped[i] == s.clamped
+
+
 def test_noise_moves_the_value_by_value_sd_and_the_jacobians_by_jac_sd():
     base = LinearLevel(np.eye(2, 3), np.ones((2, 2)), np.zeros(2))
     x, u = np.array([0.5, -1.0, 2.0]), np.array([0.3, 0.1])

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nestopt.oracles import NoiseFreeLevel, OracleSample, row_dot, row_matvec
 from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
                               risk_p1, risk_p2, scenarios_from_csv,
                               solve_vi_fixed_point, svi_problem, synthetic_smooth)
-from nestopt.sets import Ball, Box, Simplex
+from nestopt.sets import Ball, Box, CustomSet, Simplex
 
 from helpers import (exact_composed_gradient, finite_difference_reference,
                      mean_semideviation, norm_bounds, random_point, same_bits,
@@ -568,9 +569,22 @@ _SCEN = random_scenarios(n=3, count=5, seed=1)
     (lambda: synthetic_smooth(inner_dim=True), ValueError, "inner_dim"),
     (lambda: Simplex(2.7), ValueError, "dim"),
     (lambda: Simplex(True), ValueError, "dim"),
+    # counts and seeds numpy would refuse without naming them; a NaN skew would reach eigvalsh
+    (lambda: svi_problem(n=2.5), ValueError, "n"),
+    (lambda: svi_problem(n=True), ValueError, "n"),
+    (lambda: svi_problem(n=3, skew_scale=NAN), ConfigError, "problem.skew_scale"),
+    (lambda: svi_problem(n=3, skew_scale=INF), ConfigError, "problem.skew_scale"),
+    (lambda: random_scenarios(n=2.5, count=5), ValueError, "n"),
+    (lambda: random_scenarios(n=3, count=5.5), ValueError, "count"),
+    (lambda: synthetic_smooth(instance_seed=2.5), ValueError, "instance_seed"),
+    (lambda: svi_problem(n=3, instance_seed=2.5), ValueError, "instance_seed"),
+    # a float dimension is refused, not truncated
+    (lambda: CustomSet(2.5, np.asarray, np.zeros(2)), ValueError, "dim"),
 ], ids=["svi-nan-r", "svi-inf-r", "p2-nan-epsilon", "p2-inf-epsilon", "nan-halfwidth",
         "inf-halfwidth", "nan-coupling", "inf-coupling", "float-levels", "float-n",
-        "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim"])
+        "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim", "svi-float-n", "svi-bool-n",
+        "svi-nan-skew", "svi-inf-skew", "scenarios-float-n", "scenarios-float-count",
+        "float-instance-seed", "svi-float-instance-seed", "float-custom-set-dim"])
 def test_family_parameters_fail_at_construction_with_their_name(build, error, name):
     with pytest.raises(error) as exc:
         build()
@@ -578,7 +592,7 @@ def test_family_parameters_fail_at_construction_with_their_name(build, error, na
         assert exc.value.field == name
     else:  # a ValueError that no config can reach, naming the parameter
         assert not isinstance(exc.value, ConfigError)
-        assert str(exc.value).startswith(f"{name} must be a positive integer")
+        assert re.match(f"{name} must be a (positive|non-negative) integer", str(exc.value))
 
 
 class _SquarePlusLinear(NoiseFreeLevel):

@@ -19,6 +19,7 @@ from nestopt.oracles import LevelOracle, NoiseFreeLevel, OracleSample
 from nestopt.oracles import ROW_BLOCK_ELEMENTS
 from nestopt.problems import (FiniteScenarios, GaussianScenarios, make_problem,
                               random_scenarios, risk_p1, risk_p2, svi_problem, synthetic_smooth)
+from nestopt.problems.synthetic import LinearBottomLevel
 from nestopt.sets import Ball, Polytope, Simplex
 
 from conftest import noisy_norm_bounds
@@ -955,6 +956,35 @@ def test_each_replication_of_a_lockstep_block_is_the_run_alone(name, first, coun
     assert [record.replication for record in block] == list(replications)
     for record, r in zip(block, replications):
         _same_record(record, run(problem, params, N, diagnostics, replication=r))
+
+
+def test_a_lockstep_block_runs_the_recursions_once_per_iteration_and_update_z_per_row(
+        monkeypatch):
+    # the chain rule and the trackers run on the block's stacked rows; update_z once per
+    # replication, whose calls a tracing benchmark counts as iterations
+    calls = dict.fromkeys(("assemble_subgradient", "update_trackers", "update_z"), 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(nestopt.solver, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(nestopt.solver, name, counted)
+    N = 30
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=4)
+    run(_noisy_synthetic(), params, N, init_policy=InitPolicy.ZEROS, replication=range(4))
+    assert calls == {"assemble_subgradient": N, "update_trackers": N, "update_z": 4 * N}
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_block_whose_subgradient_is_every_rows_keeps_each_replications_bits(count):
+    # a linear top level's Jacobian, and so the subgradient, has no leading axis in a block
+    n = 3
+    top = LinearBottomLevel(np.array([[1.0, -2.0, 0.5]]), np.zeros(1))
+    problem = CompositionProblem(n, (1,), Box(np.full(n, -1.0), np.full(n, 1.0)), (top,))
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=4)
+    block, failures = _run_lockstep(problem, params, 20, None, range(count))
+    assert not failures
+    for r, record in enumerate(block):
+        _same_record(record, run(problem, params, 20, replication=r))
 
 
 class _DiceLevel(LevelOracle):
