@@ -1,7 +1,6 @@
 import importlib
 import math
 import pkgutil
-import re
 
 import numpy as np
 import pytest
@@ -555,7 +554,7 @@ NAN, INF = float("nan"), float("inf")
 _SCEN = random_scenarios(n=3, count=5, seed=1)
 
 
-@pytest.mark.parametrize("build, error, name", [
+@pytest.mark.parametrize("build, error, expected", [
     (lambda: svi_problem(n=3, r=NAN), ConfigError, "problem.r"),
     (lambda: svi_problem(n=3, r=INF), ConfigError, "problem.r"),
     (lambda: risk_p2(_SCEN, 0.5, epsilon=NAN), ConfigError, "problem.epsilon"),
@@ -564,35 +563,37 @@ _SCEN = random_scenarios(n=3, count=5, seed=1)
     (lambda: synthetic_smooth(halfwidth=INF), ConfigError, "problem.halfwidth"),
     (lambda: synthetic_smooth(coupling=NAN), ConfigError, "problem.coupling"),
     (lambda: synthetic_smooth(coupling=-INF), ConfigError, "problem.coupling"),
-    (lambda: synthetic_smooth(levels=2.5), ValueError, "levels"),
-    (lambda: synthetic_smooth(n=2.5), ValueError, "n"),
-    (lambda: synthetic_smooth(inner_dim=True), ValueError, "inner_dim"),
-    (lambda: Simplex(2.7), ValueError, "dim"),
-    (lambda: Simplex(True), ValueError, "dim"),
+    (lambda: synthetic_smooth(levels=2.5), ValueError, "levels must be a positive integer"),
+    (lambda: synthetic_smooth(n=2.5), ValueError, "n must be a positive integer"),
+    (lambda: synthetic_smooth(inner_dim=True), ValueError, "inner_dim must be a positive integer"),
+    (lambda: Simplex(2.7), ValueError, "dim must be a positive integer"),
+    (lambda: Simplex(True), ValueError, "dim must be a positive integer"),
     # counts and seeds numpy would refuse without naming them; a NaN skew would reach eigvalsh
-    (lambda: svi_problem(n=2.5), ValueError, "n"),
-    (lambda: svi_problem(n=True), ValueError, "n"),
+    (lambda: svi_problem(n=2.5), ValueError, "n must be a positive integer"),
+    (lambda: svi_problem(n=True), ValueError, "n must be a positive integer"),
     (lambda: svi_problem(n=3, skew_scale=NAN), ConfigError, "problem.skew_scale"),
     (lambda: svi_problem(n=3, skew_scale=INF), ConfigError, "problem.skew_scale"),
-    (lambda: random_scenarios(n=2.5, count=5), ValueError, "n"),
-    (lambda: random_scenarios(n=3, count=5.5), ValueError, "count"),
-    (lambda: synthetic_smooth(instance_seed=2.5), ValueError, "instance_seed"),
-    (lambda: svi_problem(n=3, instance_seed=2.5), ValueError, "instance_seed"),
+    (lambda: random_scenarios(n=2.5, count=5), ValueError, "n must be a positive integer"),
+    (lambda: random_scenarios(n=3, count=5.5), ValueError, "count must be a positive integer"),
+    (lambda: synthetic_smooth(instance_seed=2.5), ValueError,
+     "instance_seed must be a non-negative integer"),
+    (lambda: svi_problem(n=3, instance_seed=2.5), ValueError,
+     "instance_seed must be a non-negative integer"),
     # a float dimension is refused, not truncated
-    (lambda: CustomSet(2.5, np.asarray, np.zeros(2)), ValueError, "dim"),
+    (lambda: CustomSet(2.5, np.asarray, np.zeros(2)), ValueError, "dim must be a positive integer"),
 ], ids=["svi-nan-r", "svi-inf-r", "p2-nan-epsilon", "p2-inf-epsilon", "nan-halfwidth",
         "inf-halfwidth", "nan-coupling", "inf-coupling", "float-levels", "float-n",
         "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim", "svi-float-n", "svi-bool-n",
         "svi-nan-skew", "svi-inf-skew", "scenarios-float-n", "scenarios-float-count",
         "float-instance-seed", "svi-float-instance-seed", "float-custom-set-dim"])
-def test_family_parameters_fail_at_construction_with_their_name(build, error, name):
+def test_family_parameters_fail_at_construction_with_their_name(build, error, expected):
     with pytest.raises(error) as exc:
         build()
     if error is ConfigError:
-        assert exc.value.field == name
+        assert exc.value.field == expected
     else:  # a ValueError that no config can reach, naming the parameter
         assert not isinstance(exc.value, ConfigError)
-        assert re.match(f"{name} must be a (positive|non-negative) integer", str(exc.value))
+        assert str(exc.value).startswith(expected)
 
 
 class _SquarePlusLinear(NoiseFreeLevel):
