@@ -14,6 +14,7 @@ one level's u-block is independent of everything drawn by deeper levels.
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import repeat
@@ -46,6 +47,7 @@ def level_streams(seed: int, n_levels: int, replication: int = 0) -> list[np.ran
     replayable in isolation.
     """
     check_count("seed", seed, below=_SEED_MAX)
+    check_count("n_levels", n_levels, least=1)
     check_count("replication", replication, below=_SEED_MAX)
     return [
         np.random.Generator(np.random.Philox(
@@ -115,10 +117,16 @@ class NoiseModel:
     bias: Callable[[int], float] | None = None
 
     def __post_init__(self):
+        for name in ("value_sd", "jac_sd"):
+            sd = getattr(self, name)
+            if isinstance(sd, bool) or not isinstance(sd, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {sd!r}")
         if not (0 <= self.value_sd < np.inf and 0 <= self.jac_sd < np.inf):  # and NaN
             raise ValueError("noise standard deviations must be >= 0 and finite")
         if self.distribution not in ("gaussian", "uniform", "rademacher"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
+        if self.bias is not None and not callable(self.bias):
+            raise ValueError(f"bias must be callable or None, got {self.bias!r}")
 
 
 def _centered_draw(rng: np.random.Generator, size, distribution: str) -> np.ndarray:
@@ -166,14 +174,14 @@ class LevelOracle(ABC):
     def draw(self, rng: np.random.Generator, count: int, dims: tuple) -> np.ndarray | None:
         """From one call, what count samples would draw from rng one by one: a row each.
 
-        dims is (d_m, n, d_{m+1}), 0 innermost; a draw of count 0 advances no
-        generator.  None, the default, has each sample draw from rng itself.
+        dims is (d_m, n, d_{m+1}), 0 innermost.  None, the default, has each
+        sample draw from rng itself.
         """
         return None
 
 
 class NoiseFreeLevel(LevelOracle):
-    """A level whose samples draw nothing: its rows are empty.
+    """A level whose samples draw nothing: they read neither their generator nor a row.
 
     A subclass states its formula once, as a sample_rows that takes one row
     (x of shape (n,)) or a block, and sample and exact_value follow from it.
@@ -193,20 +201,16 @@ class NoiseFreeLevel(LevelOracle):
     def exact_value(self, x, u_next):
         return self.sample_rows(x, u_next, None).value
 
-    def draw(self, rng, count, dims):
-        return np.empty((count, 0))
-
 
 class NoisyOracle(LevelOracle):
     """Adds NoiseModel perturbations on top of a base oracle.
 
     The value and both Jacobian blocks are perturbed from one row of noise
     per sample, scaled by value_sd on the value columns and by jac_sd on the
-    rest, keeping one oracle call per level per iteration.  Over a base that
-    draws nothing, draw fills and scales the rows of a whole block at once,
-    and sample_rows perturbs the base's stacked samples with one expression
-    per field; over any other base the row is drawn per call, after the
-    base's draw.
+    rest, keeping one oracle call per level per iteration.  Over a
+    NoiseFreeLevel, draw fills and scales the rows of a whole block at once,
+    and sample_rows perturbs the base's stacked samples in one call; over
+    any other base the row is drawn per call, after the base's draw.
     """
 
     def __init__(self, base: LevelOracle, noise: NoiseModel):
@@ -220,48 +224,36 @@ class NoisyOracle(LevelOracle):
         return block
 
     def draw(self, rng, count, dims):
-        probe = self.base.draw(rng, 0, dims)  # a block of no samples: its rows' width
-        if probe is None or probe.shape != (0, 0):
-            return None  # the base draws, so each noise row follows its draw, per call
+        if not isinstance(self.base, NoiseFreeLevel):
+            return None  # the base may draw, so each noise row follows its draw, per call
         d, n, d_next = dims
         return self._noise(rng, count, d, d * (1 + n + d_next))
 
     def sample(self, x, u_next, rng, k=0):
-        s = self.base.sample(x, u_next, rng, k)  # a base that draws nothing reads no row
+        s = self.base.sample(x, u_next, rng, k)  # a NoiseFreeLevel reads no row
         if isinstance(rng, np.random.Generator):
             width = s.value.size + s.jac_x.size + (0 if s.jac_u is None else s.jac_u.size)
             rng = self._noise(rng, 1, s.value.size, width)[0]
         return self._add(s, rng, k)
 
-    def _add(self, s, row, k):
-        """One sample plus its row of noise, and the bias offset at k."""
-        d = s.value.size
-        nx = s.jac_x.size
-        jac_u = s.jac_u
-        value = s.value + row[:d]
-        jac_x = s.jac_x + row[d:d + nx].reshape(s.jac_x.shape)
-        if jac_u is not None:
-            jac_u = jac_u + row[d + nx:].reshape(jac_u.shape)
-        if self.noise.bias is not None:
-            value, jac_x, jac_u = self._offset(k, value, jac_x, jac_u)
-        return OracleSample(value, jac_x, jac_u, s.clamped)
-
     def sample_rows(self, x, u_next, rows, k=0):
         if not isinstance(rows, np.ndarray):  # the base draws: each row's noise follows its draw
             return super().sample_rows(x, u_next, rows, k)
-        s = self.base.sample_rows(x, u_next, rows, k)  # the base draws nothing and reads no row
-        R, d = s.value.shape  # _add's sums, every row at once
-        nx = d * x.shape[1]
-        value = s.value + rows[:, :d]
-        jac_x = s.jac_x + rows[:, d:d + nx].reshape(R, d, -1)
+        return self._add(self.base.sample_rows(x, u_next, rows, k), rows, k)
+
+    def _add(self, s, noise, k):
+        """One sample plus its row of noise, or a block's stacked samples plus their rows,
+        and the bias offset at k; a Jacobian without the leading axis is every row's."""
+        d = s.value.shape[-1]
+        nx = d * s.jac_x.shape[-1]
+        shape = noise.shape[:-1] + (d, -1)
+        value = s.value + noise[..., :d]
+        jac_x = s.jac_x + noise[..., d:d + nx].reshape(shape)
         jac_u = s.jac_u
         if jac_u is not None:
-            jac_u = jac_u + rows[:, d + nx:].reshape(R, d, -1)
+            jac_u = jac_u + noise[..., d + nx:].reshape(shape)
         if self.noise.bias is not None:
-            value, jac_x, jac_u = self._offset(k, value, jac_x, jac_u)
+            off = float(self.noise.bias(k))
+            value, jac_x = value + off, jac_x + off
+            jac_u = None if jac_u is None else jac_u + off
         return OracleSample(value, jac_x, jac_u, s.clamped)
-
-    def _offset(self, k, *fields):
-        """The fields plus the bias schedule's offset at k; None stays None."""
-        off = float(self.noise.bias(k))
-        return [None if f is None else f + off for f in fields]

@@ -40,6 +40,9 @@ class FiniteScenarios:
         self.weights = w = w / total
         self.coef = np.atleast_2d(np.asarray(coef, dtype=float))
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
+        for name, entries in (("coef", self.coef), ("offset", self.offset)):
+            if not np.isfinite(entries).all():
+                raise ConfigError(f"scenarios.{name}", f"every {name} entry must be finite")
         self.relu = relu
         self._cum = cum = np.cumsum(w)
         cum[-1] = 1.0
@@ -129,8 +132,6 @@ def scenarios_from_csv(path, relu: bool = False) -> FiniteScenarios:
         raise ConfigError("problem.scenarios.csv", str(exc)) from exc
     if data.shape[1] < 3:
         raise ConfigError("problem.scenarios.csv", "need columns weight, coef..., offset")
-    if not np.isfinite(data).all():
-        raise ConfigError("problem.scenarios.csv", "every entry must be finite")
     try:
         return FiniteScenarios(weights=data[:, 0], coef=data[:, 1:-1],
                                offset=data[:, -1], relu=relu)

@@ -78,9 +78,9 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     the old trackers, chain-rule assembly, z update, tracker update.
     x, z and u[m-1] are one replication's rows, of shapes (n,), (n,) and
     (d_m,), or R replications' rows stacked in lockstep: (R, n), (R, n) and
-    (R, d_m).  A block is projected in one project_rows call, each level
-    samples it in one sample_rows call, and assemble_subgradient and
-    update_trackers run once on the stacked rows; update_z runs once per
+    (R, d_m).  The rows are projected in one project_rows call.  A block's
+    levels sample it in one sample_rows call each, and assemble_subgradient
+    and update_trackers run once on the stacked rows; update_z runs once per
     row.  Every row gets the bits it gets alone.
     draws[m-1] is what level m's sample reads (see _draws).
     Returns (d, samples, x', z', u'), where d is the step direction at
@@ -88,15 +88,13 @@ def _advance(problem: CompositionProblem, params: AlgorithmParams, x: np.ndarray
     block); run reads ||d||^2, the gap and the finiteness guard off its
     stored rows.
     """
-    fs = problem.feasible_set
-    block = x.ndim > 1
     v = x - z / params.rho
-    d = (fs.project_rows(v) if block else fs.project(v)) - x
+    d = problem.feasible_set.project_rows(v) - x
     dx = tau * d
     x = x + dx
     samples = problem.sample_levels(x, u, draws, k)
     g = assemble_subgradient(samples)
-    if not block:
+    if x.ndim == 1:
         z = update_z(z, g[0], params.a, tau)
     else:  # one update_z call per row: the benchmark's tracer counts iterations by these calls
         z = np.array([update_z(zr, gr, params.a, tau)

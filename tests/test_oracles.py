@@ -126,6 +126,9 @@ def test_level_streams_seed_range():
         level_streams(-1, 2)
     with pytest.raises(ValueError):
         level_streams(2**64, 2)
+    for n_levels in (2.5, 0, -1, True):
+        with pytest.raises(ValueError, match="n_levels must be a positive integer"):
+            level_streams(0, n_levels)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -176,6 +179,21 @@ def test_noise_model_validation():
 def test_noise_model_rejects_nan_and_negative_deviations(fields):
     with pytest.raises(ValueError, match="noise standard deviations must be >= 0"):
         NoiseModel(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"bias": 3}, "bias must be callable or None, got 3"),
+    ({"bias": "1/k"}, "bias must be callable or None, got '1/k'"),
+    ({"value_sd": "0.1"}, "value_sd must be a real number, got '0.1'"),
+    ({"jac_sd": None}, "jac_sd must be a real number, got None"),
+    ({"value_sd": True}, "value_sd must be a real number, got True"),
+    ({"jac_sd": np.bool_(True)}, f"jac_sd must be a real number, got {np.bool_(True)!r}"),
+], ids=["int-bias", "str-bias", "str-value-sd", "none-jac-sd", "bool-value-sd",
+        "numpy-bool-jac-sd"])
+def test_noise_model_rejects_a_field_of_the_wrong_type(fields, message):
+    with pytest.raises(ValueError) as exc:
+        NoiseModel(**fields)
+    assert str(exc.value) == message
 
 
 def test_sample_block_split_roundtrip():

@@ -581,11 +581,23 @@ _SCEN = random_scenarios(n=3, count=5, seed=1)
      "instance_seed must be a non-negative integer"),
     # a float dimension is refused, not truncated
     (lambda: CustomSet(2.5, np.asarray, np.zeros(2)), ValueError, "dim must be a positive integer"),
+    # a scenario table checks its own entries, as it checks its weights
+    (lambda: FiniteScenarios([1, 1], [[NAN, 1], [1, 1]], [0, 0]), ConfigError, "scenarios.coef"),
+    (lambda: FiniteScenarios([1, 1], [[1, 1], [1, -INF]], [0, 0]), ConfigError,
+     "scenarios.coef"),
+    (lambda: FiniteScenarios([1, 1], [[1, 1], [1, 1]], [0, NAN]), ConfigError,
+     "scenarios.offset"),
+    (lambda: FiniteScenarios([1, 1], [[1, 1], [1, 1]], [INF, 0]), ConfigError,
+     "scenarios.offset"),
+    (lambda: random_scenarios(n=3, count=5, coef_scale=NAN), ConfigError, "scenarios.coef"),
+    (lambda: random_scenarios(n=3, count=5, offset_loc=INF), ConfigError, "scenarios.offset"),
 ], ids=["svi-nan-r", "svi-inf-r", "p2-nan-epsilon", "p2-inf-epsilon", "nan-halfwidth",
         "inf-halfwidth", "nan-coupling", "inf-coupling", "float-levels", "float-n",
         "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim", "svi-float-n", "svi-bool-n",
         "svi-nan-skew", "svi-inf-skew", "scenarios-float-n", "scenarios-float-count",
-        "float-instance-seed", "svi-float-instance-seed", "float-custom-set-dim"])
+        "float-instance-seed", "svi-float-instance-seed", "float-custom-set-dim",
+        "table-nan-coef", "table-inf-coef", "table-nan-offset", "table-inf-offset",
+        "scenarios-nan-coef-scale", "scenarios-inf-offset-loc"])
 def test_family_parameters_fail_at_construction_with_their_name(build, error, expected):
     with pytest.raises(error) as exc:
         build()
@@ -619,13 +631,15 @@ def test_a_level_stated_as_sample_rows_alone_samples_each_row_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     level = _SquarePlusLinear(rng.standard_normal(3))
     x, u = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
-    block = level.sample_rows(x, u, level.draw(rng, 4, (1, 5, 3)))
+    state = rng.bit_generator.state
+    block = level.sample_rows(x, u, [rng] * 4)
     assert same_bits(level.exact_value(x, u), block.value)
-    for i, row in enumerate(level.draw(rng, 4, (1, 5, 3))):
-        s = level.sample(x[i], u[i], row)
+    for i in range(4):
+        s = level.sample(x[i], u[i], rng)
         assert same_bits(s.value, block.value[i]) and same_bits(s.jac_x, block.jac_x[i])
         assert same_bits(s.jac_u, block.jac_u) and s.clamped is False
         assert same_bits(level.exact_value(x[i], u[i]), block.value[i])
+    assert rng.bit_generator.state == state  # a noise-free level reads no generator
 
 
 def test_a_level_stated_as_sample_alone_takes_its_exact_values_row_by_row():

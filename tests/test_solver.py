@@ -667,7 +667,7 @@ def test_draw_blocks_hold_at_most_row_block_elements_or_one_sample(name):
         assert sum(c for c, _, _ in level) == N
         assert all(entries <= max(ROW_BLOCK_ELEMENTS, sample) for _, entries, sample in level)
     if name == "svi-one-sample":
-        assert [len(level) for level in blocks] == [N, N]  # gap level: empty rows
+        assert [len(level) for level in blocks] == [0, N]  # the gap level draws no block
         assert blocks[1][0][1:] == (70 * 71, 70 * 71)
 
 
@@ -714,6 +714,37 @@ def test_levels_without_a_draw_get_their_generator_every_call():
     diagnostics = DiagnosticsConfig(track_every=1, exact_every=5)
     record = run(problem, params, 400, diagnostics)
     assert len(seen) == 3 * 401 and set(seen) == {np.random.Generator}
+    _same_record(record, run_rowwise(problem, params, 400, diagnostics))
+
+
+class _EmptyRowsLevel(LevelOracle):
+    """A user level whose draw returns empty rows; it is not a NoiseFreeLevel."""
+
+    def __init__(self, level, seen):
+        self.level, self.seen = level, seen
+
+    def draw(self, rng, count, dims):
+        return np.empty((count, 0))
+
+    def sample(self, x, u_next, rng, k=0):
+        self.seen.append(type(rng))
+        return self.level.sample(x, u_next, None, k)
+
+
+def test_noise_over_a_user_level_with_empty_rows_is_drawn_per_call():
+    # only a NoiseFreeLevel draws nothing: over any other level, a NoisyOracle
+    # declines the block, so the level gets its generator and each noise row follows it
+    seen = []
+    base = synthetic_smooth(levels=3, n=4, inner_dim=3, instance_seed=2)
+    top = NoisyOracle(_EmptyRowsLevel(base.oracles[0], seen), NoiseModel(0.1, 0.1))
+    rng, ref = level_streams(4, 1)[0], level_streams(4, 1)[0]
+    assert top.draw(rng, 5, (1, 4, 3)) is None
+    assert rng.random() == ref.random()
+    problem = dataclasses.replace(base, oracles=(top,) + base.oracles[1:])
+    params = AlgorithmParams(1.0, 1.0, 1.0, Diminishing(1.0, 0.75), seed=6)
+    diagnostics = DiagnosticsConfig(track_every=1, exact_every=5)
+    record = run(problem, params, 400, diagnostics)
+    assert len(seen) == 401 and set(seen) == {np.random.Generator}
     _same_record(record, run_rowwise(problem, params, 400, diagnostics))
 
 
