@@ -90,8 +90,9 @@ SCENARIOS = Variants("kind", {
                     "coef_loc": number(0.3), "coef_scale": number(0.4), "offset_loc": number(1.0),
                     "offset_scale": number(0.5), "relu": Field("bool", False)}),
     "csv": Table({"csv": Field("path"), "relu": Field("bool", False)}),
-    "gaussian": Table({"coef_mean": Field("vector", 0.3, length="n"), "coef_sd": number(0.4),
-                       "offset_mean": number(1.0), "offset_sd": number(0.5)}),
+    "gaussian": Table({"coef_mean": Field("vector", 0.3, length="n"),
+                       "coef_sd": number(0.4, NONNEGATIVE), "offset_mean": number(1.0),
+                       "offset_sd": number(0.5, NONNEGATIVE)}),
 }, infer=("csv", "count"))
 NOISE = Table({"value_sd": number(0.0), "jac_sd": number(0.0),
                "distribution": Field("enum", "gaussian")},

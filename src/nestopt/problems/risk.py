@@ -11,14 +11,15 @@ scenarios and serve as the exact evaluators.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..model import CompositionProblem, ExactEvaluators
-from ..oracles import ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, check_count, row_matvec
+from ..oracles import (ROW_BLOCK_ELEMENTS, LevelOracle, OracleSample, check_count, row_dot,
+                       row_matvec)
 from ..sets import FeasibleSet, Simplex
 
 
@@ -33,17 +34,24 @@ class FiniteScenarios:
     def __init__(self, weights: np.ndarray, coef: np.ndarray, offset: np.ndarray,
                  relu: bool = False):
         w = np.asarray(weights, dtype=float)
+        self.coef = np.atleast_2d(np.asarray(coef, dtype=float))
+        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
+        for name, entries, axes in (("weights", w, 1), ("coef", self.coef, 2),
+                                    ("offset", self.offset, 1)):
+            if entries.ndim != axes:
+                raise ConfigError(f"scenarios.{name}",
+                                  f"{name} must have {axes} axes, not shape {entries.shape}")
+        if not isinstance(relu, (bool, np.bool_)):
+            raise ConfigError("scenarios.relu", f"relu must be a bool, got {relu!r}")
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             total = w.sum()
         if np.any(w < 0) or not 0 < total < np.inf:  # also rejects NaN
             raise ConfigError("scenarios.weights", "weights must be >= 0 with a finite sum > 0")
         self.weights = w = w / total
-        self.coef = np.atleast_2d(np.asarray(coef, dtype=float))
-        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
         for name, entries in (("coef", self.coef), ("offset", self.offset)):
             if not np.isfinite(entries).all():
                 raise ConfigError(f"scenarios.{name}", f"every {name} entry must be finite")
-        self.relu = relu
+        self.relu = bool(relu)
         self._cum = cum = np.cumsum(w)
         cum[-1] = 1.0
         if self.coef.shape[0] != w.size or self.offset.size != w.size:
@@ -61,50 +69,65 @@ class FiniteScenarios:
         """The scenario indices of count samples, from one rng.random(count) call."""
         return self._cum.searchsorted(rng.random(count), side="right")
 
-    def draw_loss(self, x: np.ndarray, rng):
-        """One sampled (loss value, loss subgradient) pair; rng may be a drawn index."""
-        i = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
-        t = float(self.coef[i].dot(x)) + float(self.offset[i])
+    def losses(self, x: np.ndarray, pick=None):
+        """Loss values h and subgradients g at x: of the drawn scenario pick at one row x
+        (h a float), of pick[i] at row i of a block, or of an index array's scenarios at one
+        row.  pick None gives every scenario's values alone (g None), at one row or a block,
+        as exact values read them.  A relu loss is np.maximum(t, 0.0) of its affine part t,
+        so a NaN t stays NaN."""
+        if pick is None:
+            t, g = row_matvec(self.coef, x) + self.offset, None
+        elif x.ndim == 1 and not isinstance(pick, np.ndarray):  # one drawn scenario: floats
+            g = self.coef[pick]
+            t = float(g.dot(x)) + float(self.offset[pick])
+            if not self.relu or t > 0.0:
+                return t, g
+            return (0.0 if t <= 0.0 else t), np.zeros(self.n)
+        else:
+            g = self.coef[pick]
+            t = (row_matvec(g, x) if x.ndim == 1 else row_dot(g, x)) + self.offset[pick]
         if not self.relu:
-            return t, self.coef[i]
-        if t > 0.0:
-            return t, self.coef[i]
-        return 0.0, np.zeros(self.n)
-
-    def loss_values(self, x: np.ndarray) -> np.ndarray:
-        """Loss values of every scenario at x, or at each row of a block x."""
-        t = row_matvec(self.coef, x) + self.offset
-        return np.maximum(t, 0.0) if self.relu else t
-
-    def all_losses(self, x: np.ndarray):
-        """Loss values and subgradients of every scenario at x."""
-        h = self.loss_values(x)
-        if not self.relu:
-            return h, self.coef
-        return h, self.coef * (h > 0.0)[:, None]  # max(t, 0) > 0 exactly where t > 0
+            return t, g
+        return np.maximum(t, 0.0), None if g is None else np.where((t > 0.0)[..., None], g, 0.0)
 
 
-class GaussianScenarios(NamedTuple):
+def _real(field: str, value, message: str, ok) -> float:
+    """value as a float; a ConfigError(field, message) unless it is a real number, not a
+    bool, for which ok holds (ok is false at NaN)."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not ok(float(value))):
+        raise ConfigError(field, message)
+    return float(value)
+
+
+class GaussianScenarios:
     """Continuous scenario generator for stress tests (no exact evaluators)."""
 
-    coef_mean: np.ndarray
-    coef_sd: float
-    offset_mean: float
-    offset_sd: float
+    def __init__(self, coef_mean: np.ndarray, coef_sd: float, offset_mean: float,
+                 offset_sd: float):
+        self.coef_mean = np.atleast_1d(np.asarray(coef_mean, dtype=float))
+        if self.coef_mean.ndim != 1 or not np.isfinite(self.coef_mean).all():
+            raise ConfigError("scenarios.coef_mean", "coef_mean must be a vector of finite numbers")
+        self.coef_sd, self.offset_sd = (
+            _real(f"scenarios.{name}", sd, f"{name} must be >= 0 and finite",
+                  lambda v: 0.0 <= v < math.inf)
+            for name, sd in (("coef_sd", coef_sd), ("offset_sd", offset_sd)))
+        self.offset_mean = _real("scenarios.offset_mean", offset_mean,
+                                 "offset_mean must be finite", math.isfinite)
 
     @property
     def n(self) -> int:
-        return np.asarray(self.coef_mean).size
+        return self.coef_mean.size
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The standard normals of count samples: n for the coefficients, then the offset's."""
         return rng.standard_normal((count, self.n + 1))
 
-    def draw_loss(self, x: np.ndarray, rng):
-        """One sampled (loss value, loss subgradient) pair; rng may be a drawn row."""
-        e = self.draw(rng, 1)[0] if isinstance(rng, np.random.Generator) else rng
-        a = np.asarray(self.coef_mean, dtype=float) + self.coef_sd * e[:-1]
-        return float(a.dot(x)) + (self.offset_mean + self.offset_sd * e[-1]), a
+    def losses(self, x: np.ndarray, pick):
+        """Loss values h and subgradients g at x of the drawn rows pick, n + 1 normals
+        each, one for one row x or one per row of a block; there is no exact table."""
+        g = self.coef_mean + self.coef_sd * pick[..., :-1]
+        return row_dot(g, x) + (self.offset_mean + self.offset_sd * pick[..., -1]), g
 
 
 def random_scenarios(n: int, count: int, seed: int = 0, coef_loc: float = 0.3,
@@ -149,14 +172,13 @@ def _identity(v):
 class _ScenarioLevel(LevelOracle):
     """A scalar level written once as formula(h, g, u, E, J).
 
-    h and g are scenario losses and subgradients, u the inner level's
-    value, E a mean over scenarios and J(c) the Jacobian mean E[c * g].
-    With a generator, or a row of the block the scenarios' draw returned,
-    one scenario is drawn and E is the identity; with rng=None, every row of
-    the finite table is taken with its weight, which gives the exact level.
-    Called with J=None, formula returns the value alone and builds no
-    Jacobian: exact_value passes the losses of a row or a block of rows, u
-    of shape (..., 1), and an E that keeps that axis.
+    h and g are scenario losses and subgradients, u the inner level's value,
+    E a mean over scenarios and J(c) the Jacobian mean E[c * g]; formula
+    returns (value, jac_x row, jac_u entry or None, clamped) for sample_rows
+    to shape.  Its rows are drawn picks, one for a row x or one per row of a
+    block, with E the identity, or None at one row x: every scenario with its
+    weight, the exact level.  With J=None formula returns the value alone, for
+    exact_value: the losses of a row or block, u (..., 1), an E keeping that axis.
     """
 
     def __init__(self, scen):
@@ -166,27 +188,38 @@ class _ScenarioLevel(LevelOracle):
         return self.scen.draw(rng, count)
 
     def sample(self, x, u_next, rng, k=0):
-        u = None if u_next is None else float(u_next[0])
-        if rng is not None:
-            h, g = self.scen.draw_loss(x, rng)
-            return self.formula(h, g, u, _identity, g.__rmul__)
-        h, grads = self.scen.all_losses(x)
-        w = self.scen.weights
-        return self.formula(h, grads, u, w.__matmul__, lambda c: (w * c) @ grads)
+        if isinstance(rng, np.random.Generator):
+            rng = self.scen.draw(rng, 1)[0]
+        return self.sample_rows(x, u_next, rng, k)
+
+    def sample_rows(self, x, u_next, rows, k=0):
+        h, g = self.scen.losses(x, np.arange(self.scen.count) if rows is None else rows)
+        block = x.ndim > 1
+        u = None if u_next is None else u_next[:, 0] if block else float(u_next[0])
+        if block:  # one drawn scenario per row
+            E, J = _identity, lambda c: c[:, None] * g
+        elif rows is None:  # every scenario with its weight: the exact level
+            w = self.scen.weights
+            E, J = w.__matmul__, lambda c: (w * c) @ g
+        else:
+            E, J = _identity, g.__rmul__
+        value, jac_x, jac_u, clamped = self.formula(h, g, u, E, J)
+        if block:
+            return OracleSample(value[:, None], jac_x[:, None],
+                                None if jac_u is None else jac_u[:, None, None], clamped)
+        return OracleSample(np.array([value]), jac_x.reshape(1, -1),
+                            None if jac_u is None else np.array([[jac_u]]), clamped)
 
     def exact_value(self, x, u_next):
-        """The value of sample(x, u_next, None) without its Jacobians; x may be a block.
-
-        A block goes in chunks of rows whose (rows, scenarios) loss tables
-        hold at most ROW_BLOCK_ELEMENTS entries.
-        """
+        """The value of sample(x, u_next, None) without its Jacobians; x may be a block,
+        taken in chunks of rows whose (rows, S) loss tables hold at most ROW_BLOCK_ELEMENTS."""
         rows = max(1, ROW_BLOCK_ELEMENTS // self.scen.count)
         if x.ndim == 2 and len(x) > rows:
             return np.concatenate([
                 self.exact_value(x[i:i + rows], None if u_next is None else u_next[i:i + rows])
                 for i in range(0, len(x), rows)])
         w_row = self.scen.weights[None, :]
-        return self.formula(self.scen.loss_values(x), None, u_next,
+        return self.formula(self.scen.losses(x)[0], None, u_next,
                             lambda v: row_matvec(w_row, v), None)
 
 
@@ -195,9 +228,7 @@ class MeanLossLevel(_ScenarioLevel):
 
     def formula(self, h, g, u, E, J):
         value = E(h)
-        if J is None:
-            return value
-        return OracleSample(np.array([value]), E(g).reshape(1, -1))
+        return value if J is None else (value, E(g), None, False)
 
 
 class UpperSemidevLevel(_ScenarioLevel):
@@ -212,10 +243,7 @@ class UpperSemidevLevel(_ScenarioLevel):
         d = h - u
         act = (d > 0.0) * 1.0  # subgradient 0 at the kink
         value = E(h) + kappa * E(act * d)
-        if J is None:
-            return value
-        return OracleSample(np.array([value]), J(1.0 + kappa * act).reshape(1, -1),
-                            np.array([[-kappa * E(act)]]))
+        return value if J is None else (value, J(1.0 + kappa * act), -kappa * E(act), False)
 
 
 class SquaredShortfallLevel(_ScenarioLevel):
@@ -225,10 +253,7 @@ class SquaredShortfallLevel(_ScenarioLevel):
         d = h - u
         m0 = (d > 0.0) * d + 0.0  # max(0, d), +0.0 below the kink
         value = E(m0 * m0)
-        if J is None:
-            return value
-        return OracleSample(np.array([value]), J(2.0 * m0).reshape(1, -1),
-                            np.array([[-2.0 * E(m0)]]))
+        return value if J is None else (value, J(2.0 * m0), -2.0 * E(m0), False)
 
 
 class SqrtRiskLevel(_ScenarioLevel):
@@ -237,7 +262,7 @@ class SqrtRiskLevel(_ScenarioLevel):
     The tracker feeding u is an estimate of a nonnegative quantity but can
     transiently dip below zero; arguments below -epsilon/2 are clamped to
     keep the square root away from its singularity, and the sample is
-    flagged so runs can report how often that happened.
+    flagged (per row, for a block) so runs can report how often that happened.
     """
 
     def __init__(self, scen, kappa: float, epsilon: float):
@@ -246,15 +271,13 @@ class SqrtRiskLevel(_ScenarioLevel):
         self.epsilon = float(epsilon)
 
     def formula(self, h, g, u, E, J):
-        arg = self.epsilon + u
-        floor = 0.5 * self.epsilon
-        if J is None:  # u may be a block here; np.maximum keeps NaN as the branch below does
-            return E(h) + self.kappa * np.sqrt(np.maximum(arg, floor))
-        # a sample's u is a float: math is several times faster than numpy on scalars
-        clamped = arg < floor
-        root = math.sqrt(floor if clamped else arg)
-        return OracleSample(np.array([E(h) + self.kappa * root]), E(g).reshape(1, -1),
-                            np.array([[self.kappa / (2.0 * root)]]), clamped=clamped)
+        arg, floor = self.epsilon + u, 0.5 * self.epsilon
+        if isinstance(arg, float):  # one row: math is several times faster than numpy on scalars
+            root = math.sqrt(floor if arg < floor else arg)
+        else:  # np.maximum keeps a NaN argument, as the branch above does
+            root = np.sqrt(np.maximum(arg, floor))
+        value = E(h) + self.kappa * root
+        return value if J is None else (value, E(g), self.kappa / (2.0 * root), arg < floor)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +285,7 @@ class SqrtRiskLevel(_ScenarioLevel):
 
 def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> CompositionProblem:
     """Two-level mean-semideviation problem (p = 1) over a feasible set."""
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError("problem.kappa", "kappa must lie in [0, 1]")
+    kappa = _real("problem.kappa", kappa, "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (UpperSemidevLevel(scen, kappa), MeanLossLevel(scen))
     exact = ExactEvaluators(oracles) if isinstance(scen, FiniteScenarios) else None
@@ -273,10 +295,9 @@ def risk_p1(scen, kappa: float, feasible_set: FeasibleSet | None = None) -> Comp
 def risk_p2(scen, kappa: float, epsilon: float,
             feasible_set: FeasibleSet | None = None) -> CompositionProblem:
     """Three-level mean-semideviation problem (p = 2)."""
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError("problem.kappa", "kappa must lie in [0, 1]")
-    if not 0.0 < epsilon < math.inf:  # and NaN
-        raise ConfigError("problem.epsilon", "epsilon must be strictly positive and finite")
+    kappa = _real("problem.kappa", kappa, "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    epsilon = _real("problem.epsilon", epsilon, "epsilon must be strictly positive and finite",
+                    lambda v: 0.0 < v < math.inf)
     fs = feasible_set if feasible_set is not None else Simplex(scen.n)
     oracles = (SqrtRiskLevel(scen, kappa, epsilon),
                SquaredShortfallLevel(scen),

@@ -283,7 +283,7 @@ def mean_semideviation(scen: FiniteScenarios, x: np.ndarray, kappa: float,
     Independent of the nested-composition code path; used to cross-check
     that the composition reproduces the risk measure.
     """
-    losses, _ = scen.all_losses(x)
+    losses, _ = scen.losses(x)
     mean = float(scen.weights @ losses)
     dev = np.maximum(losses - mean, 0.0)
     if p == 1:

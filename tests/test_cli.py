@@ -158,6 +158,8 @@ def _bad(case_id, config, path, value, field, args=()):
          (1e200 * np.eye(5)).tolist(), "problem.matrix"),
     _bad("gaussian-coef-mean-text", "risk_p1_run.json", ("problem", "scenarios"),
          {"kind": "gaussian", "coef_mean": ["a"] * 5}, "problem.scenarios.coef_mean"),
+    _bad("gaussian-coef-sd-negative", "risk_p2_run.json", ("problem", "scenarios"),
+         {"kind": "gaussian", "coef_sd": -1.0}, "problem.scenarios.coef_sd"),
     _bad("kappa-misspelt", "risk_p1_run.json", ("problem", "kapa"), 0.9, "problem.kapa"),
     _bad("schedule-misspelt", "risk_p1_run.json", ("algorithm", "shedule"),
          {"kind": "constant", "tau": 0.1}, "algorithm.shedule"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestopt import NoiseModel, NoisyOracle, level_streams
+from nestopt import LevelOracle, NoiseModel, NoisyOracle, level_streams
 from nestopt.oracles import OracleSample, _centered_draw
 from nestopt.problems import GaussianScenarios, FiniteScenarios, random_scenarios
 from nestopt.problems.risk import MeanLossLevel, SqrtRiskLevel, UpperSemidevLevel
@@ -219,12 +219,13 @@ def test_noisy_oracle_keeps_the_base_clamped_flag():
 
 
 def test_default_sample_rows_stacks_the_rows_sampled_one_at_a_time():
+    # the scenario level states its own sample_rows; this calls LevelOracle's default on it
     level = SqrtRiskLevel(random_scenarios(n=3, count=5, seed=1), kappa=0.5, epsilon=1e-2)
     rng = np.random.default_rng(2)
     x = rng.dirichlet(np.ones(3), size=4)
     u = np.array([[-9e-3], [0.2], [-9e-3], [-4e-3]])  # rows 0 and 2 clamp
     rows = level.draw(level_streams(0, 1)[0], 4, (1, 3, 1))
-    block = level.sample_rows(x, u, rows)
+    block = LevelOracle.sample_rows(level, x, u, rows)
     assert type(block) is OracleSample
     assert block.clamped.dtype == bool and list(block.clamped) == [True, False, True, False]
     for i in range(4):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from nestopt import ConfigError, NoiseModel, gap, validate_problem
 from nestopt.diagnostics import nested_table, tracking_table
 from nestopt.model import ExactEvaluators
-from nestopt.oracles import NoiseFreeLevel, OracleSample, row_dot, row_matvec
-from nestopt.problems import (FiniteScenarios, make_problem, random_scenarios,
-                              risk_p1, risk_p2, scenarios_from_csv,
+from nestopt.oracles import LevelOracle, NoiseFreeLevel, OracleSample, row_dot, row_matvec
+from nestopt.problems import (FiniteScenarios, GaussianScenarios, make_problem,
+                              random_scenarios, risk_p1, risk_p2, scenarios_from_csv,
                               solve_vi_fixed_point, svi_problem, synthetic_smooth)
+from nestopt.problems.risk import (MeanLossLevel, SqrtRiskLevel, SquaredShortfallLevel,
+                                   UpperSemidevLevel)
 from nestopt.sets import Ball, Box, CustomSet, Simplex
 
 from helpers import (exact_composed_gradient, finite_difference_reference,
@@ -163,7 +165,7 @@ def _edge_rows(problem, X, U, rng):
             if hasattr(level, "epsilon"):
                 U[m][i, 0] = -level.epsilon * rng.choice([0.5, 0.75, 3.0])
             elif scen is not None:
-                U[m][i, 0] = rng.choice(scen.loss_values(X[i]))
+                U[m][i, 0] = rng.choice(scen.losses(X[i])[0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -190,6 +192,52 @@ def test_block_values_match_rows_bits(name, rows, seed):
         assert all(same_bits(v[i], w) for v, w in zip(nested, exact.nested(X[i])))
         for block, table in zip(tables, (tracking_table, nested_table)):
             assert same_bits(block[i], table(exact, X[i], [v[i] for v in U]))
+
+
+def _scenario_levels():
+    """Every scenario level class over a table, with and without relu, and over Gaussian draws."""
+    rng = np.random.default_rng(5)
+    kinds = {"gaussian": GaussianScenarios(np.full(3, 0.3), 0.4, 1.0, 0.5)}
+    for relu in (False, True):
+        # scenario 0 has offset 0, so at x = 0 its affine part t is 0 exactly: the relu kink
+        kinds["table-relu" if relu else "table"] = FiniteScenarios(
+            weights=rng.random(6) + 0.05, coef=rng.standard_normal((6, 3)),
+            offset=np.r_[0.0, rng.standard_normal(5)], relu=relu)
+    return {f"{kind}-{cls.__name__}": cls(scen, *args)
+            for kind, scen in kinds.items()
+            for cls, args in ((MeanLossLevel, ()), (UpperSemidevLevel, (0.5,)),
+                              (SquaredShortfallLevel, ()), (SqrtRiskLevel, (0.5, 1e-2)))}
+
+
+SCENARIO_LEVELS = _scenario_levels()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(SCENARIO_LEVELS)), rows=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_scenario_block_samples_match_row_samples_bits(name, rows, seed):
+    level = SCENARIO_LEVELS[name]
+    scen, rng = level.scen, np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (rows, scen.n))
+    picks = level.draw(rng, rows, (1, scen.n, 1))
+    U = None if isinstance(level, MeanLossLevel) else rng.uniform(-1.0, 1.0, (rows, 1))
+    # plant edge rows, as _edge_rows does: the relu kink t == 0, a kink d == 0 of the
+    # level's own max, and the sqrt level's clamp, at -epsilon/2 exactly and below it
+    for i in rng.choice(rows, size=(rows + 1) // 2, replace=False):
+        if isinstance(scen, FiniteScenarios) and rng.random() < 0.5:
+            X[i], picks[i] = 0.0, 0
+        if hasattr(level, "epsilon"):
+            U[i, 0] = -level.epsilon * rng.choice([0.5, 0.75, 3.0])
+        elif U is not None:
+            U[i, 0] = scen.losses(X[i], picks[i])[0]  # d == 0
+    block = level.sample_rows(X, U, picks)
+    assert type(block) is OracleSample
+    assert block.value.shape == (rows, 1) and block.jac_x.shape == (rows, 1, scen.n)
+    assert (block.jac_u is None) == (U is None)
+    for i in range(rows):
+        s = level.sample(X[i], None if U is None else U[i], picks[i])
+        assert all(same_bits(a[i], b) for a, b in zip(block[:3], s[:3]) if b is not None)
+        assert (block.clamped is not False and bool(block.clamped[i])) == s.clamped
 
 
 def test_risk_p1_hand_scenario_values():
@@ -302,7 +350,7 @@ def test_exact_jacobians_match_finite_differences(family):
         m = 1 + checked % problem.M
         u_next = u if m < problem.M else None
         if family == "p1" and m == 1:
-            losses, _ = scen.all_losses(x)
+            losses, _ = scen.losses(x)
             if np.min(np.abs(losses - u[0])) < 1e-6:
                 continue  # skip the kink band of max(0, .)
         v, jx, ju = problem.exact.value_jac(m, x, u_next)
@@ -379,12 +427,11 @@ def test_p2_oracle_clamps_below_half_epsilon():
 def test_relu_losses_and_kink_rule():
     scen = FiniteScenarios(weights=np.array([1.0]), coef=np.array([[1.0, 0.0]]),
                            offset=np.array([-0.5]), relu=True)
-    rng = np.random.default_rng(0)
-    h, g = scen.draw_loss(np.array([0.2, 0.0]), rng)   # t = -0.3 -> relu zero
+    h, g = scen.losses(np.array([0.2, 0.0]), 0)   # t = -0.3 -> relu zero
     assert h == 0.0 and np.array_equal(g, np.zeros(2))
-    h, g = scen.draw_loss(np.array([0.5, 0.0]), rng)   # t = 0 exactly: slope 0
+    h, g = scen.losses(np.array([0.5, 0.0]), 0)   # t = 0 exactly: slope 0
     assert h == 0.0 and np.array_equal(g, np.zeros(2))
-    h, g = scen.draw_loss(np.array([1.0, 0.0]), rng)
+    h, g = scen.losses(np.array([1.0, 0.0]), 0)
     assert h == pytest.approx(0.5) and np.array_equal(g, np.array([1.0, 0.0]))
 
 
@@ -591,13 +638,37 @@ _SCEN = random_scenarios(n=3, count=5, seed=1)
      "scenarios.offset"),
     (lambda: random_scenarios(n=3, count=5, coef_scale=NAN), ConfigError, "scenarios.coef"),
     (lambda: random_scenarios(n=3, count=5, offset_loc=INF), ConfigError, "scenarios.offset"),
+    # shapes and flags that would otherwise fail at iteration 0, or run as something else
+    (lambda: FiniteScenarios([1, 1], [[1, 1], [1, 1]], [0, 0], relu="no"), ConfigError,
+     "scenarios.relu"),
+    (lambda: FiniteScenarios([1, 1], [[1, 1], [1, 1]], [[0], [0]]), ConfigError,
+     "scenarios.offset"),
+    (lambda: FiniteScenarios([[1, 1], [1, 1]], np.ones((4, 2)), np.zeros(4)), ConfigError,
+     "scenarios.weights"),
+    (lambda: GaussianScenarios(np.full(3, 0.3), -1.0, 1.0, 0.5), ConfigError, "scenarios.coef_sd"),
+    (lambda: GaussianScenarios(np.full(3, 0.3), NAN, 1.0, 0.5), ConfigError, "scenarios.coef_sd"),
+    (lambda: GaussianScenarios(np.full(3, 0.3), 0.4, 1.0, -0.5), ConfigError,
+     "scenarios.offset_sd"),
+    (lambda: GaussianScenarios(np.full(3, 0.3), 0.4, INF, 0.5), ConfigError,
+     "scenarios.offset_mean"),
+    (lambda: GaussianScenarios([0.3, NAN, 0.3], 0.4, 1.0, 0.5), ConfigError,
+     "scenarios.coef_mean"),
+    (lambda: GaussianScenarios(np.full((2, 3), 0.3), 0.4, 1.0, 0.5), ConfigError,
+     "scenarios.coef_mean"),
+    (lambda: risk_p1(_SCEN, "0.5"), ConfigError, "problem.kappa"),
+    (lambda: risk_p1(_SCEN, True), ConfigError, "problem.kappa"),
+    (lambda: risk_p2(_SCEN, 0.5, epsilon=True), ConfigError, "problem.epsilon"),
 ], ids=["svi-nan-r", "svi-inf-r", "p2-nan-epsilon", "p2-inf-epsilon", "nan-halfwidth",
         "inf-halfwidth", "nan-coupling", "inf-coupling", "float-levels", "float-n",
         "bool-inner-dim", "float-simplex-dim", "bool-simplex-dim", "svi-float-n", "svi-bool-n",
         "svi-nan-skew", "svi-inf-skew", "scenarios-float-n", "scenarios-float-count",
         "float-instance-seed", "svi-float-instance-seed", "float-custom-set-dim",
         "table-nan-coef", "table-inf-coef", "table-nan-offset", "table-inf-offset",
-        "scenarios-nan-coef-scale", "scenarios-inf-offset-loc"])
+        "scenarios-nan-coef-scale", "scenarios-inf-offset-loc", "table-text-relu",
+        "table-column-offset", "table-square-weights", "gaussian-negative-coef-sd",
+        "gaussian-nan-coef-sd", "gaussian-negative-offset-sd", "gaussian-inf-offset-mean",
+        "gaussian-nan-coef-mean", "gaussian-matrix-coef-mean", "p1-text-kappa", "p1-bool-kappa",
+        "p2-bool-epsilon"])
 def test_family_parameters_fail_at_construction_with_their_name(build, error, expected):
     with pytest.raises(error) as exc:
         build()
@@ -660,13 +731,16 @@ def test_row_dot_and_row_matvec_of_one_row_are_dot(n):
         assert type(got) is type(want) and same_bits(got, want)
 
 
-def test_shipped_noise_free_levels_state_only_sample_rows():
+def test_shipped_levels_state_their_own_sample_rows():
+    # no shipped level leaves a lockstep block to LevelOracle's row-by-row default
     import nestopt.problems
     levels = [cls for info in pkgutil.iter_modules(nestopt.problems.__path__)
               for cls in vars(importlib.import_module(f"nestopt.problems.{info.name}")).values()
-              if isinstance(cls, type) and issubclass(cls, NoiseFreeLevel)
+              if isinstance(cls, type) and issubclass(cls, LevelOracle)
               and cls.__module__ == f"nestopt.problems.{info.name}"]
-    assert len(levels) >= 5
+    assert len(levels) >= 10
     for cls in levels:
-        assert "sample_rows" in vars(cls), cls.__name__
-        assert not {"sample", "exact_value"} & set(vars(cls)), cls.__name__
+        assert cls.sample_rows.__module__.startswith("nestopt.problems."), cls.__name__
+        if issubclass(cls, NoiseFreeLevel):
+            assert "sample_rows" in vars(cls), cls.__name__
+            assert not {"sample", "exact_value"} & set(vars(cls)), cls.__name__
